@@ -19,6 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from .model import (
     FILTER_DROPPED_RETRIEVAL,
     FILTER_KEPT,
@@ -143,6 +145,11 @@ class Bm25Retriever:
     final window.  Scores use the non-negative idf variant
     ln(1 + (N - df + 0.5) / (df + 0.5)); query tokens score per occurrence.
     Ties break by document order then window index.
+
+    The index keeps one posting per term: the ids of the windows holding it
+    and, for each, the term's full BM25 contribution to that window.  A
+    query adds the postings of its tokens in query order, which is the same
+    float summation order as scoring each window token by token.
     """
 
     def __init__(
@@ -158,8 +165,8 @@ class Bm25Retriever:
         self.b = b
         self.window_words = window_words
         self.windows: list[Passage] = []
-        self._window_tokens: list[Counter] = []
-        self._window_lengths: list[int] = []
+        window_lengths: list[int] = []
+        grouped: dict[str, tuple[list[int], list[int]]] = {}
         for doc in documents:
             words = doc.text.split()
             for start in range(0, len(words), window_words):
@@ -177,51 +184,45 @@ class Bm25Retriever:
                     )
                 )
                 tokens = tokenize(text)
-                self._window_tokens.append(Counter(tokens))
-                self._window_lengths.append(len(tokens))
+                for term, tf in Counter(tokens).items():
+                    ids, tfs = grouped.setdefault(term, ([], []))
+                    ids.append(len(window_lengths))
+                    tfs.append(tf)
+                window_lengths.append(len(tokens))
         if not self.windows:
             raise FilterError("corpus produced no retrieval windows")
         self._count = len(self.windows)
-        self._avgdl = sum(self._window_lengths) / self._count
-        df: Counter = Counter()
-        for counts in self._window_tokens:
-            df.update(counts.keys())
-        self._idf = {
-            term: math.log(1.0 + (self._count - n + 0.5) / (n + 0.5))
-            for term, n in df.items()
-        }
-
-    def score(self, query_tokens: list[str], window_index: int) -> float:
-        counts = self._window_tokens[window_index]
-        length = self._window_lengths[window_index]
-        norm = self.k1 * (1.0 - self.b + self.b * length / self._avgdl)
-        total = 0.0
-        for token in query_tokens:
-            tf = counts.get(token, 0)
-            if tf == 0:
-                continue
-            total += self._idf.get(token, 0.0) * tf * (self.k1 + 1.0) / (tf + norm)
-        return total
+        avgdl = sum(window_lengths) / self._count
+        norms = k1 * (1.0 - b + b * np.array(window_lengths, dtype=np.float64) / avgdl)
+        self._postings: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for term, (ids, tfs) in grouped.items():
+            n = len(ids)
+            idf = math.log(1.0 + (self._count - n + 0.5) / (n + 0.5))
+            window_ids = np.array(ids, dtype=np.intp)
+            tf = np.array(tfs, dtype=np.float64)
+            contrib = idf * tf * (k1 + 1.0) / (tf + norms[window_ids])
+            self._postings[term] = (window_ids, contrib)
 
     def retrieve(self, question: str, k: int = DEFAULT_PASSAGES_PER_QUESTION) -> list[Passage]:
         """Top-k windows by BM25 score, deterministic under ties."""
         if k < 1:
             raise FilterError(f"k must be at least 1, got {k}")
-        query_tokens = tokenize(question)
-        scored = [
-            (self.score(query_tokens, i), i) for i in range(self._count)
-        ]
-        scored.sort(key=lambda pair: (-pair[0], pair[1]))
-        top = scored[: min(k, self._count)]
+        scores = np.zeros(self._count)
+        for token in tokenize(question):
+            posting = self._postings.get(token)
+            if posting is not None:
+                window_ids, contrib = posting
+                scores[window_ids] += contrib
+        top = np.argsort(-scores, kind="stable")[:k]
         return [
             Passage(
                 title=self.windows[i].title,
                 text=self.windows[i].text,
                 doc_id=self.windows[i].doc_id,
                 window_index=self.windows[i].window_index,
-                score=score,
+                score=float(scores[i]),
             )
-            for score, i in top
+            for i in top.tolist()
         ]
 
 

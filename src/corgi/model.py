@@ -258,10 +258,12 @@ def validate(d: Dataset) -> ValidationReport:
     """Check every dataset invariant; collects issues instead of raising."""
     issues: list[ValidationIssue] = []
 
-    def add(item: InstructionInstance, field_name: str, message: str) -> None:
-        issues.append(ValidationIssue(item.id, positions[id(item)], field_name, message))
+    # ``add`` reports the position of the item the loop below is checking,
+    # so an object that occurs twice is reported at each of its positions.
+    position = -1
 
-    positions = {id(item): i for i, item in enumerate(d.items)}
+    def add(item: InstructionInstance, field_name: str, message: str) -> None:
+        issues.append(ValidationIssue(item.id, position, field_name, message))
 
     seen: dict[str, int] = {}
     for i, item in enumerate(d.items):
@@ -275,7 +277,7 @@ def validate(d: Dataset) -> ValidationReport:
         else:
             seen[item.id] = i
 
-    for item in d.items:
+    for position, item in enumerate(d.items):
         try:
             row = template_for(item.cognitive_index)
         except ValueError as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 from .model import Concept, Course
@@ -62,12 +63,22 @@ class PromptError(ValueError):
     """Raised for missing template slots or unusable inputs."""
 
 
+@lru_cache(maxsize=None)
 def load_template(name: str) -> str:
-    """Read a bundled template resource, dropping the trailing newline."""
+    """Read a bundled template resource, dropping the trailing newline.
+
+    Templates ship with the package and never change at run time, so each
+    is read once per process.
+    """
     text = resources.files("corgi").joinpath("templates", f"{name}.txt").read_text("utf-8")
     if text.endswith("\n"):
         text = text[:-1]
     return text
+
+
+@lru_cache(maxsize=None)
+def _slots_of(template: str) -> frozenset[str]:
+    return frozenset(_SLOT_RE.findall(template))
 
 
 @dataclass(frozen=True)
@@ -79,7 +90,7 @@ class PromptFill:
 
     def render(self) -> str:
         template = load_template(self.template_name)
-        wanted = set(_SLOT_RE.findall(template))
+        wanted = _slots_of(template)
         given = set(self.slots)
         if wanted - given:
             raise PromptError(

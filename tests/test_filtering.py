@@ -235,6 +235,15 @@ def naive_top_windows(documents, question, k, window_words):
     return scored[: min(k, total)]
 
 
+def assert_matches_oracle(retriever, documents, question, k, window_words, label):
+    """Same windows in the same order, with scores equal to the last bit."""
+    got = retriever.retrieve(question, k=k)
+    want = naive_top_windows(documents, question, k, window_words)
+    assert [(p.doc_id, p.window_index, p.score) for p in got] == [
+        (doc_id, number, score) for score, _, doc_id, number in want
+    ], label
+
+
 class TestBm25:
     def test_single_term_score_closed_form(self):
         doc = CorpusDocument("d.txt", "Doc", "alpha beta gamma delta epsilon zeta")
@@ -259,14 +268,57 @@ class TestBm25:
             )
             k = rng.randrange(1, 6)
             retriever = Bm25Retriever(documents, window_words=window_words)
-            got = retriever.retrieve(question, k=k)
-            want = naive_top_windows(documents, question, k, window_words)
-            label = f"round {round_no}"
-            assert [(p.doc_id, p.window_index) for p in got] == [
-                (doc_id, number) for _, _, doc_id, number in want
-            ], label
-            for passage, (score, _, _, _) in zip(got, want):
-                assert math.isclose(passage.score, score, abs_tol=1e-12), label
+            assert_matches_oracle(
+                retriever, documents, question, k, window_words, f"round {round_no}"
+            )
+
+    def test_matches_the_oracle_on_edge_queries(self):
+        documents = [
+            CorpusDocument("a.txt", "A", "sun moon sun star comet sun orbit dust"),
+            CorpusDocument("b.txt", "B", "moon moon gas ring sun"),
+            CorpusDocument("c.txt", "C", "dust gas gas comet"),
+        ]
+        window_words = 3
+        retriever = Bm25Retriever(documents, window_words=window_words)
+        count = len(retriever.windows)
+        cases = [
+            ("sun sun", 3),
+            ("moon gas moon gas moon", 4),
+            ("comet sun comet dust comet", 2),
+            ("xylophone", 2),
+            ("xylophone sun zzyzx sun", 3),
+            ("ring", count + 5),
+            ("sun moon sun", count),
+            ("quasar nebula", count * 3),
+        ]
+        for question, k in cases:
+            assert_matches_oracle(
+                retriever, documents, question, k, window_words, repr((question, k))
+            )
+
+    def test_matches_the_oracle_on_a_large_corpus(self):
+        rng = random.Random(0x1B25)
+        vocab = [f"term{i}" for i in range(400)]
+        weights = [1.0 / (rank + 1) for rank in range(len(vocab))]
+        window_words = 20
+        documents = [
+            CorpusDocument(
+                f"doc{d}.txt",
+                f"Doc {d}",
+                " ".join(rng.choices(vocab, weights, k=rng.randrange(300, 500))),
+            )
+            for d in range(50)
+        ]
+        retriever = Bm25Retriever(documents, window_words=window_words)
+        assert len(retriever.windows) >= 1000
+        for query_no in range(6):
+            terms = rng.choices(vocab, weights, k=rng.randrange(2, 9))
+            if query_no % 2:
+                terms += [terms[0], "absentterm"]
+            question = " ".join(terms)
+            assert_matches_oracle(
+                retriever, documents, question, 10, window_words, f"query {query_no}"
+            )
 
     def test_ties_break_by_window_order(self):
         docs = [

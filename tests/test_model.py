@@ -181,6 +181,13 @@ class TestValidate:
         assert dup[0].position == 1
         assert "position 0" in dup[0].message
 
+    def test_a_repeated_object_is_reported_at_each_position(self):
+        bad = replace(make_instance("Alpha", "c1", 1), question="   ")
+        ok = make_instance("Alpha", "c1", 2)
+        report = validate(make_dataset([bad, ok, bad], run_id="r"))
+        empty = [i.position for i in report.issues if i.field == "question"]
+        assert empty == [0, 2]
+
     def test_manifest_count_mismatch(self):
         d = make_dataset([make_instance("Alpha", "c1", 1)], run_id="r")
         broken = replace(

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from corgi import prompts
 from corgi.model import Concept, Course, EducationalStage
 from corgi.prompts import (
     SYSTEM_MESSAGES_EASY,
@@ -124,6 +125,25 @@ class TestGoldens:
             assert prompt == golden(f"question_{row.index:02d}.txt"), (
                 f"template {row.index} diverged from its golden"
             )
+
+
+class TestTemplateCache:
+    def test_rendering_many_prompts_reads_the_template_once(self, monkeypatch):
+        reads = []
+        real_files = prompts.resources.files
+
+        def counting_files(package):
+            reads.append(package)
+            return real_files(package)
+
+        monkeypatch.setattr(prompts.resources, "files", counting_files)
+        prompts.load_template.cache_clear()
+        for _ in range(50):
+            prompt = build_retrieval_check_prompt(
+                COMET_QUESTION, "Solar System", KEPLER_PASSAGE
+            )
+            assert prompt == golden("retrieval_check.txt")
+        assert reads == ["corgi"]
 
 
 class TestQuestionPrompt:
