@@ -9,9 +9,9 @@ so a run is a chain of artifacts in one working directory:
 
 ``run.json`` records, per stage, a digest of the inputs and parameters the
 stage saw plus digests of what it wrote.  ``resume`` replays from the first
-stage whose outputs are missing or whose recorded input digest no longer
-matches, so editing the catalog or changing the seed invalidates exactly
-the stages that depend on it.
+stage whose outputs are missing or no longer match their recorded digests,
+or whose recorded input digest no longer matches, so editing the catalog or
+changing the seed invalidates exactly the stages that depend on it.
 
 Secrets never live in config files: API keys come only from the
 TEACHER_API_KEY / EMBED_API_KEY environment variables, and endpoint URLs
@@ -63,6 +63,7 @@ from .teacher import (
     ReferenceEmbeddingBackend,
     SimulatedTeacherBackend,
     TeacherClient,
+    fan_out,
 )
 
 COURSES_FILE = "courses.jsonl"
@@ -205,10 +206,7 @@ def build_teacher(cfg: RunConfig) -> TeacherClient:
         )
     else:
         raise CliError(f"unknown teacher backend: {kind!r}")
-    client = TeacherClient(
-        backend=backend,
-        max_concurrency=int(spec.get("max_concurrency", cfg.max_workers)),
-    )
+    client = TeacherClient(backend=backend, max_concurrency=cfg.max_workers)
     if "temperature" in spec:
         client = replace(client, generation_temperature=float(spec["temperature"]))
     return client
@@ -280,16 +278,19 @@ def _stage_ingest(cfg: RunConfig, run: dict) -> None:
 def _stage_refine(cfg: RunConfig, run: dict) -> None:
     client = build_teacher(cfg)
     courses = load_courses(cfg.artifact(COURSES_FILE))
-    refined = [refine_description(course, client) for course in courses]
+    refined = fan_out(
+        lambda course: refine_description(course, client), courses, client.max_concurrency
+    )
     save_courses(refined, cfg.artifact(REFINED_FILE))
 
 
 def _stage_concepts(cfg: RunConfig, run: dict) -> None:
     client = build_teacher(cfg)
     courses = load_courses(cfg.artifact(REFINED_FILE))
-    concepts = []
-    for course in courses:
-        concepts.extend(extract_concepts(course, client))
+    per_course = fan_out(
+        lambda course: extract_concepts(course, client), courses, client.max_concurrency
+    )
+    concepts = [concept for batch in per_course for concept in batch]
     save_concepts(concepts, cfg.artifact(RAW_CONCEPTS_FILE))
 
 
@@ -314,8 +315,7 @@ def _stage_generate(cfg: RunConfig, run: dict) -> None:
         run_id=run["run_id"],
     )
     instances, failures = generate_for_concepts(
-        concepts, titles, client, seed=cfg.seed,
-        provenance=provenance, max_workers=cfg.max_workers,
+        concepts, titles, client, seed=cfg.seed, provenance=provenance
     )
     d = make_dataset(instances, run_id=run["run_id"], seed=cfg.seed)
     save_dataset(d, cfg.artifact(INSTANCES_FILE))
@@ -336,7 +336,6 @@ def _stage_filter(cfg: RunConfig, run: dict) -> None:
             required_yes=cfg.required_yes,
             passages_per_question=cfg.passages_per_question,
             max_failure_fraction=cfg.max_failure_fraction,
-            max_workers=cfg.max_workers,
         ),
     )
     save_dataset(filtered, cfg.artifact(FILTERED_FILE))
@@ -552,14 +551,23 @@ def run_stage(stage: Stage, cfg: RunConfig, run: dict) -> None:
 
 
 def stage_is_stale(stage: Stage, cfg: RunConfig, run: dict) -> bool:
-    """True when the stage must re-run: no record, gone outputs, new inputs."""
+    """True when the stage must re-run.
+
+    That is when it has no record, an output is gone or no longer matches
+    its recorded digest (truncated, hand-edited), or its inputs changed.
+    """
     entry = run["stages"].get(stage.name)
     if entry is None:
         return True
-    for out in stage.outputs(cfg):
-        if not os.path.exists(out):
-            return True
-    return entry.get("input_digest") != _stage_input_digest(stage, cfg)
+    outputs = stage.outputs(cfg)
+    if not all(os.path.exists(out) for out in outputs):
+        return True
+    if entry.get("input_digest") != _stage_input_digest(stage, cfg):
+        return True
+    recorded = entry.get("outputs", {})
+    return any(
+        recorded.get(os.path.basename(out)) != _file_digest(out) for out in outputs
+    )
 
 
 class _WorkdirLock:

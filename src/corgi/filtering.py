@@ -15,7 +15,6 @@ import math
 import os
 import re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -30,7 +29,7 @@ from .model import (
     make_dataset,
     with_filter_status,
 )
-from .teacher import TeacherClient, TeacherError
+from .teacher import TeacherAuthError, TeacherClient, TeacherError, fan_out
 
 log = logging.getLogger(__name__)
 
@@ -241,7 +240,8 @@ def retrieval_filter(
 
     All passages are judged (no early exit) so the full vote vector lands
     on the instance.  A retrieval or judging failure leaves the instance
-    unfiltered rather than dropping it.
+    unfiltered rather than dropping it; a TeacherAuthError propagates, since
+    every later judge call would be rejected too.
     """
     try:
         passages = retriever.retrieve(instance.question, k=passages_per_question)
@@ -249,6 +249,8 @@ def retrieval_filter(
             client.judge_relevance(instance.question, p.title, p.text)
             for p in passages
         ]
+    except TeacherAuthError:
+        raise
     except (TeacherError, FilterError) as exc:
         log.warning("retrieval filtering failed for %s: %s", instance.id, exc)
         return with_filter_status(instance, FILTER_UNFILTERED)
@@ -287,7 +289,6 @@ class FilterConfig:
     required_yes: int = DEFAULT_REQUIRED_YES
     passages_per_question: int = DEFAULT_PASSAGES_PER_QUESTION
     max_failure_fraction: float = 0.25
-    max_workers: int | None = None
 
 
 def run_filters(
@@ -298,7 +299,8 @@ def run_filters(
 ) -> tuple[Dataset, FilterStats]:
     """Rule filter, then retrieval filter on survivors; order-preserving.
 
-    Aborts only when the fraction of retrieval/judging failures exceeds
+    Aborts at once on a TeacherAuthError, and otherwise only when the
+    fraction of retrieval/judging failures exceeds
     ``config.max_failure_fraction``.
     """
     reasons: Counter = Counter()
@@ -312,9 +314,6 @@ def run_filters(
             rule_dropped += 1
             reasons[reason] += 1
 
-    workers = max(1, min(config.max_workers or client.max_concurrency,
-                         max(len(survivors), 1)))
-
     def judge(item: InstructionInstance) -> InstructionInstance:
         return retrieval_filter(
             item, retriever, client,
@@ -322,11 +321,7 @@ def run_filters(
             passages_per_question=config.passages_per_question,
         )
 
-    if workers == 1:
-        judged = [judge(item) for item in survivors]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            judged = list(pool.map(judge, survivors))
+    judged = fan_out(judge, survivors, client.max_concurrency)
 
     failures = sum(1 for item in judged if item.filter_status == FILTER_UNFILTERED)
     if survivors and failures / len(survivors) > config.max_failure_fraction:

@@ -9,14 +9,13 @@ load before asking the bare question.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
 from .model import Concept, InstructionInstance, Provenance
 from .prompts import build_question_prompt, pick_system_message
 from .taxonomy import COGNITIVE_TEMPLATES, CognitiveTemplate
-from .teacher import TeacherClient
+from .teacher import TeacherAuthError, TeacherClient, fan_out
 
 _QUESTION_LABEL = "question:"
 
@@ -50,6 +49,16 @@ class ConceptGenerationError(GenerationError):
             f"concept {failure.concept_id}: template {failure.failed_index} "
             f"failed ({cause}); indices {list(failure.ungenerated_indices)} ungenerated"
         )
+
+
+def _failure(concept: Concept, failed_index: int, error: str) -> ConceptFailure:
+    """Failure at ``failed_index``; it and every later index go ungenerated."""
+    return ConceptFailure(
+        concept_id=concept.id,
+        failed_index=failed_index,
+        error=error,
+        ungenerated_indices=tuple(range(failed_index, len(COGNITIVE_TEMPLATES) + 1)),
+    )
 
 
 def strip_question_label(reply: str) -> str:
@@ -102,7 +111,8 @@ def generate_instances(
     Template i receives template i-1's question as its previous question;
     template 1 receives none.  A failed call aborts the concept with a
     ConceptGenerationError whose failure record lists every index that was
-    never generated.
+    never generated.  A TeacherAuthError is not a per-concept failure: it
+    propagates, since every later call would be rejected too.
     """
     if provenance is None:
         provenance = Provenance(
@@ -118,13 +128,10 @@ def generate_instances(
             system_message, answer = generate_answer(
                 question, template.load, rng, client
             )
+        except TeacherAuthError:
+            raise
         except Exception as exc:
-            failure = ConceptFailure(
-                concept_id=concept.id,
-                failed_index=template.index,
-                error=str(exc),
-                ungenerated_indices=tuple(range(template.index, 20)),
-            )
+            failure = _failure(concept, template.index, str(exc))
             raise ConceptGenerationError(failure, exc) from exc
         instances.append(
             InstructionInstance(
@@ -153,42 +160,30 @@ def generate_for_concepts(
     client: TeacherClient,
     seed: int,
     provenance: Provenance,
-    max_workers: int | None = None,
 ) -> tuple[list[InstructionInstance], list[ConceptFailure]]:
     """Generate instances for many concepts, concurrently but reproducibly.
 
     Each concept gets its own RNG seeded from (seed, concept id), so the
-    drawn system messages do not depend on scheduling.  Failed concepts are
-    collected as failure records; their instances are omitted entirely.
+    drawn system messages do not depend on scheduling.  Failed concepts,
+    including those whose course has no title, are collected as failure
+    records; their instances are omitted entirely.
     """
 
     def run_one(concept: Concept):
-        rng = random.Random(f"{seed}/{concept.id}")
         title = course_titles.get(concept.course_id)
         if title is None:
-            raise GenerationError(
-                f"no course title for {concept.course_id!r} (concept {concept.id})"
-            )
-        return generate_instances(concept, client, rng, title, provenance)
-
-    def guarded(concept: Concept):
+            return _failure(concept, 1, f"no course title for {concept.course_id!r}")
+        rng = random.Random(f"{seed}/{concept.id}")
         try:
-            return run_one(concept)
+            return generate_instances(concept, client, rng, title, provenance)
         except ConceptGenerationError as exc:
-            return exc
-
-    workers = max(1, min(max_workers or client.max_concurrency, max(len(concepts), 1)))
-    if workers == 1:
-        outcomes = [guarded(concept) for concept in concepts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(guarded, concepts))
+            return exc.failure
 
     instances: list[InstructionInstance] = []
     failures: list[ConceptFailure] = []
-    for outcome in outcomes:
-        if isinstance(outcome, ConceptGenerationError):
-            failures.append(outcome.failure)
+    for outcome in fan_out(run_one, concepts, client.max_concurrency):
+        if isinstance(outcome, ConceptFailure):
+            failures.append(outcome)
         else:
             instances.extend(outcome)
     return instances, failures

@@ -94,6 +94,11 @@ def _default_post(url: str, headers: dict, payload: dict, timeout: float):
     return response.status_code, body
 
 
+def _is_transient(status: int | None) -> bool:
+    """Transport errors (no status), 408, 429 and 5xx are worth retrying."""
+    return status is None or status in (408, 429) or 500 <= status <= 599
+
+
 class _RetryingHttp:
     """Shared POST-with-backoff plumbing for the HTTP backends."""
 
@@ -129,6 +134,11 @@ class _RetryingHttp:
                 raise TeacherAuthError(f"authentication failed ({status}) at {url}")
             if status == 200:
                 return body
+            if not _is_transient(status):
+                raise TeacherError(
+                    f"permanent failure ({status}) at {url}: "
+                    f"body={json.dumps(body)[:200]}"
+                )
             if attempt >= self.max_retries:
                 raise TeacherRetryError(
                     f"gave up after {attempt + 1} attempt(s) at {url}: "
@@ -202,27 +212,23 @@ class MockTeacherBackend:
 
     model_name = "scripted-mock"
 
-    def __init__(self, scripts: dict[str, str], strict: bool = True, default: str = ""):
+    def __init__(self, scripts: dict[str, str]):
         self.scripts = dict(scripts)
-        self.strict = strict
-        self.default = default
 
     @classmethod
-    def from_prompts(cls, pairs: dict[str, str], **kwargs) -> "MockTeacherBackend":
-        return cls({prompt_digest(p): reply for p, reply in pairs.items()}, **kwargs)
+    def from_prompts(cls, pairs: dict[str, str]) -> "MockTeacherBackend":
+        return cls({prompt_digest(p): reply for p, reply in pairs.items()})
 
     @classmethod
-    def from_file(cls, path: str, **kwargs) -> "MockTeacherBackend":
+    def from_file(cls, path: str) -> "MockTeacherBackend":
         with open(path, encoding="utf-8") as handle:
-            return cls(json.load(handle), **kwargs)
+            return cls(json.load(handle))
 
     def complete(self, req: CompletionRequest) -> str:
         digest = prompt_digest(req.prompt)
-        if digest in self.scripts:
-            return self.scripts[digest]
-        if self.strict:
+        if digest not in self.scripts:
             raise MockScriptError(f"no scripted reply for prompt digest {digest}")
-        return self.default
+        return self.scripts[digest]
 
 
 _WORD_BANK = (
@@ -336,6 +342,21 @@ class SimulatedTeacherBackend:
         )
 
 
+def fan_out(fn: Callable, items: Sequence, workers: int) -> list:
+    """``[fn(item) for item in items]`` on up to ``workers`` threads.
+
+    Results come back in submission order whatever the completion order, so
+    output never depends on the worker count.  With one worker (or at most
+    one item) no thread starts.  The first exception in submission order
+    propagates, and items that have not started yet are cancelled.
+    """
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 @dataclass
 class TeacherClient:
     """Front door for pipeline code: defaults, concurrency, and judging."""
@@ -369,19 +390,6 @@ class TeacherClient:
             max_tokens=self.max_tokens if max_tokens is None else max_tokens,
         )
         return self.complete(req)
-
-    def ask_many(self, prompts: Sequence[tuple[str, str]]) -> list[str]:
-        """Complete (prompt, system_message) pairs with bounded concurrency.
-
-        Results come back in submission order regardless of completion order.
-        """
-        if not prompts:
-            return []
-        workers = max(1, min(self.max_concurrency, len(prompts)))
-        if workers == 1:
-            return [self.ask(p, s) for p, s in prompts]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda ps: self.ask(ps[0], ps[1]), prompts))
 
     def judge_relevance(self, question: str, passage_title: str, passage: str) -> bool:
         from .prompts import build_retrieval_check_prompt

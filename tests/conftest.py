@@ -13,6 +13,7 @@ from corgi.model import (
     make_dataset,
 )
 from corgi.taxonomy import template_for
+from corgi.teacher import HttpTeacherBackend, TeacherClient
 
 SUBJECT_POOL = ("Alpha", "Beta", "Gamma", "Delta")
 
@@ -107,3 +108,20 @@ def grid_dataset(n_subjects, n_concepts, indices=None):
 
 def ids_of(items):
     return [it.id for it in items]
+
+
+def rejecting_teacher():
+    """A one-worker client whose HTTP endpoint answers 401 to every call.
+
+    Returns the client and the list that records one entry per POST.
+    """
+    posts = []
+
+    def post(url, headers, payload, timeout):
+        posts.append(url)
+        return 401, {"error": "invalid api key"}
+
+    backend = HttpTeacherBackend(
+        base_url="https://teacher.test/v1", api_key="k", post=post, sleep=lambda _: None
+    )
+    return TeacherClient(backend=backend, max_concurrency=1), posts

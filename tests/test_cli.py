@@ -192,9 +192,9 @@ class TestBuildBackends:
                     "seed": 3,
                     "refusal_rate": 0.1,
                     "relevance_yes_rate": 0.5,
-                    "max_concurrency": 2,
                     "temperature": 0.3,
-                }
+                },
+                max_workers=2,
             )
         )
         assert client.backend.seed == 3
@@ -346,6 +346,19 @@ class TestFullRun:
         for name, blob in before.items():
             assert read_bytes(cfg.artifact(name)) == blob, name
 
+    def test_teacher_stages_do_not_depend_on_max_workers(self, tmp_path, capsys):
+        outputs = {}
+        for workers in (1, 4):
+            path = write_config(tmp_path / str(workers), max_workers=workers)
+            for stage in ("ingest", "refine", "concepts"):
+                assert main([stage, "--config", path]) == 0
+            cfg = load_config(path)
+            outputs[workers] = [
+                read_bytes(cfg.artifact(name)) for name in (REFINED_FILE, RAW_CONCEPTS_FILE)
+            ]
+        capsys.readouterr()
+        assert outputs[1] == outputs[4]
+
     def test_analyze_prints_the_summary(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["run", "--config", path]) == 0
@@ -438,6 +451,24 @@ class TestResume:
         os.unlink(cfg.artifact(INSTANCES_FILE))
         run = load_run_manifest(cfg)
         assert first_pending_stage(cfg, run) == "generate"
+
+    def test_truncated_output_reruns_its_stage(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        cfg = load_config(path)
+        clean = read_bytes(cfg.artifact(TRAINING_FILE))
+        instances = read_bytes(cfg.artifact(INSTANCES_FILE))
+        with open(cfg.artifact(INSTANCES_FILE), "wb") as handle:
+            handle.write(instances[: len(instances) // 2])
+        capsys.readouterr()
+        run = load_run_manifest(cfg)
+        assert first_pending_stage(cfg, run) == "generate"
+        assert main(["resume", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert "[dedup] up to date" in out
+        assert "[generate] wrote" in out
+        assert read_bytes(cfg.artifact(INSTANCES_FILE)) == instances
+        assert read_bytes(cfg.artifact(TRAINING_FILE)) == clean
 
     def test_catalog_edit_pends_ingest(self, tmp_path, capsys):
         local_catalog = tmp_path / "catalog.csv"

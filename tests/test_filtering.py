@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from conftest import make_instance
+from conftest import make_instance, rejecting_teacher
 from corgi.filtering import (
     BM25_B,
     BM25_K1,
@@ -35,7 +35,7 @@ from corgi.model import (
     FILTER_UNFILTERED,
     make_dataset,
 )
-from corgi.teacher import REFUSAL_TEXT, TeacherError
+from corgi.teacher import REFUSAL_TEXT, TeacherAuthError, TeacherError
 
 ORACLE_ROUNDS = 50
 
@@ -111,10 +111,10 @@ class RuleJudgeClient:
     """Pure judge: yes iff the question contains the word "keep"."""
 
     model_name = "rule-judge"
-    max_concurrency = 2
 
-    def __init__(self, fail_marker=None):
+    def __init__(self, fail_marker=None, max_concurrency=2):
         self.fail_marker = fail_marker
+        self.max_concurrency = max_concurrency
         self.calls = []
         self._lock = threading.Lock()
 
@@ -564,11 +564,24 @@ class TestRunFilters:
     def test_worker_count_does_not_change_the_output(self):
         dataset = self.build_dataset()
         retriever = Bm25Retriever(one_window_corpus())
-        serial, _ = run_filters(
-            dataset, retriever, RuleJudgeClient(), FilterConfig(max_workers=1)
-        )
-        threaded, _ = run_filters(
-            dataset, retriever, RuleJudgeClient(), FilterConfig(max_workers=4)
-        )
+        serial, _ = run_filters(dataset, retriever, RuleJudgeClient(max_concurrency=1))
+        threaded, _ = run_filters(dataset, retriever, RuleJudgeClient(max_concurrency=4))
         assert serial.items == threaded.items
         assert serial.manifest == threaded.manifest
+
+    @staticmethod
+    def judgeable_dataset(count):
+        items = [
+            make_instance("Alpha", f"c{i}", 5, question=f"Why keep record {i}?")
+            for i in range(count)
+        ]
+        return make_dataset(items, run_id="r")
+
+    @pytest.mark.parametrize("count", [4, 40])
+    def test_auth_failure_aborts_after_one_call(self, count):
+        client, posts = rejecting_teacher()
+        with pytest.raises(TeacherAuthError):
+            run_filters(
+                self.judgeable_dataset(count), Bm25Retriever(one_window_corpus()), client
+            )
+        assert len(posts) == 1

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import rejecting_teacher
 from corgi.instructions import (
     ConceptFailure,
     ConceptGenerationError,
@@ -22,7 +23,12 @@ from corgi.prompts import (
     pick_system_message,
 )
 from corgi.taxonomy import COGNITIVE_TEMPLATES
-from corgi.teacher import MockTeacherBackend, TeacherClient, prompt_digest
+from corgi.teacher import (
+    MockTeacherBackend,
+    TeacherAuthError,
+    TeacherClient,
+    prompt_digest,
+)
 
 HIGHER = EducationalStage("higher")
 
@@ -78,7 +84,9 @@ class DigestClient:
     """Stateless fake: replies are pure functions of the prompt."""
 
     model_name = "digest-fake"
-    max_concurrency = 8
+
+    def __init__(self, max_concurrency=8):
+        self.max_concurrency = max_concurrency
 
     def ask(self, prompt, system_message="", temperature=None, max_tokens=None):
         digest = prompt_digest(prompt)[:10]
@@ -91,6 +99,7 @@ class FailForConceptClient(DigestClient):
     """DigestClient that refuses question prompts naming one concept."""
 
     def __init__(self, poison_name):
+        super().__init__()
         self.poison_name = poison_name
 
     def ask(self, prompt, system_message="", temperature=None, max_tokens=None):
@@ -310,10 +319,10 @@ class TestGenerateForConcepts:
 
     def test_worker_count_does_not_change_the_output(self):
         serial, _ = generate_for_concepts(
-            self.concepts(), self.TITLES, DigestClient(), 7, PROVENANCE, max_workers=1
+            self.concepts(), self.TITLES, DigestClient(max_concurrency=1), 7, PROVENANCE
         )
         threaded, _ = generate_for_concepts(
-            self.concepts(), self.TITLES, DigestClient(), 7, PROVENANCE, max_workers=4
+            self.concepts(), self.TITLES, DigestClient(max_concurrency=4), 7, PROVENANCE
         )
         assert serial == threaded
 
@@ -339,13 +348,25 @@ class TestGenerateForConcepts:
         assert failures[0].failed_index == 1
         assert failures[0].ungenerated_indices == tuple(range(1, 20))
 
-    def test_missing_course_title_is_a_hard_error(self):
-        concept = make_concept("Orbit", course="physics/unlisted")
-        with pytest.raises(GenerationError) as err:
-            generate_for_concepts(
-                [concept], self.TITLES, DigestClient(), 7, PROVENANCE
-            )
-        assert "physics/unlisted" in str(err.value)
+    def test_missing_course_title_is_a_failure_record(self):
+        orphan = make_concept("Orbit", course="physics/unlisted")
+        instances, failures = generate_for_concepts(
+            [orphan] + self.concepts(), self.TITLES, DigestClient(), 7, PROVENANCE
+        )
+        assert len(instances) == 38
+        assert len(failures) == 1
+        assert failures[0].concept_id == orphan.id
+        assert failures[0].failed_index == 1
+        assert failures[0].ungenerated_indices == tuple(range(1, 20))
+        assert "physics/unlisted" in failures[0].error
+
+    @pytest.mark.parametrize("count", [4, 40])
+    def test_auth_failure_aborts_after_one_call(self, count):
+        concepts = [make_concept(f"Topic{i}") for i in range(count)]
+        client, posts = rejecting_teacher()
+        with pytest.raises(TeacherAuthError):
+            generate_for_concepts(concepts, self.TITLES, client, 7, PROVENANCE)
+        assert len(posts) == 1
 
     def test_empty_input(self):
         assert generate_for_concepts([], {}, DigestClient(), 7, PROVENANCE) == ([], [])

@@ -29,6 +29,7 @@ from corgi.teacher import (
     TeacherError,
     TeacherRetryError,
     TeacherTruncationError,
+    fan_out,
     parse_relevance_reply,
     prompt_digest,
 )
@@ -124,10 +125,6 @@ class TestMockBackend:
             backend.complete(CompletionRequest(prompt=prompt))
         assert prompt_digest(prompt) in str(err.value)
 
-    def test_non_strict_returns_default(self):
-        backend = MockTeacherBackend({}, strict=False, default="fallback")
-        assert backend.complete(CompletionRequest(prompt="anything")) == "fallback"
-
     def test_from_file_round_trip(self, tmp_path):
         path = tmp_path / "scripts.json"
         path.write_text(
@@ -172,6 +169,18 @@ class TestHttpTeacherBackend:
         )
         with pytest.raises(TeacherAuthError):
             backend.complete(CompletionRequest(prompt="hi"))
+
+    def test_permanent_error_is_not_retried(self):
+        fake = FakeTransport([(404, {"error": "no such model"})])
+        waits = []
+        backend = HttpTeacherBackend(
+            base_url=BASE_URL, api_key="k", post=fake.post, sleep=waits.append
+        )
+        with pytest.raises(TeacherError) as err:
+            backend.complete(CompletionRequest(prompt="hi"))
+        assert "404" in str(err.value)
+        assert len(fake.calls) == 1
+        assert waits == []
 
     def test_retry_budget_exhausted(self):
         fake = FakeTransport([(500, {})] * 3)
@@ -355,39 +364,48 @@ class TestTeacherClient:
         assert TeacherClient(backend=Bare()).model_name == "teacher"
         assert TeacherClient(backend=RecordingBackend()).model_name == "recording"
 
-    def test_ask_many_empty(self):
-        client = TeacherClient(backend=RecordingBackend())
-        assert client.ask_many([]) == []
 
-    def test_ask_many_preserves_submission_order(self):
-        delays = {"p0": 0.08, "p1": 0.04, "p2": 0.01, "p3": 0.0}
+class TestFanOut:
+    def test_empty_input(self):
+        assert fan_out(lambda item: item, [], 4) == []
 
-        class SlowBackend:
-            model_name = "slow"
+    def test_submission_order_under_uneven_latency(self):
+        delays = [0.08, 0.04, 0.01, 0.0]
 
-            def complete(self, req):
-                time.sleep(delays[req.prompt])
-                return "reply to " + req.prompt
+        def slow(i):
+            time.sleep(delays[i])
+            return f"reply {i}"
 
-        client = TeacherClient(backend=SlowBackend(), max_concurrency=4)
-        prompts = [("p0", ""), ("p1", ""), ("p2", ""), ("p3", "")]
-        replies = client.ask_many(prompts)
-        assert replies == ["reply to p0", "reply to p1", "reply to p2", "reply to p3"]
+        assert fan_out(slow, range(4), 4) == [f"reply {i}" for i in range(4)]
 
-    def test_ask_many_passes_system_messages(self):
-        backend = RecordingBackend()
-        client = TeacherClient(backend=backend, max_concurrency=1)
-        client.ask_many([("q1", "s1"), ("q2", "s2")])
-        seen = [(r.prompt, r.system_message) for r in backend.requests]
-        assert seen == [("q1", "s1"), ("q2", "s2")]
+    def test_matches_the_serial_path(self):
+        client = TeacherClient(backend=SimulatedTeacherBackend(seed=7))
+        prompts = [f"Describe topic {i}." for i in range(12)]
+        serial = fan_out(client.ask, prompts, 1)
+        assert fan_out(client.ask, prompts, 4) == serial
+        assert serial == [client.ask(p) for p in prompts]
 
-    def test_ask_many_matches_sequential(self):
-        sim = SimulatedTeacherBackend(seed=7)
-        client = TeacherClient(backend=sim, max_concurrency=4)
-        prompts = [(f"Describe topic {i}.", "") for i in range(12)]
-        concurrent = client.ask_many(prompts)
-        sequential = [client.ask(p, s) for p, s in prompts]
-        assert concurrent == sequential
+    def test_one_worker_starts_no_thread(self):
+        threads = fan_out(lambda _: threading.current_thread(), range(3), 1)
+        assert threads == [threading.main_thread()] * 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_exception_propagates_and_queued_items_are_cancelled(self, workers):
+        calls = []
+        lock = threading.Lock()
+
+        def fail_at_three(i):
+            with lock:
+                calls.append(i)
+            time.sleep(0.005)
+            if i >= 3:
+                raise ValueError(f"item {i}")
+            return i
+
+        with pytest.raises(ValueError) as err:
+            fan_out(fail_at_three, range(200), workers)
+        assert str(err.value) == "item 3"
+        assert len(calls) < 20
 
 
 class TestSimulatedBackend:
