@@ -31,7 +31,6 @@ from .model import (
     validate,
 )
 from .scheduler import (
-    OrderedDataset,
     OrderingConfig,
     STRATEGIES,
     dataset_digest,
@@ -66,7 +65,6 @@ __all__ = [
     "HttpTeacherBackend",
     "InstructionInstance",
     "MockTeacherBackend",
-    "OrderedDataset",
     "OrderingConfig",
     "Provenance",
     "ReferenceEmbeddingBackend",

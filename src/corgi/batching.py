@@ -17,8 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import InstructionInstance
-from .scheduler import OrderedDataset
+from .model import Dataset, InstructionInstance
 from .taxonomy import LOAD_EASY, LOAD_HARD, LOAD_MEDIUM
 
 LOAD_TIERS = (LOAD_EASY, LOAD_MEDIUM, LOAD_HARD)
@@ -153,17 +152,21 @@ def _batch_stats(
 
 
 def analyze(
-    ordered: OrderedDataset | Sequence[InstructionInstance],
+    ordered: Dataset | Sequence[InstructionInstance],
     batch_size: int,
     strategy: str | None = None,
 ) -> BatchReport:
-    """Cut the ordered sequence into consecutive batches and describe each."""
-    if isinstance(ordered, OrderedDataset):
+    """Cut the ordered sequence into consecutive batches and describe each.
+
+    A ``Dataset`` is labelled by its manifest's strategy unless ``strategy``
+    is given.
+    """
+    if isinstance(ordered, Dataset):
         items: Sequence[InstructionInstance] = ordered.items
-        label = strategy if strategy is not None else ordered.config.strategy
+        if strategy is None:
+            strategy = ordered.manifest.get("strategy")
     else:
         items = ordered
-        label = strategy or ""
     if not isinstance(batch_size, int) or isinstance(batch_size, bool):
         raise BatchingError(f"batch_size must be an int, got {batch_size!r}")
     if batch_size < 1:
@@ -176,7 +179,7 @@ def analyze(
         chunk = items[start : start + batch_size]
         batches.append(_batch_stats(len(batches), chunk, total_subjects))
     return BatchReport(
-        strategy=label,
+        strategy=strategy or "",
         batch_size=batch_size,
         total_items=len(items),
         total_subjects=total_subjects,

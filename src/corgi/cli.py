@@ -44,13 +44,12 @@ from .dataset_io import (
     save_dataset,
 )
 from .filtering import Bm25Retriever, FilterConfig, load_corpus, run_filters
-from .instructions import generate_for_concepts
+from .instructions import GenerationError, generate_for_concepts
 from .model import Provenance, make_dataset
 from .scheduler import (
     GRANULARITY_PER_INDEX,
     GRANULARITY_PER_LOAD_TIER,
     STRATEGIES,
-    OrderedDataset,
     OrderingConfig,
     export_training_order,
     order as order_dataset,
@@ -99,6 +98,21 @@ CONFIG_KEYS = (
     "teacher",
     "embedder",
 )
+
+# Per section, the default backend and the keys each backend reads besides
+# "backend"; ``load_config`` rejects any other key.
+BACKEND_KEYS = {
+    "teacher": ("simulated", {
+        "simulated": ("seed", "concepts_per_course", "relevance_yes_rate",
+                      "refusal_rate", "temperature"),
+        "scripted": ("script", "temperature"),
+        "http": ("base_url", "model", "timeout", "temperature"),
+    }),
+    "embedder": ("reference", {
+        "reference": (),
+        "http": ("base_url", "model", "dimension"),
+    }),
+}
 
 
 class CliError(RuntimeError):
@@ -160,11 +174,22 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     raw["workdir"] = _resolve(base_dir, raw["workdir"])
     raw["catalog"] = _resolve(base_dir, raw["catalog"])
     raw["corpus"] = _resolve(base_dir, raw.get("corpus"))
-    teacher = dict(raw.get("teacher") or {})
-    if teacher.get("script"):
-        teacher["script"] = _resolve(base_dir, teacher["script"])
-    raw["teacher"] = teacher
-    raw["embedder"] = dict(raw.get("embedder") or {})
+    for section, (default, readers) in BACKEND_KEYS.items():
+        spec = raw.get(section) or {}
+        if not isinstance(spec, dict):
+            raise CliError(f"{path}: {section} must be a JSON object")
+        raw[section] = dict(spec)
+        kind = spec.get("backend", default)
+        if kind not in readers:
+            raise CliError(f"{path}: unknown {section} backend: {kind!r}")
+        unknown = sorted(set(spec) - {"backend", *readers[kind]})
+        if unknown:
+            raise CliError(
+                f"{path}: {section} backend {kind!r} does not read key(s): "
+                f"{', '.join(unknown)}"
+            )
+    if raw["teacher"].get("script"):
+        raw["teacher"]["script"] = _resolve(base_dir, raw["teacher"]["script"])
 
     cfg = RunConfig(**raw)
     if overrides:
@@ -317,6 +342,11 @@ def _stage_generate(cfg: RunConfig, run: dict) -> None:
     instances, failures = generate_for_concepts(
         concepts, titles, client, seed=cfg.seed, provenance=provenance
     )
+    if concepts and len(failures) / len(concepts) > cfg.max_failure_fraction:
+        raise GenerationError(
+            f"systematic backend failure: {len(failures)}/{len(concepts)} "
+            "concepts could not be generated"
+        )
     d = make_dataset(instances, run_id=run["run_id"], seed=cfg.seed)
     save_dataset(d, cfg.artifact(INSTANCES_FILE))
     _write_json(cfg.artifact(FAILURES_FILE), [f.to_dict() for f in failures])
@@ -349,23 +379,11 @@ def _stage_order(cfg: RunConfig, run: dict) -> None:
         seed=cfg.seed,
         interleave_granularity=cfg.interleave_granularity,
     )
-    od = order_dataset(d, ordering)
-    ordered = make_dataset(
-        od.items,
-        run_id=run["run_id"],
-        strategy=cfg.strategy,
-        seed=cfg.seed,
-        extra={"granularity": cfg.interleave_granularity,
-               "input_digest": od.input_digest},
-    )
-    save_dataset(ordered, cfg.artifact(ORDERED_FILE))
+    save_dataset(order_dataset(d, ordering), cfg.artifact(ORDERED_FILE))
 
 
 def _stage_analyze(cfg: RunConfig, run: dict) -> None:
-    d = load_dataset(cfg.artifact(ORDERED_FILE))
-    report = analyze_batches(
-        d.items, cfg.batch_size, strategy=d.manifest.get("strategy") or cfg.strategy
-    )
+    report = analyze_batches(load_dataset(cfg.artifact(ORDERED_FILE)), cfg.batch_size)
     with open(cfg.artifact(BATCH_REPORT_FILE), "w", encoding="utf-8") as handle:
         handle.write(report.to_json())
     print(json.dumps(report.summary(), ensure_ascii=False))
@@ -373,17 +391,7 @@ def _stage_analyze(cfg: RunConfig, run: dict) -> None:
 
 def _stage_export(cfg: RunConfig, run: dict) -> None:
     d = load_dataset(cfg.artifact(ORDERED_FILE))
-    manifest = d.manifest
-    ordering = OrderingConfig(
-        strategy=manifest.get("strategy") or cfg.strategy,
-        seed=manifest.get("seed"),
-        interleave_granularity=manifest.get("granularity",
-                                             cfg.interleave_granularity),
-    )
-    od = OrderedDataset(
-        items=d.items, config=ordering, input_digest=manifest.get("input_digest", "")
-    )
-    export_training_order(od, cfg.artifact(TRAINING_FILE))
+    export_training_order(d, cfg.artifact(TRAINING_FILE))
 
 
 def _teacher_params(cfg: RunConfig) -> dict:
@@ -440,7 +448,11 @@ STAGES = (
             manifest_path(cfg.artifact(INSTANCES_FILE)),
             cfg.artifact(FAILURES_FILE),
         ],
-        params=lambda cfg: {"seed": cfg.seed, **_teacher_params(cfg)},
+        params=lambda cfg: {
+            "seed": cfg.seed,
+            "max_failure_fraction": cfg.max_failure_fraction,
+            **_teacher_params(cfg),
+        },
         run=_stage_generate,
     ),
     Stage(

@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 
 from .catalog import SlugError, slugify
-from .model import DEDUP_DROPPED, DEDUP_KEPT, Concept, Course
+from .model import Concept, Course
 from .prompts import build_concept_prompt, build_refinement_prompt
 from .teacher import EmbeddingRequest, TeacherClient
 
@@ -146,23 +146,25 @@ def dedup_concepts(
     A concept is dropped iff its cosine similarity to an already-kept
     concept reaches the threshold; comparisons never consider dropped
     concepts, so chains collapse onto their first element.  ``scope`` may
-    be "global" (default) or "per_subject".
+    be "global" (default) or "per_subject".  Kept concepts are returned as
+    given; each distinct text is embedded once.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"dedup threshold must be in (0, 1], got {threshold}")
     if scope not in ("global", "per_subject"):
         raise ValueError(f"unknown dedup scope: {scope!r}")
 
-    embedded = [
-        embedder.embed(EmbeddingRequest(text=concept.embedding_text()))
-        for concept in concepts
-    ]
+    texts = [concept.embedding_text() for concept in concepts]
+    vectors: dict[str, np.ndarray] = {}
+    for text in texts:
+        if text not in vectors:
+            vectors[text] = embedder.embed(EmbeddingRequest(text=text))
 
     kept_by_group: dict[str, list[tuple[str, np.ndarray]]] = {}
     kept: list[Concept] = []
-    kept_ids: list[str] = []
     dropped: list[DroppedConcept] = []
-    for concept, vector in zip(concepts, embedded):
+    for concept, text in zip(concepts, texts):
+        vector = vectors[text]
         group = concept.subject if scope == "per_subject" else ""
         anchors = kept_by_group.setdefault(group, [])
         duplicate_of = None
@@ -174,15 +176,11 @@ def dedup_concepts(
                 break
         if duplicate_of is None:
             anchors.append((concept.id, vector))
-            kept.append(
-                replace(concept, embedding=vector, dedup_status=DEDUP_KEPT,
-                        duplicate_of=None)
-            )
-            kept_ids.append(concept.id)
+            kept.append(concept)
         else:
             dropped.append(DroppedConcept(concept.id, duplicate_of, similarity))
 
     report = DedupReport(
-        threshold=threshold, kept=tuple(kept_ids), dropped=tuple(dropped)
+        threshold=threshold, kept=tuple(c.id for c in kept), dropped=tuple(dropped)
     )
     return kept, report

@@ -3,6 +3,7 @@
 Records are written with a fixed key order so that save -> load -> save is
 byte-identical.  Every dataset file gets a ``<path>.manifest`` JSON sidecar
 carrying run id, per-stage counts, and (when ordered) strategy and seed.
+Loaders ignore keys they do not read, so files with retired fields load.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 import json
 import os
 from typing import Any, Iterable
-
-import numpy as np
 
 from .model import (
     Concept,
@@ -22,27 +21,6 @@ from .model import (
     Provenance,
     build_manifest,
 )
-
-INSTANCE_FIELDS = (
-    "id",
-    "stage",
-    "stage_level",
-    "subject",
-    "course_id",
-    "concept_id",
-    "cognitive_index",
-    "cognitive_process",
-    "cognitive_subprocess",
-    "cognitive_load",
-    "system_message",
-    "question",
-    "answer",
-    "filter_status",
-    "filter_reason",
-    "relevance_votes",
-    "provenance",
-)
-
 
 class DatasetFormatError(ValueError):
     """A record failed schema checks; carries file, line, and field context."""
@@ -98,7 +76,6 @@ def instance_to_record(item: InstructionInstance) -> dict[str, Any]:
         "question": item.question,
         "answer": item.answer,
         "filter_status": item.filter_status,
-        "filter_reason": item.filter_reason,
         "relevance_votes": (
             None if item.relevance_votes is None else list(item.relevance_votes)
         ),
@@ -156,7 +133,6 @@ def instance_line(item: InstructionInstance) -> str:
         f'"question": {_json_str(item.question)}, '
         f'"answer": {_json_str(item.answer)}, '
         f'"filter_status": {_json_str(item.filter_status)}, '
-        f'"filter_reason": {_json_opt_str(item.filter_reason)}, '
         f'"relevance_votes": {_json_votes(item.relevance_votes)}, '
         f'"provenance": {{"teacher_model": {_json_str(prov.teacher_model)}, '
         f'"created_at": {_json_str(prov.created_at)}, '
@@ -190,7 +166,6 @@ def instance_from_record(record: dict, path: str = "<memory>", line: int = 0) ->
         question=_require(record, path, line, "question", str),
         answer=_require(record, path, line, "answer", str),
         filter_status=_require(record, path, line, "filter_status", str),
-        filter_reason=_optional_str(record, path, line, "filter_reason"),
         relevance_votes=votes,
         provenance=Provenance(
             teacher_model=_require(prov, path, line, "teacher_model", str),
@@ -285,20 +260,10 @@ def concept_to_record(concept: Concept) -> dict[str, Any]:
         "stage_level": concept.stage.level,
         "name": concept.name,
         "explanation": concept.explanation,
-        "embedding": (
-            None if concept.embedding is None else [float(x) for x in concept.embedding]
-        ),
-        "dedup_status": concept.dedup_status,
-        "duplicate_of": concept.duplicate_of,
     }
 
 
 def concept_from_record(record: dict, path: str = "<memory>", line: int = 0) -> Concept:
-    embedding = record.get("embedding")
-    if embedding is not None:
-        if not isinstance(embedding, list):
-            raise DatasetFormatError(path, line, "embedding", "expected a list of numbers")
-        embedding = np.asarray(embedding, dtype=np.float64)
     try:
         stage = EducationalStage(
             _require(record, path, line, "stage", str),
@@ -311,9 +276,6 @@ def concept_from_record(record: dict, path: str = "<memory>", line: int = 0) -> 
             stage=stage,
             name=_require(record, path, line, "name", str),
             explanation=_require(record, path, line, "explanation", str),
-            embedding=embedding,
-            dedup_status=_require(record, path, line, "dedup_status", str),
-            duplicate_of=_optional_str(record, path, line, "duplicate_of"),
         )
     except DatasetFormatError:
         raise

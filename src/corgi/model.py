@@ -11,8 +11,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Any
 
-import numpy as np
-
 from .taxonomy import COGNITIVE_LOADS, template_for
 
 SECONDARY = "secondary"
@@ -22,22 +20,15 @@ STAGE_VALUES = (SECONDARY, HIGHER)
 
 FILTER_UNFILTERED = "unfiltered"
 FILTER_KEPT = "kept"
-FILTER_DROPPED_RULE = "dropped_rule"
 FILTER_DROPPED_RETRIEVAL = "dropped_retrieval"
 
 FILTER_STATUSES = (
     FILTER_UNFILTERED,
     FILTER_KEPT,
-    FILTER_DROPPED_RULE,
     FILTER_DROPPED_RETRIEVAL,
 )
 
-DEDUP_KEPT = "kept"
-DEDUP_DROPPED = "dropped"
-
 _SLUG_RE = re.compile(r"^[a-z0-9]+(-[a-z0-9]+)*$")
-
-UNIT_NORM_TOLERANCE = 1e-6
 
 
 class ModelError(ValueError):
@@ -94,21 +85,10 @@ class Concept:
     stage: EducationalStage
     name: str
     explanation: str
-    embedding: np.ndarray | None = None
-    dedup_status: str = DEDUP_KEPT
-    duplicate_of: str | None = None
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ModelError("concept name must be non-empty")
-        if self.dedup_status not in (DEDUP_KEPT, DEDUP_DROPPED):
-            raise ModelError(f"unknown dedup status: {self.dedup_status!r}")
-        if self.dedup_status == DEDUP_DROPPED and not self.duplicate_of:
-            raise ModelError("dropped concepts must reference the kept duplicate")
-        if self.embedding is not None:
-            norm = float(np.linalg.norm(self.embedding))
-            if abs(norm - 1.0) > UNIT_NORM_TOLERANCE:
-                raise ModelError(f"concept embedding must be unit length, norm={norm}")
 
     def embedding_text(self) -> str:
         return f"{self.name}: {self.explanation}"
@@ -142,7 +122,6 @@ class InstructionInstance:
     question: str
     answer: str
     filter_status: str = FILTER_UNFILTERED
-    filter_reason: str | None = None
     relevance_votes: tuple[bool, ...] | None = None
     provenance: Provenance = field(
         default=Provenance(teacher_model="", created_at="", run_id="")
@@ -301,8 +280,6 @@ def validate(d: Dataset) -> ValidationReport:
                 add(item, "question", "empty question on a surviving instance")
             if not item.answer.strip():
                 add(item, "answer", "empty answer on a surviving instance")
-        if item.filter_status == FILTER_DROPPED_RULE and not item.filter_reason:
-            add(item, "filter_reason", "rule drops must carry a reason")
         if item.filter_status == FILTER_DROPPED_RETRIEVAL and item.relevance_votes is None:
             add(item, "relevance_votes", "retrieval drops must carry the vote vector")
         if not item.subject.strip():
@@ -330,7 +307,6 @@ def validate(d: Dataset) -> ValidationReport:
 def with_filter_status(
     item: InstructionInstance,
     status: str,
-    reason: str | None = None,
     votes: tuple[bool, ...] | None = None,
 ) -> InstructionInstance:
-    return replace(item, filter_status=status, filter_reason=reason, relevance_votes=votes)
+    return replace(item, filter_status=status, relevance_votes=votes)

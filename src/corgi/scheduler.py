@@ -29,7 +29,14 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .dataset_io import _dump_line, instance_line, manifest_path
-from .model import HIGHER, SECONDARY, Dataset, InstructionInstance, validate
+from .model import (
+    HIGHER,
+    SECONDARY,
+    Dataset,
+    InstructionInstance,
+    make_dataset,
+    validate,
+)
 from .taxonomy import LOAD_EASY, LOAD_HARD, LOAD_MEDIUM
 
 STRATEGY_BLOCK = "block"
@@ -45,6 +52,9 @@ STRATEGIES = (
     STRATEGY_SPIRAL,
     STRATEGY_RANDOM,
 )
+
+# Manifest keys ``order`` records and ``export_training_order`` copies.
+ORDERING_KEYS = ("strategy", "seed", "granularity", "input_digest")
 
 GRANULARITY_PER_INDEX = "per_index"
 GRANULARITY_PER_LOAD_TIER = "per_load_tier"
@@ -86,13 +96,6 @@ class OrderingConfig:
             )
         if self.strategy == STRATEGY_RANDOM and self.seed is None:
             raise SchedulerError("random ordering requires a seed")
-
-
-@dataclass(frozen=True)
-class OrderedDataset:
-    items: tuple[InstructionInstance, ...]
-    config: OrderingConfig
-    input_digest: str
 
 
 class SplitMix64:
@@ -162,8 +165,12 @@ def _level_of(item: InstructionInstance, granularity: str) -> int:
     return _LOAD_TIER_RANK[item.cognitive_load]
 
 
-def order(d: Dataset, cfg: OrderingConfig) -> OrderedDataset:
-    """Emit the curriculum permutation for one strategy."""
+def order(d: Dataset, cfg: OrderingConfig) -> Dataset:
+    """Emit the curriculum permutation for one strategy.
+
+    The manifest keeps the input's ``run_id`` and records the ordering keys
+    ``strategy``, ``seed``, ``granularity`` and the input's digest.
+    """
     report = validate(d)
     if not report.ok:
         raise SchedulerError(f"dataset failed validation:\n{report.summary()}")
@@ -190,8 +197,13 @@ def order(d: Dataset, cfg: OrderingConfig) -> OrderedDataset:
             _order_group(group, cfg, subjects, subject_rank, concept_rank,
                          concept_orders)
         )
-    return OrderedDataset(
-        items=tuple(ordered), config=cfg, input_digest=dataset_digest(d.items)
+    return make_dataset(
+        ordered,
+        run_id=d.manifest.get("run_id", ""),
+        strategy=cfg.strategy,
+        seed=cfg.seed,
+        extra={"granularity": cfg.interleave_granularity,
+               "input_digest": dataset_digest(d.items)},
     )
 
 
@@ -315,15 +327,19 @@ def _order_spiral(
     return ordered
 
 
-def export_training_order(od: OrderedDataset, path: str) -> None:
+def export_training_order(d: Dataset, path: str) -> None:
     """Write conversation records in curriculum order, plus the manifest.
 
-    Each line is {"messages": [...]} with an optional system turn; the
-    manifest sidecar records strategy, seed, granularity, and input digest.
-    Re-export of the same OrderedDataset is byte-identical.
+    ``d`` is an ordered dataset, as ``order`` returns it.  Each line is
+    {"messages": [...]} with an optional system turn; the manifest sidecar
+    copies ``d``'s ordering keys and adds the item count.  Re-export of the
+    same dataset is byte-identical.
     """
+    missing = [key for key in ORDERING_KEYS if key not in d.manifest]
+    if missing:
+        raise SchedulerError(f"manifest of an ordered dataset lacks {missing}")
     with open(path, "w", encoding="utf-8") as handle:
-        for item in od.items:
+        for item in d.items:
             messages = []
             if item.system_message:
                 messages.append({"role": "system", "content": item.system_message})
@@ -331,13 +347,8 @@ def export_training_order(od: OrderedDataset, path: str) -> None:
             messages.append({"role": "assistant", "content": item.answer})
             handle.write(_dump_line({"messages": messages}))
             handle.write("\n")
-    manifest = {
-        "strategy": od.config.strategy,
-        "seed": od.config.seed,
-        "granularity": od.config.interleave_granularity,
-        "input_digest": od.input_digest,
-        "count": len(od.items),
-    }
+    manifest = {key: d.manifest[key] for key in ORDERING_KEYS}
+    manifest["count"] = len(d.items)
     with open(manifest_path(path), "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, ensure_ascii=False, indent=2)
         handle.write("\n")

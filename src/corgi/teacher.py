@@ -439,7 +439,7 @@ class ReferenceEmbeddingBackend:
 
 
 class HttpEmbeddingBackend:
-    """Remote embedding endpoint; vectors are re-normalized and cached."""
+    """Remote embedding endpoint; vectors are re-normalized to unit length."""
 
     def __init__(
         self,
@@ -462,7 +462,6 @@ class HttpEmbeddingBackend:
         self.base_url = base.rstrip("/")
         self.model_name = model
         self.dimension = dimension
-        self._cache: dict[str, np.ndarray] = {}
         self._http = _RetryingHttp(
             api_key=api_key or os.environ.get(EMBED_API_KEY_ENV),
             timeout=timeout,
@@ -476,9 +475,6 @@ class HttpEmbeddingBackend:
     def embed(self, req: EmbeddingRequest) -> np.ndarray:
         if not req.text:
             raise TeacherError("cannot embed empty text")
-        cached = self._cache.get(req.text)
-        if cached is not None:
-            return cached
         body = self._http.request(
             f"{self.base_url}/embeddings",
             {"model": req.model or self.model_name, "input": req.text},
@@ -492,5 +488,4 @@ class HttpEmbeddingBackend:
             raise TeacherError(
                 f"embedding dimension {vector.shape[0]} != expected {self.dimension}"
             )
-        self._cache[req.text] = vector
         return vector

@@ -446,10 +446,9 @@ def test_criterion_07_dedup_postcondition():
                 explanation="Planted cluster member.",
             )
         )
-    kept, report = dedup_concepts(
-        concepts, PlantedEmbedder(vectors), threshold=DEDUP_THRESHOLD
-    )
-    kept_matrix = np.stack([c.embedding for c in kept])
+    embedder = PlantedEmbedder(vectors)
+    kept, report = dedup_concepts(concepts, embedder, threshold=DEDUP_THRESHOLD)
+    kept_matrix = np.stack([embedder.vectors[c.name] for c in kept])
     sims = kept_matrix @ kept_matrix.T
     np.fill_diagonal(sims, 0.0)
     max_kept_pair = float(sims.max())
@@ -461,7 +460,7 @@ def test_criterion_07_dedup_postcondition():
         if anchor is None:
             bad_dropped += 1
             continue
-        sim = float(np.dot(vectors[name_of[dropped.id]], anchor.embedding))
+        sim = float(np.dot(vectors[name_of[dropped.id]], embedder.vectors[anchor.name]))
         if sim < DEDUP_THRESHOLD:
             bad_dropped += 1
     exercised = len(kept) >= 20 and len(report.dropped) >= 50

@@ -38,6 +38,7 @@ from corgi.teacher import (
     MockTeacherBackend,
     ReferenceEmbeddingBackend,
     SimulatedTeacherBackend,
+    TeacherError,
     prompt_digest,
 )
 
@@ -144,6 +145,45 @@ class TestLoadConfig:
         as_list.write_text("[1, 2]", encoding="utf-8")
         with pytest.raises(CliError):
             load_config(str(as_list))
+
+    def test_keys_no_backend_reads_are_rejected(self, tmp_path):
+        cases = (
+            ("teacher", {"backend": "simulated", "max_concurrency": 2}, "max_concurrency"),
+            ("teacher", {"backend": "http", "base_url": "https://t.test", "seed": 1}, "seed"),
+            ("teacher", {"script": "replies.json"}, "script"),
+            ("embedder", {"backend": "reference", "model": "m"}, "model"),
+            ("embedder", {"dimension": 3}, "dimension"),
+        )
+        for section, spec, key in cases:
+            with pytest.raises(CliError) as err:
+                load_config(write_config(tmp_path, **{section: spec}))
+            assert section in str(err.value) and key in str(err.value)
+
+    def test_unknown_backend_is_rejected(self, tmp_path):
+        for section in ("teacher", "embedder"):
+            with pytest.raises(CliError) as err:
+                load_config(write_config(tmp_path, **{section: {"backend": "parrot"}}))
+            assert "parrot" in str(err.value)
+            with pytest.raises(CliError) as err:
+                load_config(write_config(tmp_path, **{section: "simulated"}))
+            assert f"{section} must be a JSON object" in str(err.value)
+
+    def test_keys_the_backends_read_are_accepted(self, tmp_path):
+        teacher = {
+            "backend": "simulated", "seed": 3, "concepts_per_course": 4,
+            "relevance_yes_rate": 0.5, "refusal_rate": 0.1, "temperature": 0.3,
+        }
+        embedder = {
+            "backend": "http", "base_url": "https://embed.test", "model": "m",
+            "dimension": 8,
+        }
+        cfg = load_config(write_config(tmp_path, teacher=teacher, embedder=embedder))
+        assert build_teacher(cfg).backend.concepts_per_course == 4
+        assert build_embedder(cfg).dimension == 8
+        http = {"backend": "http", "base_url": "https://t.test", "model": "m",
+                "timeout": 5, "temperature": 0.2}
+        cfg = load_config(write_config(tmp_path, teacher=http))
+        assert build_teacher(cfg).backend.model_name == "m"
 
     def test_overrides_win(self, tmp_path):
         path = write_config(tmp_path, strategy="interleave", seed=5)
@@ -359,6 +399,20 @@ class TestFullRun:
         capsys.readouterr()
         assert outputs[1] == outputs[4]
 
+    def test_training_manifest_copies_the_ordering_keys(self, tmp_path, capsys):
+        cfg, _ = self.run_pipeline(
+            tmp_path, capsys, strategy="random", interleave_granularity="per_load_tier"
+        )
+        ordered = read_json(manifest_path(cfg.artifact(ORDERED_FILE)))
+        training = read_json(manifest_path(cfg.artifact(TRAINING_FILE)))
+        keys = ("strategy", "seed", "granularity", "input_digest")
+        expected = {key: ordered[key] for key in keys}
+        expected["count"] = ordered["counts"]["total"]
+        assert training == expected
+        assert list(training) == list(expected)
+        assert training["strategy"] == "random"
+        assert training["granularity"] == "per_load_tier"
+
     def test_analyze_prints_the_summary(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["run", "--config", path]) == 0
@@ -380,6 +434,38 @@ class TestErrorsAndLocking:
         error = json.loads(captured.err.strip())
         assert error["error"] == "CliError"
         assert CONCEPTS_FILE in error["message"]
+
+    @pytest.mark.parametrize("max_failure_fraction", [0.25, 1.0])
+    def test_generate_gates_on_failed_concepts(
+        self, tmp_path, capsys, monkeypatch, max_failure_fraction
+    ):
+        path = write_config(tmp_path, max_failure_fraction=max_failure_fraction)
+        for stage in ("ingest", "refine", "concepts", "dedup"):
+            assert main([stage, "--config", path]) == 0
+        complete = SimulatedTeacherBackend.complete
+
+        def no_questions(backend, req):
+            if "### Question ###" in req.prompt:
+                raise TeacherError("question endpoint down")
+            return complete(backend, req)
+
+        monkeypatch.setattr(SimulatedTeacherBackend, "complete", no_questions)
+        capsys.readouterr()
+        rc = main(["generate", "--config", path])
+        captured = capsys.readouterr()
+        cfg = load_config(path)
+        recorded = load_run_manifest(cfg)["stages"]
+        if max_failure_fraction < 1.0:
+            assert rc == 1
+            error = json.loads(captured.err.strip())
+            assert error["error"] == "GenerationError"
+            assert "systematic backend failure" in error["message"]
+            assert not os.path.exists(cfg.artifact(INSTANCES_FILE))
+            assert "generate" not in recorded
+        else:
+            assert rc == 0, captured.err
+            assert jsonl_records(cfg.artifact(INSTANCES_FILE)) == []
+            assert "generate" in recorded
 
     def test_locked_workdir_refuses_to_run(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -498,6 +584,16 @@ class TestResume:
         out = capsys.readouterr().out
         assert "[ingest] up to date" in out
         assert "[refine] wrote" in out
+        assert "[generate] wrote" in out
+
+    def test_failure_fraction_change_reruns_generate(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        capsys.readouterr()
+        changed = write_config(tmp_path, max_failure_fraction=0.5)
+        assert main(["resume", "--config", changed]) == 0
+        out = capsys.readouterr().out
+        assert "[dedup] up to date" in out
         assert "[generate] wrote" in out
 
     def test_strategy_override_invalidates_only_ordering(self, tmp_path, capsys):

@@ -16,7 +16,7 @@ from corgi.concepts import (
     parse_concept_reply,
     refine_description,
 )
-from corgi.model import DEDUP_KEPT, Concept, Course, EducationalStage
+from corgi.model import Concept, Course, EducationalStage
 from corgi.prompts import build_concept_prompt, build_refinement_prompt
 from corgi.teacher import MockTeacherBackend, TeacherClient
 
@@ -63,6 +63,18 @@ class PlantedEmbedder:
     def embed(self, req):
         name = req.text.split(":", 1)[0]
         return self.by_name[name]
+
+
+class CountingEmbedder:
+    """Wraps an embedder and records every text it is asked to embed."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.texts = []
+
+    def embed(self, req):
+        self.texts.append(req.text)
+        return self.inner.embed(req)
 
 
 def scripted_client(pairs):
@@ -176,7 +188,6 @@ class TestExtractConcepts:
         assert concepts[0].course_id == course.id
         assert concepts[0].subject == "Physics"
         assert concepts[0].stage == HIGHER
-        assert concepts[0].dedup_status == DEDUP_KEPT
 
     def test_repeated_names_get_distinct_ids(self):
         course = make_course()
@@ -292,12 +303,37 @@ class TestDedup:
         with pytest.raises(ValueError):
             dedup_concepts([], PlantedEmbedder({}), scope="per_course")
 
-    def test_kept_concepts_carry_their_embedding(self):
-        embedder = PlantedEmbedder({"A": CHAIN_B})
-        kept, _ = dedup_concepts([make_concept("A")], embedder)
-        assert kept[0].dedup_status == DEDUP_KEPT
-        assert kept[0].duplicate_of is None
-        assert np.allclose(kept[0].embedding, np.asarray(CHAIN_B))
+    def test_kept_concepts_are_returned_as_given(self):
+        embedder = PlantedEmbedder({"A": CHAIN_A, "B": CHAIN_A, "C": CHAIN_C})
+        concepts = [make_concept("A"), make_concept("B"), make_concept("C")]
+        kept, _ = dedup_concepts(concepts, embedder)
+        assert len(kept) == 2
+        assert kept[0] is concepts[0] and kept[1] is concepts[2]
+
+    def test_each_distinct_text_is_embedded_once(self):
+        embedder = CountingEmbedder(
+            PlantedEmbedder({"Shared": (1, 0, 0), "A": (0, 1, 0), "C": (0, 0, 1)})
+        )
+        concepts = [
+            make_concept("Shared", subject="Physics"),
+            make_concept("A"),
+            make_concept("Shared", subject="History", course="history/survey"),
+            make_concept("C"),
+            make_concept("Shared", subject="History", course="history/modern"),
+        ]
+        kept, report = dedup_concepts(concepts, embedder, scope="per_subject")
+        assert sorted(embedder.texts) == sorted(
+            {c.embedding_text() for c in concepts}
+        )
+        assert [c.id for c in kept] == [
+            "physics/mechanics/shared",
+            "physics/mechanics/a",
+            "history/survey/shared",
+            "physics/mechanics/c",
+        ]
+        assert [(d.id, d.duplicate_of) for d in report.dropped] == [
+            ("history/modern/shared", "history/survey/shared")
+        ]
 
     def test_empty_input(self):
         kept, report = dedup_concepts([], PlantedEmbedder({}))
@@ -340,7 +376,9 @@ class TestDedup:
 
             for i in range(len(kept)):
                 for j in range(i + 1, len(kept)):
-                    sim = float(np.dot(kept[i].embedding, kept[j].embedding))
+                    sim = float(np.dot(
+                        embedder.by_name[kept[i].name], embedder.by_name[kept[j].name]
+                    ))
                     assert sim < threshold
 
             by_name = {c.id: c.name for c in concepts}

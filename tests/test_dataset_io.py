@@ -3,13 +3,13 @@
 import json
 import random
 
-import numpy as np
 import pytest
 
 from conftest import make_instance
 from corgi.dataset_io import (
     DatasetFormatError,
     _dump_line,
+    concept_to_record,
     instance_line,
     instance_to_record,
     load_concepts,
@@ -173,7 +173,7 @@ def test_blank_lines_are_skipped(tmp_path):
     assert len(loaded.items) == 2
 
 
-def test_votes_reason_and_provenance_survive(tmp_path):
+def test_votes_and_provenance_survive(tmp_path):
     prov = Provenance(teacher_model="m", created_at="2026-01-01T00:00:00Z", run_id="r9")
     from dataclasses import replace
 
@@ -183,19 +183,27 @@ def test_votes_reason_and_provenance_survive(tmp_path):
         relevance_votes=(False, True, False),
         provenance=prov,
     )
-    ruled = replace(
-        make_instance("Alpha", "c1", 2),
-        filter_status="dropped_rule",
-        filter_reason="answer_keyword:ai language model",
-        provenance=prov,
-    )
-    d = make_dataset([item, ruled], run_id="pv")
+    d = make_dataset([item], run_id="pv")
     path = tmp_path / "pv.jsonl"
     save_dataset(d, str(path))
     loaded = load_dataset(str(path))
     assert loaded.items[0].relevance_votes == (False, True, False)
     assert loaded.items[0].provenance == prov
-    assert loaded.items[1].filter_reason == "answer_keyword:ai language model"
+
+
+def test_instance_line_with_a_null_filter_reason_loads(tmp_path):
+    """Instance lines written before ``filter_reason`` was retired still load."""
+    item = make_instance("Alpha", "c1", 3)
+    record = instance_to_record(item)
+    old = dict(record)
+    old["filter_reason"] = None
+    keys = list(record)
+    keys.insert(keys.index("relevance_votes"), "filter_reason")
+    path = tmp_path / "old.jsonl"
+    path.write_text(_dump_line({k: old[k] for k in keys}) + "\n")
+    loaded = load_dataset(str(path))
+    assert loaded.items == (item,)
+    assert instance_line(loaded.items[0]) == instance_line(item)
 
 
 def test_instance_line_matches_the_generic_encoder():
@@ -214,7 +222,6 @@ def test_instance_line_matches_the_generic_encoder():
     items = [
         base,
         replace(base, stage=EducationalStage("higher", "graduate")),
-        replace(base, filter_status="dropped_rule", filter_reason="answer_keyword:x"),
         replace(base, filter_status="dropped_retrieval", relevance_votes=(False, True, False)),
         replace(base, relevance_votes=()),
         replace(base, provenance=prov),
@@ -224,7 +231,7 @@ def test_instance_line_matches_the_generic_encoder():
     for bad in (
         replace(base, cognitive_index=True),
         replace(base, relevance_votes=(1, 0)),
-        replace(base, filter_reason=3),
+        replace(base, question=3),
     ):
         with pytest.raises(TypeError):
             instance_line(bad)
@@ -298,50 +305,43 @@ def test_courses_round_trip(tmp_path):
 
 
 def test_concepts_round_trip(tmp_path):
-    stage = EducationalStage("secondary")
-    vec = np.zeros(4)
-    vec[1] = 1.0
     concepts = [
         Concept(
             id="phys/waves/frequency",
             course_id="phys/waves",
             subject="Physics",
-            stage=stage,
+            stage=EducationalStage("secondary"),
             name="Frequency",
             explanation="Oscillations per second.",
-            embedding=vec,
         ),
         Concept(
             id="phys/waves/pitch",
             course_id="phys/waves",
             subject="Physics",
-            stage=stage,
+            stage=EducationalStage("higher", level="graduate"),
             name="Pitch",
             explanation="Perceived frequency.",
-            dedup_status="dropped",
-            duplicate_of="phys/waves/frequency",
         ),
     ]
     path = tmp_path / "concepts.jsonl"
     save_concepts(concepts, str(path))
-    loaded = load_concepts(str(path))
-    assert loaded[0].id == concepts[0].id
-    assert np.allclose(loaded[0].embedding, vec)
-    assert loaded[1].dedup_status == "dropped"
-    assert loaded[1].duplicate_of == "phys/waves/frequency"
-    assert loaded[1].embedding is None
+    assert load_concepts(str(path)) == concepts
+    save_concepts(load_concepts(str(path)), str(tmp_path / "again.jsonl"))
+    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
 
-def test_concept_bad_embedding_rejected(tmp_path):
-    path = tmp_path / "c.jsonl"
-    record = {
-        "id": "s/c/x", "course_id": "s/c", "subject": "S",
-        "stage": "higher", "stage_level": None,
-        "name": "x", "explanation": "e",
-        "embedding": "not a vector",
-        "dedup_status": "kept", "duplicate_of": None,
+def test_concept_line_in_the_retired_format_loads(tmp_path):
+    """Lines carrying the retired embedding/dedup keys load to the same concept."""
+    concept = Concept(
+        id="s/c/x", course_id="s/c", subject="S",
+        stage=EducationalStage("higher"), name="x", explanation="e",
+    )
+    old = {
+        **concept_to_record(concept),
+        "embedding": [0.6, 0.8],
+        "dedup_status": "kept",
+        "duplicate_of": None,
     }
-    path.write_text(json.dumps(record) + "\n")
-    with pytest.raises(DatasetFormatError) as err:
-        load_concepts(str(path))
-    assert err.value.field == "embedding"
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(old) + "\n")
+    assert load_concepts(str(path)) == [concept]

@@ -3,7 +3,6 @@
 import random
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from conftest import make_instance
@@ -96,33 +95,13 @@ class TestCourseAndConcept:
         with pytest.raises(ModelError):
             Course(id="s/t", subject="", stage=stage, title="t", description="d")
 
-    def test_concept_dedup_rules(self):
+    def test_concept_name_must_be_non_empty(self):
         stage = EducationalStage("higher")
         with pytest.raises(ModelError):
             Concept(
                 id="s/c/x", course_id="s/c", subject="S", stage=stage,
-                name="x", explanation="e", dedup_status="dropped",
+                name="", explanation="e",
             )
-        kept = Concept(
-            id="s/c/x", course_id="s/c", subject="S", stage=stage,
-            name="x", explanation="e", dedup_status="dropped", duplicate_of="s/c/y",
-        )
-        assert kept.duplicate_of == "s/c/y"
-
-    def test_concept_embedding_must_be_unit(self):
-        stage = EducationalStage("higher")
-        with pytest.raises(ModelError):
-            Concept(
-                id="s/c/x", course_id="s/c", subject="S", stage=stage,
-                name="x", explanation="e",
-                embedding=np.array([1.0, 1.0]),
-            )
-        ok = Concept(
-            id="s/c/x", course_id="s/c", subject="S", stage=stage,
-            name="x", explanation="e",
-            embedding=np.array([0.6, 0.8]),
-        )
-        assert ok.embedding is not None
 
     def test_embedding_text(self):
         stage = EducationalStage("higher")
@@ -197,11 +176,6 @@ class TestValidate:
         fields = {i.field for i in report.issues}
         assert "manifest.counts.total" in fields
         assert "manifest.counts.higher" in fields
-
-    def test_dropped_rule_needs_reason(self):
-        item = replace(make_instance("Alpha", "c1", 1), filter_status="dropped_rule")
-        report = validate(make_dataset([item], run_id="r"))
-        assert any(i.field == "filter_reason" for i in report.issues)
 
     def test_dropped_retrieval_needs_votes(self):
         item = replace(

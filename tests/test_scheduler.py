@@ -355,7 +355,25 @@ def test_dataset_digest_tracks_content():
     reordered = tuple(reversed(d.items))
     assert dataset_digest(reordered) != dataset_digest(d.items)
     od = order(d, OrderingConfig(strategy="block"))
-    assert od.input_digest == dataset_digest(d.items)
+    assert od.manifest["input_digest"] == dataset_digest(d.items)
+
+
+def test_order_returns_a_dataset_with_the_ordering_manifest():
+    d = nine_item_fixture()
+    od = order(d, OrderingConfig(strategy="random", seed=3,
+                                 interleave_granularity="per_load_tier"))
+    assert sorted(od.items, key=lambda it: it.id) == sorted(d.items, key=lambda it: it.id)
+    assert list(od.manifest) == [
+        "run_id", "counts", "strategy", "seed", "granularity", "input_digest",
+    ]
+    assert od.manifest == {
+        "run_id": "fixture",
+        "counts": {"total": 9, "secondary": 0, "higher": 9},
+        "strategy": "random",
+        "seed": 3,
+        "granularity": "per_load_tier",
+        "input_digest": dataset_digest(d.items),
+    }
 
 
 def test_per_load_tier_discriminates():
@@ -393,7 +411,7 @@ class TestExport:
         assert manifest["strategy"] == "interleave"
         assert manifest["seed"] is None
         assert manifest["granularity"] == "per_index"
-        assert manifest["input_digest"] == od.input_digest
+        assert manifest["input_digest"] == od.manifest["input_digest"]
         assert manifest["count"] == 9
 
     def test_system_turn_present_when_set(self, tmp_path):
@@ -410,6 +428,11 @@ class TestExport:
         assert [m["role"] for m in first["messages"]] == ["system", "user", "assistant"]
         assert first["messages"][0]["content"] == "You are a tutor."
         assert [m["role"] for m in second["messages"]] == ["user", "assistant"]
+
+    def test_unordered_dataset_is_rejected(self, tmp_path):
+        with pytest.raises(SchedulerError) as err:
+            export_training_order(nine_item_fixture(), str(tmp_path / "out.jsonl"))
+        assert "granularity" in str(err.value)
 
     def test_reexport_is_byte_identical(self, tmp_path):
         d = nine_item_fixture()

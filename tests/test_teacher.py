@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 import requests
 
+from corgi.concepts import dedup_concepts
+from corgi.model import Concept, EducationalStage
 from corgi.prompts import build_retrieval_check_prompt
 from corgi.teacher import (
     DEFAULT_GENERATION_TEMPERATURE,
@@ -530,17 +532,29 @@ class TestHttpEmbeddingBackend:
         return {"data": [{"embedding": values}]}
 
     def test_normalizes_and_caches(self):
-        fake = FakeTransport([(200, self.embedding_body([3.0, 4.0]))])
+        """Dedup asks the endpoint once per distinct text; vectors are unit length."""
+        fake = FakeTransport(
+            [(200, self.embedding_body([3.0, 4.0])), (200, self.embedding_body([4.0, -3.0]))]
+        )
         backend = HttpEmbeddingBackend(
             base_url="https://embed.test", api_key="k", post=fake.post,
             sleep=lambda _: None,
         )
-        first = backend.embed(EmbeddingRequest(text="tides"))
-        second = backend.embed(EmbeddingRequest(text="tides"))
-        assert len(fake.calls) == 1
+        stage = EducationalStage("higher")
+        concepts = [
+            Concept(id=f"s/{course}/{name.lower()}", course_id=f"s/{course}",
+                    subject="S", stage=stage, name=name, explanation="Sea levels.")
+            for course, name in (("a", "Tides"), ("b", "Tides"), ("b", "Waves"))
+        ]
+        kept, report = dedup_concepts(concepts, backend)
+        assert [call["payload"]["input"] for call in fake.calls] == [
+            "Tides: Sea levels.", "Waves: Sea levels."
+        ]
         assert fake.calls[0]["url"] == "https://embed.test/embeddings"
-        assert np.allclose(first, [0.6, 0.8])
-        assert np.array_equal(first, second)
+        assert [c.id for c in kept] == ["s/a/tides", "s/b/waves"]
+        assert [d.id for d in report.dropped] == ["s/b/tides"]
+        # [3, 4] with itself: 25 unless normalized to [0.6, 0.8].
+        assert math.isclose(report.dropped[0].similarity, 1.0, abs_tol=1e-12)
 
     def test_dimension_mismatch(self):
         fake = FakeTransport([(200, self.embedding_body([1.0, 0.0]))])
