@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,9 +107,6 @@ class BatchReport:
             "summary": self.summary(),
             "batches": [b.to_dict() for b in self.batches],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2) + "\n"
 
     def to_csv(self) -> str:
         """Per-batch rows as CSV text, one row per batch."""

@@ -38,10 +38,10 @@ from .dataset_io import (
     load_concepts,
     load_courses,
     load_dataset,
-    manifest_path,
     save_concepts,
     save_courses,
     save_dataset,
+    write_json,
 )
 from .filtering import Bm25Retriever, FilterConfig, load_corpus, run_filters
 from .instructions import GenerationError, generate_for_concepts
@@ -280,56 +280,51 @@ def _input_files_digest(paths: list[str]) -> dict[str, str]:
     return digests
 
 
-def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
-
-
 @dataclass(frozen=True)
 class Stage:
+    """A pipeline step; ``run`` returns ``{path: sha256}`` of what it wrote."""
+
     name: str
     inputs: Callable[[RunConfig], list[str]]
-    outputs: Callable[[RunConfig], list[str]]
     params: Callable[[RunConfig], dict]
-    run: Callable[[RunConfig, dict], None]
+    run: Callable[[RunConfig, dict], dict[str, str]]
 
 
-def _stage_ingest(cfg: RunConfig, run: dict) -> None:
+def _stage_ingest(cfg: RunConfig, run: dict) -> dict[str, str]:
     courses = parse_catalog(cfg.catalog)
-    save_courses(courses, cfg.artifact(COURSES_FILE))
+    return save_courses(courses, cfg.artifact(COURSES_FILE))
 
 
-def _stage_refine(cfg: RunConfig, run: dict) -> None:
+def _stage_refine(cfg: RunConfig, run: dict) -> dict[str, str]:
     client = build_teacher(cfg)
     courses = load_courses(cfg.artifact(COURSES_FILE))
     refined = fan_out(
         lambda course: refine_description(course, client), courses, client.max_concurrency
     )
-    save_courses(refined, cfg.artifact(REFINED_FILE))
+    return save_courses(refined, cfg.artifact(REFINED_FILE))
 
 
-def _stage_concepts(cfg: RunConfig, run: dict) -> None:
+def _stage_concepts(cfg: RunConfig, run: dict) -> dict[str, str]:
     client = build_teacher(cfg)
     courses = load_courses(cfg.artifact(REFINED_FILE))
     per_course = fan_out(
         lambda course: extract_concepts(course, client), courses, client.max_concurrency
     )
     concepts = [concept for batch in per_course for concept in batch]
-    save_concepts(concepts, cfg.artifact(RAW_CONCEPTS_FILE))
+    return save_concepts(concepts, cfg.artifact(RAW_CONCEPTS_FILE))
 
 
-def _stage_dedup(cfg: RunConfig, run: dict) -> None:
+def _stage_dedup(cfg: RunConfig, run: dict) -> dict[str, str]:
     embedder = build_embedder(cfg)
     concepts = load_concepts(cfg.artifact(RAW_CONCEPTS_FILE))
     kept, report = dedup_concepts(
         concepts, embedder, threshold=cfg.dedup_threshold, scope=cfg.dedup_scope
     )
-    save_concepts(kept, cfg.artifact(CONCEPTS_FILE))
-    _write_json(cfg.artifact(DEDUP_REPORT_FILE), report.to_dict())
+    written = save_concepts(kept, cfg.artifact(CONCEPTS_FILE))
+    return written | write_json(cfg.artifact(DEDUP_REPORT_FILE), report.to_dict())
 
 
-def _stage_generate(cfg: RunConfig, run: dict) -> None:
+def _stage_generate(cfg: RunConfig, run: dict) -> dict[str, str]:
     client = build_teacher(cfg)
     concepts = load_concepts(cfg.artifact(CONCEPTS_FILE))
     courses = load_courses(cfg.artifact(REFINED_FILE))
@@ -348,11 +343,11 @@ def _stage_generate(cfg: RunConfig, run: dict) -> None:
             "concepts could not be generated"
         )
     d = make_dataset(instances, run_id=run["run_id"], seed=cfg.seed)
-    save_dataset(d, cfg.artifact(INSTANCES_FILE))
-    _write_json(cfg.artifact(FAILURES_FILE), [f.to_dict() for f in failures])
+    written = save_dataset(d, cfg.artifact(INSTANCES_FILE))
+    return written | write_json(cfg.artifact(FAILURES_FILE), [f.to_dict() for f in failures])
 
 
-def _stage_filter(cfg: RunConfig, run: dict) -> None:
+def _stage_filter(cfg: RunConfig, run: dict) -> dict[str, str]:
     if not cfg.corpus:
         raise CliError("filter stage requires 'corpus' in the config")
     client = build_teacher(cfg)
@@ -368,30 +363,29 @@ def _stage_filter(cfg: RunConfig, run: dict) -> None:
             max_failure_fraction=cfg.max_failure_fraction,
         ),
     )
-    save_dataset(filtered, cfg.artifact(FILTERED_FILE))
-    _write_json(cfg.artifact(FILTER_STATS_FILE), stats.to_dict())
+    written = save_dataset(filtered, cfg.artifact(FILTERED_FILE))
+    return written | write_json(cfg.artifact(FILTER_STATS_FILE), stats.to_dict())
 
 
-def _stage_order(cfg: RunConfig, run: dict) -> None:
+def _stage_order(cfg: RunConfig, run: dict) -> dict[str, str]:
     d = load_dataset(cfg.artifact(FILTERED_FILE))
     ordering = OrderingConfig(
         strategy=cfg.strategy,
         seed=cfg.seed,
         interleave_granularity=cfg.interleave_granularity,
     )
-    save_dataset(order_dataset(d, ordering), cfg.artifact(ORDERED_FILE))
+    return save_dataset(order_dataset(d, ordering), cfg.artifact(ORDERED_FILE))
 
 
-def _stage_analyze(cfg: RunConfig, run: dict) -> None:
+def _stage_analyze(cfg: RunConfig, run: dict) -> dict[str, str]:
     report = analyze_batches(load_dataset(cfg.artifact(ORDERED_FILE)), cfg.batch_size)
-    with open(cfg.artifact(BATCH_REPORT_FILE), "w", encoding="utf-8") as handle:
-        handle.write(report.to_json())
     print(json.dumps(report.summary(), ensure_ascii=False))
+    return write_json(cfg.artifact(BATCH_REPORT_FILE), report.to_dict())
 
 
-def _stage_export(cfg: RunConfig, run: dict) -> None:
+def _stage_export(cfg: RunConfig, run: dict) -> dict[str, str]:
     d = load_dataset(cfg.artifact(ORDERED_FILE))
-    export_training_order(d, cfg.artifact(TRAINING_FILE))
+    return export_training_order(d, cfg.artifact(TRAINING_FILE))
 
 
 def _teacher_params(cfg: RunConfig) -> dict:
@@ -411,28 +405,24 @@ STAGES = (
     Stage(
         name="ingest",
         inputs=lambda cfg: [cfg.catalog],
-        outputs=lambda cfg: [cfg.artifact(COURSES_FILE)],
         params=lambda cfg: {},
         run=_stage_ingest,
     ),
     Stage(
         name="refine",
         inputs=lambda cfg: [cfg.artifact(COURSES_FILE)],
-        outputs=lambda cfg: [cfg.artifact(REFINED_FILE)],
         params=_teacher_params,
         run=_stage_refine,
     ),
     Stage(
         name="concepts",
         inputs=lambda cfg: [cfg.artifact(REFINED_FILE)],
-        outputs=lambda cfg: [cfg.artifact(RAW_CONCEPTS_FILE)],
         params=_teacher_params,
         run=_stage_concepts,
     ),
     Stage(
         name="dedup",
         inputs=lambda cfg: [cfg.artifact(RAW_CONCEPTS_FILE)],
-        outputs=lambda cfg: [cfg.artifact(CONCEPTS_FILE), cfg.artifact(DEDUP_REPORT_FILE)],
         params=lambda cfg: {
             "threshold": cfg.dedup_threshold,
             "scope": cfg.dedup_scope,
@@ -443,11 +433,6 @@ STAGES = (
     Stage(
         name="generate",
         inputs=lambda cfg: [cfg.artifact(CONCEPTS_FILE), cfg.artifact(REFINED_FILE)],
-        outputs=lambda cfg: [
-            cfg.artifact(INSTANCES_FILE),
-            manifest_path(cfg.artifact(INSTANCES_FILE)),
-            cfg.artifact(FAILURES_FILE),
-        ],
         params=lambda cfg: {
             "seed": cfg.seed,
             "max_failure_fraction": cfg.max_failure_fraction,
@@ -459,11 +444,6 @@ STAGES = (
         name="filter",
         inputs=lambda cfg: [cfg.artifact(INSTANCES_FILE)]
         + ([cfg.corpus] if cfg.corpus else []),
-        outputs=lambda cfg: [
-            cfg.artifact(FILTERED_FILE),
-            manifest_path(cfg.artifact(FILTERED_FILE)),
-            cfg.artifact(FILTER_STATS_FILE),
-        ],
         params=lambda cfg: {
             "required_yes": cfg.required_yes,
             "passages_per_question": cfg.passages_per_question,
@@ -475,10 +455,6 @@ STAGES = (
     Stage(
         name="order",
         inputs=lambda cfg: [cfg.artifact(FILTERED_FILE)],
-        outputs=lambda cfg: [
-            cfg.artifact(ORDERED_FILE),
-            manifest_path(cfg.artifact(ORDERED_FILE)),
-        ],
         params=lambda cfg: {
             "strategy": cfg.strategy,
             "seed": cfg.seed,
@@ -489,17 +465,12 @@ STAGES = (
     Stage(
         name="analyze",
         inputs=lambda cfg: [cfg.artifact(ORDERED_FILE)],
-        outputs=lambda cfg: [cfg.artifact(BATCH_REPORT_FILE)],
         params=lambda cfg: {"batch_size": cfg.batch_size},
         run=_stage_analyze,
     ),
     Stage(
         name="export",
         inputs=lambda cfg: [cfg.artifact(ORDERED_FILE)],
-        outputs=lambda cfg: [
-            cfg.artifact(TRAINING_FILE),
-            manifest_path(cfg.artifact(TRAINING_FILE)),
-        ],
         params=lambda cfg: {},
         run=_stage_export,
     ),
@@ -541,64 +512,77 @@ def load_run_manifest(cfg: RunConfig) -> dict:
         "seed": cfg.seed,
         "stages": {},
     }
-    _write_json(path, run)
+    write_json(path, run)
     return run
 
 
-def _save_run_manifest(cfg: RunConfig, run: dict) -> None:
-    _write_json(cfg.artifact(RUN_MANIFEST_FILE), run)
-
-
 def run_stage(stage: Stage, cfg: RunConfig, run: dict) -> None:
+    """Run one stage and record the digests of the bytes it wrote."""
     input_digest = _stage_input_digest(stage, cfg)
-    stage.run(cfg, run)
-    outputs = {}
-    for out in stage.outputs(cfg):
-        if not os.path.exists(out):
-            raise CliError(f"stage {stage.name} did not write {out}")
-        outputs[os.path.basename(out)] = _file_digest(out)
+    written = stage.run(cfg, run)
+    outputs = {os.path.basename(path): digest for path, digest in written.items()}
     run["stages"][stage.name] = {"input_digest": input_digest, "outputs": outputs}
-    _save_run_manifest(cfg, run)
+    write_json(cfg.artifact(RUN_MANIFEST_FILE), run)
     print(f"[{stage.name}] wrote {', '.join(sorted(outputs))}")
 
 
 def stage_is_stale(stage: Stage, cfg: RunConfig, run: dict) -> bool:
     """True when the stage must re-run.
 
-    That is when it has no record, an output is gone or no longer matches
-    its recorded digest (truncated, hand-edited), or its inputs changed.
+    That is when it has no record or no recorded outputs (every stage writes
+    a file), an output it recorded is gone or no longer matches its digest
+    (truncated, hand-edited), or its inputs changed.
     """
     entry = run["stages"].get(stage.name)
-    if entry is None:
+    if entry is None or not entry.get("outputs"):
         return True
-    outputs = stage.outputs(cfg)
+    outputs = {cfg.artifact(name): digest for name, digest in entry["outputs"].items()}
     if not all(os.path.exists(out) for out in outputs):
         return True
     if entry.get("input_digest") != _stage_input_digest(stage, cfg):
         return True
-    recorded = entry.get("outputs", {})
-    return any(
-        recorded.get(os.path.basename(out)) != _file_digest(out) for out in outputs
-    )
+    return any(_file_digest(out) != digest for out, digest in outputs.items())
 
 
 class _WorkdirLock:
-    """Exclusive-create lock file so concurrent runs cannot interleave."""
+    """Exclusive-create lock file holding the pid, so runs cannot interleave.
+
+    A lock whose pid names no live process was left by a killed run: it is
+    removed and the create is tried once more.  Two processes that take over
+    the same dead lock at once can both run, as the second may remove the
+    lock the first has just made.
+    """
 
     def __init__(self, cfg: RunConfig):
         self.path = cfg.artifact(LOCK_FILE)
 
     def __enter__(self):
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+        for attempt in (1, 2):
+            try:
+                with open(self.path, "x", encoding="utf-8") as handle:
+                    handle.write(f"{os.getpid()}\n")
+                return self
+            except FileExistsError:
+                if attempt == 2 or not self._holder_is_dead():
+                    raise CliError(
+                        f"workdir is locked by {self.path}; "
+                        "another run may be active (delete the file if it is stale)"
+                    )
+                os.unlink(self.path)
+
+    def _holder_is_dead(self) -> bool:
+        """True when the lock holds the pid of a process that no longer exists."""
         try:
-            with open(self.path, "x", encoding="utf-8") as handle:
-                handle.write(f"{os.getpid()}\n")
-        except FileExistsError:
-            raise CliError(
-                f"workdir is locked by {self.path}; "
-                "another run may be active (delete the file if it is stale)"
-            )
-        return self
+            with open(self.path, encoding="utf-8") as handle:
+                pid = int(handle.read())
+            if pid > 0:
+                os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        except (OSError, OverflowError, ValueError):
+            pass
+        return False
 
     def __exit__(self, *exc_info):
         try:

@@ -8,6 +8,7 @@ Loaders ignore keys they do not read, so files with retired fields load.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from typing import Any, Iterable
@@ -194,15 +195,39 @@ def _read_jsonl(path: str) -> Iterable[tuple[int, dict]]:
             yield line_no, record
 
 
-def save_dataset(d: Dataset, path: str) -> None:
-    """Write canonical JSONL plus the manifest sidecar."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for item in d.items:
-            handle.write(instance_line(item))
-            handle.write("\n")
-    with open(manifest_path(path), "w", encoding="utf-8") as handle:
-        json.dump(d.manifest, handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
+def write_lines(path: str, lines: Iterable[str]) -> dict[str, str]:
+    """Write each line and a newline to ``path``; return ``{path: sha256}``.
+
+    The UTF-8 bytes stream to ``<path>.tmp`` in the same directory and into
+    the digest, then ``os.replace`` puts the whole file in place, so a killed
+    process leaves either the old file or the new one, never a prefix.  An
+    interrupted write removes the temporary file and re-raises.
+    """
+    tmp = f"{path}.tmp"
+    digest = hashlib.sha256()
+    try:
+        with open(tmp, "wb") as handle:
+            for line in lines:
+                data = line.encode("utf-8") + b"\n"
+                digest.update(data)
+                handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+    return {path: digest.hexdigest()}
+
+
+def write_json(path: str, payload: Any) -> dict[str, str]:
+    """Write ``payload`` as indented JSON plus a newline, via ``write_lines``."""
+    return write_lines(path, [json.dumps(payload, ensure_ascii=False, indent=2)])
+
+
+def save_dataset(d: Dataset, path: str) -> dict[str, str]:
+    """Write canonical JSONL plus the manifest sidecar; return both digests."""
+    written = write_lines(path, map(instance_line, d.items))
+    return written | write_json(manifest_path(path), d.manifest)
 
 
 def load_dataset(path: str) -> Dataset:
@@ -283,22 +308,16 @@ def concept_from_record(record: dict, path: str = "<memory>", line: int = 0) -> 
         raise DatasetFormatError(path, line, None, str(exc)) from exc
 
 
-def save_courses(courses: Iterable[Course], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for course in courses:
-            handle.write(_dump_line(course_to_record(course)))
-            handle.write("\n")
+def save_courses(courses: Iterable[Course], path: str) -> dict[str, str]:
+    return write_lines(path, (_dump_line(course_to_record(c)) for c in courses))
 
 
 def load_courses(path: str) -> list[Course]:
     return [course_from_record(rec, path, line) for line, rec in _read_jsonl(path)]
 
 
-def save_concepts(concepts: Iterable[Concept], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for concept in concepts:
-            handle.write(_dump_line(concept_to_record(concept)))
-            handle.write("\n")
+def save_concepts(concepts: Iterable[Concept], path: str) -> dict[str, str]:
+    return write_lines(path, (_dump_line(concept_to_record(c)) for c in concepts))
 
 
 def load_concepts(path: str) -> list[Concept]:

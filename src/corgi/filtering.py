@@ -340,9 +340,4 @@ def run_filters(
         rule_drop_reasons=dict(reasons),
         retrieval_failures=failures,
     )
-    filtered = make_dataset(
-        output,
-        run_id=d.manifest.get("run_id", ""),
-        extra={"filter_stats": stats.to_dict()},
-    )
-    return filtered, stats
+    return make_dataset(output, run_id=d.manifest.get("run_id", "")), stats

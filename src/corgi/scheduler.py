@@ -23,12 +23,11 @@ Subject and concept orders default to first appearance in the input.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .dataset_io import _dump_line, instance_line, manifest_path
+from .dataset_io import _dump_line, instance_line, manifest_path, write_json, write_lines
 from .model import (
     HIGHER,
     SECONDARY,
@@ -327,28 +326,27 @@ def _order_spiral(
     return ordered
 
 
-def export_training_order(d: Dataset, path: str) -> None:
+def export_training_order(d: Dataset, path: str) -> dict[str, str]:
     """Write conversation records in curriculum order, plus the manifest.
 
     ``d`` is an ordered dataset, as ``order`` returns it.  Each line is
     {"messages": [...]} with an optional system turn; the manifest sidecar
     copies ``d``'s ordering keys and adds the item count.  Re-export of the
-    same dataset is byte-identical.
+    same dataset is byte-identical.  Returns ``{path: sha256}`` of both files.
     """
     missing = [key for key in ORDERING_KEYS if key not in d.manifest]
     if missing:
         raise SchedulerError(f"manifest of an ordered dataset lacks {missing}")
-    with open(path, "w", encoding="utf-8") as handle:
-        for item in d.items:
-            messages = []
-            if item.system_message:
-                messages.append({"role": "system", "content": item.system_message})
-            messages.append({"role": "user", "content": item.question})
-            messages.append({"role": "assistant", "content": item.answer})
-            handle.write(_dump_line({"messages": messages}))
-            handle.write("\n")
     manifest = {key: d.manifest[key] for key in ORDERING_KEYS}
     manifest["count"] = len(d.items)
-    with open(manifest_path(path), "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
+    written = write_lines(path, map(_conversation_line, d.items))
+    return written | write_json(manifest_path(path), manifest)
+
+
+def _conversation_line(item: InstructionInstance) -> str:
+    messages = []
+    if item.system_message:
+        messages.append({"role": "system", "content": item.system_message})
+    messages.append({"role": "user", "content": item.question})
+    messages.append({"role": "assistant", "content": item.answer})
+    return _dump_line({"messages": messages})

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import make_instance, nine_item_fixture, random_dataset
 from corgi.batching import BatchingError, analyze, compare, render_comparison
+from corgi.dataset_io import write_json
 from corgi.scheduler import OrderingConfig, order
 
 APPROX = 1e-9
@@ -162,9 +163,12 @@ class TestCompare:
 
 
 class TestSerialization:
-    def test_to_json_round_trip(self):
+    def test_to_json_round_trip(self, tmp_path):
         report = analyze(_ordered_fixture("interleave"), 3)
-        payload = json.loads(report.to_json())
+        path = str(tmp_path / "batch_report.json")
+        write_json(path, report.to_dict())
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
         assert payload["summary"]["fraction_full_coverage"] == 1.0
         assert payload["summary"]["batch_count"] == 3
         assert len(payload["batches"]) == 3

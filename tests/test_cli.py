@@ -1,11 +1,17 @@
 """Command line tests: configs, staged runs, resume, and determinism."""
 
+import builtins
+import itertools
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import corgi
+from corgi import cli
 from corgi.cli import (
     BATCH_REPORT_FILE,
     CONCEPTS_FILE,
@@ -80,6 +86,68 @@ def jsonl_records(path):
 def read_bytes(path):
     with open(path, "rb") as handle:
         return handle.read()
+
+
+def workdir_bytes(workdir):
+    return {name: read_bytes(os.path.join(workdir, name)) for name in os.listdir(workdir)}
+
+
+def clock():
+    """A ``_now_utc`` that gives a new stamp on every call."""
+    seconds = itertools.count()
+    return lambda: f"2026-01-01T00:00:{next(seconds):02d}Z"
+
+
+class Interrupted(BaseException):
+    """A kill in the middle of a write; ``main`` catches only ``Exception``."""
+
+
+class _WriteHandle:
+    def __init__(self, handle, stop_at):
+        self.handle = handle
+        self.stop_at = stop_at
+        self.size = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, data):
+        if self.stop_at is not None and self.size + len(data) > self.stop_at:
+            self.handle.write(data[: self.stop_at - self.size])
+            raise Interrupted
+        self.size += len(data)
+        return self.handle.write(data)
+
+
+class WriteFaults:
+    """Stands in for ``open``: records every "w"/"wb" file and its size, and
+    interrupts the ``cut``-th of them after half of its clean-run size."""
+
+    def __init__(self, cut=None, sizes=()):
+        self.real_open = builtins.open
+        self.cut = cut
+        self.sizes = sizes
+        self.files = []
+
+    def __call__(self, file, mode="r", *args, **kwargs):
+        handle = self.real_open(file, mode, *args, **kwargs)
+        if mode not in ("w", "wb"):
+            return handle
+        stop_at = None
+        if len(self.files) + 1 == self.cut:
+            stop_at = self.sizes[self.cut - 1] // 2
+        self.files.append(_WriteHandle(handle, stop_at))
+        return self.files[-1]
+
+    def main(self, monkeypatch, argv):
+        monkeypatch.setattr(builtins, "open", self)
+        try:
+            return main(argv)
+        finally:
+            monkeypatch.setattr(builtins, "open", self.real_open)
 
 
 class TestLoadConfig:
@@ -478,6 +546,31 @@ class TestErrorsAndLocking:
         assert rc == 1
         assert "locked" in json.loads(captured.err.strip())["message"]
 
+    def test_lock_of_an_exited_process_is_taken_over(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        workdir = load_config(path).workdir
+        os.makedirs(workdir, exist_ok=True)
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        assert child.wait(timeout=60) == 0
+        with open(os.path.join(workdir, LOCK_FILE), "w", encoding="utf-8") as handle:
+            handle.write(f"{child.pid}\n")
+        rc = main(["run", "--config", path])
+        assert rc == 0, capsys.readouterr().err
+        assert not os.path.exists(os.path.join(workdir, LOCK_FILE))
+
+    def test_lock_of_a_live_process_is_refused(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        workdir = load_config(path).workdir
+        os.makedirs(workdir, exist_ok=True)
+        lock = os.path.join(workdir, LOCK_FILE)
+        with open(lock, "w", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()}\n")
+        rc = main(["run", "--config", path])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "locked" in json.loads(captured.err.strip())["message"]
+        assert read_bytes(lock) == f"{os.getpid()}\n".encode()
+
     def test_run_id_mismatch(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["run", "--config", path]) == 0
@@ -556,6 +649,50 @@ class TestResume:
         assert read_bytes(cfg.artifact(INSTANCES_FILE)) == instances
         assert read_bytes(cfg.artifact(TRAINING_FILE)) == clean
 
+    @pytest.mark.parametrize("edit", ["deleted", "emptied"])
+    def test_hand_edited_outputs_map_reruns_its_stage(self, tmp_path, capsys, edit):
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        cfg = load_config(path)
+        names = (ORDERED_FILE, manifest_path(ORDERED_FILE), BATCH_REPORT_FILE, TRAINING_FILE)
+        before = {name: read_bytes(cfg.artifact(name)) for name in names}
+        run = read_json(cfg.artifact(RUN_MANIFEST_FILE))
+        if edit == "deleted":
+            del run["stages"]["order"]["outputs"]
+        else:
+            run["stages"]["order"]["outputs"] = {}
+        with open(cfg.artifact(RUN_MANIFEST_FILE), "w", encoding="utf-8") as handle:
+            json.dump(run, handle)
+        capsys.readouterr()
+        assert first_pending_stage(cfg, load_run_manifest(cfg)) == "order"
+        assert main(["resume", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert "[filter] up to date" in out
+        assert "[order] wrote" in out
+        assert {name: read_bytes(cfg.artifact(name)) for name in names} == before
+
+    def test_run_stage_digests_no_file_its_stage_wrote(self, tmp_path, monkeypatch):
+        digested = {}
+        running = []
+        real_digest, real_run_stage = cli._file_digest, cli.run_stage
+
+        def run_stage(stage, cfg, run):
+            running.append(stage.name)
+            real_run_stage(stage, cfg, run)
+
+        def file_digest(path):
+            digested.setdefault(running[-1], set()).add(path)
+            return real_digest(path)
+
+        monkeypatch.setattr(cli, "run_stage", run_stage)
+        monkeypatch.setattr(cli, "_file_digest", file_digest)
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        cfg = load_config(path)
+        for name, entry in read_json(cfg.artifact(RUN_MANIFEST_FILE))["stages"].items():
+            wrote = {cfg.artifact(out) for out in entry["outputs"]}
+            assert not wrote & digested.get(name, set()), name
+
     def test_catalog_edit_pends_ingest(self, tmp_path, capsys):
         local_catalog = tmp_path / "catalog.csv"
         shutil.copy(CATALOG, local_catalog)
@@ -607,3 +744,102 @@ class TestResume:
         cfg = load_config(path)
         manifest = read_json(manifest_path(cfg.artifact(ORDERED_FILE)))
         assert manifest["strategy"] == "cluster"
+
+
+# Run in a child process: ``corgi run`` that dies with ``os._exit`` in the
+# middle of writing ordered.jsonl, so no cleanup of any kind runs.
+DYING_RUN = """
+import builtins, os, sys
+import corgi.cli as cli
+
+real_open = builtins.open
+
+class Dying:
+    def __init__(self, handle):
+        self.handle = handle
+        self.writes = 0
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc_info):
+        self.handle.close()
+    def write(self, data):
+        self.handle.write(data)
+        self.writes += 1
+        if self.writes == 10:
+            self.handle.flush()
+            os._exit(9)
+
+def dying_open(file, mode="r", *args, **kwargs):
+    handle = real_open(file, mode, *args, **kwargs)
+    if "w" in mode and os.path.basename(file).split(".tmp")[0] == sys.argv[2]:
+        return Dying(handle)
+    return handle
+
+cli._now_utc = lambda: sys.argv[1]
+builtins.open = dying_open
+cli.main(sys.argv[3:])
+"""
+
+STAMP = "2026-01-01T00:00:00Z"
+
+
+class TestInterruptedWrites:
+    def test_every_interrupted_write_resumes_to_the_clean_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = write_config(tmp_path / "clean")
+        monkeypatch.setattr(cli, "_now_utc", clock())
+        recorder = WriteFaults()
+        assert recorder.main(monkeypatch, ["run", "--config", path]) == 0
+        cfg = load_config(path)
+        clean = workdir_bytes(cfg.workdir)
+        run = json.loads(clean[RUN_MANIFEST_FILE])
+        artifacts = sum(len(entry["outputs"]) for entry in run["stages"].values())
+        # Every write is an artifact or a save of run.json: one at creation
+        # and one after each stage.
+        sizes = [handle.size for handle in recorder.files]
+        assert len(sizes) == artifacts + 1 + len(STAGE_NAMES)
+
+        for cut in range(1, len(sizes) + 1):
+            path = write_config(tmp_path / f"cut-{cut}")
+            workdir = load_config(path).workdir
+            monkeypatch.setattr(cli, "_now_utc", clock())
+            with pytest.raises(Interrupted):
+                WriteFaults(cut, sizes).main(monkeypatch, ["run", "--config", path])
+            assert not [n for n in os.listdir(workdir) if n.endswith(".tmp")], cut
+            started = os.path.exists(os.path.join(workdir, RUN_MANIFEST_FILE))
+            capsys.readouterr()
+            rc = main(["resume", "--config", path])
+            assert rc == 0, (cut, capsys.readouterr().err)
+            got = workdir_bytes(workdir)
+            # A run killed before run.json first reached disk left nothing,
+            # and its resume stamps a new started_at, which every instance
+            # record carries; the training file and batch report do not.
+            same = clean if started else (TRAINING_FILE, BATCH_REPORT_FILE)
+            assert [name for name in same if got.get(name) != clean[name]] == [], cut
+
+    def test_killed_run_leaves_lock_and_temporary_file_and_resumes(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "_now_utc", lambda: STAMP)
+        clean_path = write_config(tmp_path / "clean")
+        assert main(["run", "--config", clean_path]) == 0
+        clean = read_bytes(load_config(clean_path).artifact(ORDERED_FILE))
+
+        path = write_config(tmp_path / "killed")
+        cfg = load_config(path)
+        src = os.path.dirname(os.path.dirname(corgi.__file__))
+        child = subprocess.run(
+            [sys.executable, "-c", DYING_RUN, STAMP, ORDERED_FILE, "run", "--config", path],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            timeout=120,
+        )
+        assert child.returncode == 9, child.stderr
+        assert os.path.exists(cfg.artifact(LOCK_FILE))
+        assert os.path.exists(cfg.artifact(ORDERED_FILE + ".tmp"))
+        capsys.readouterr()
+        assert main(["resume", "--config", path]) == 0, capsys.readouterr().err
+        assert read_bytes(cfg.artifact(ORDERED_FILE)) == clean
+        assert not os.path.exists(cfg.artifact(ORDERED_FILE + ".tmp"))
+        assert not os.path.exists(cfg.artifact(LOCK_FILE))

@@ -1,6 +1,8 @@
 """JSONL round-trip and schema error reporting tests."""
 
+import hashlib
 import json
+import os
 import random
 
 import pytest
@@ -19,6 +21,7 @@ from corgi.dataset_io import (
     save_concepts,
     save_courses,
     save_dataset,
+    write_lines,
 )
 from corgi.model import (
     Concept,
@@ -238,14 +241,30 @@ def test_instance_line_matches_the_generic_encoder():
 
 
 def test_dataset_digest_is_the_digest_of_the_saved_file(tmp_path):
-    import hashlib
-
     from corgi.scheduler import dataset_digest
 
     d = make_dataset(_varied_items(random.Random(44)), run_id="dg")
     path = tmp_path / "dg.jsonl"
-    save_dataset(d, str(path))
+    written = save_dataset(d, str(path))
     assert dataset_digest(d.items) == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert written == {
+        str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in (path, tmp_path / "dg.jsonl.manifest")
+    }
+
+
+def test_interrupted_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "lines.jsonl"
+    write_lines(str(path), ["old"])
+
+    def lines():
+        yield "new"
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        write_lines(str(path), lines())
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(str(tmp_path)) == ["lines.jsonl"]
 
 
 def test_stage_level_round_trip(tmp_path):
