@@ -545,12 +545,14 @@ def stage_is_stale(stage: Stage, cfg: RunConfig, run: dict) -> bool:
 
 
 class _WorkdirLock:
-    """Exclusive-create lock file holding the pid, so runs cannot interleave.
+    """Lock file holding the pid, so runs cannot interleave.
 
-    A lock whose pid names no live process was left by a killed run: it is
-    removed and the create is tried once more.  Two processes that take over
-    the same dead lock at once can both run, as the second may remove the
-    lock the first has just made.
+    The pid is written to a file of this process's own first and then
+    hard-linked to the lock name, which fails if the lock exists; so the
+    lock never exists without its pid.  A lock whose pid names no live
+    process was left by a killed run: it is removed and the link is tried
+    once more.  Two processes that take over the same dead lock at once can
+    both run, as the second may remove the lock the first has just made.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -558,18 +560,25 @@ class _WorkdirLock:
 
     def __enter__(self):
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        for attempt in (1, 2):
-            try:
-                with open(self.path, "x", encoding="utf-8") as handle:
-                    handle.write(f"{os.getpid()}\n")
-                return self
-            except FileExistsError:
-                if attempt == 2 or not self._holder_is_dead():
-                    raise CliError(
-                        f"workdir is locked by {self.path}; "
-                        "another run may be active (delete the file if it is stale)"
-                    )
-                os.unlink(self.path)
+        pid = os.getpid()
+        pending = f"{self.path}.{pid}"
+        try:
+            with open(pending, "x", encoding="utf-8") as handle:
+                handle.write(f"{pid}\n")
+            for attempt in (1, 2):
+                try:
+                    os.link(pending, self.path)
+                    return self
+                except FileExistsError:
+                    if attempt == 2 or not self._holder_is_dead():
+                        raise CliError(
+                            f"workdir is locked by {self.path}; "
+                            "another run may be active (delete the file if it is stale)"
+                        )
+                    os.unlink(self.path)
+        finally:
+            if os.path.exists(pending):
+                os.unlink(pending)
 
     def _holder_is_dead(self) -> bool:
         """True when the lock holds the pid of a process that no longer exists."""

@@ -135,6 +135,52 @@ class DedupReport:
         }
 
 
+# Slack of the matrix screen in ``dedup_concepts``; see its docstring.
+_SCREEN_MARGIN = 1e-9
+
+
+class _KeptRows:
+    """Kept concepts of one dedup scope group, their vectors also matrix rows.
+
+    A kept concept whose text an earlier kept row already has gets no row of
+    its own: its similarities equal that row's, and the earlier row is met
+    first.  The matrix starts small and doubles when full, so a group costs
+    rows in proportion to the distinct texts it keeps.
+    """
+
+    def __init__(self):
+        self.texts: set[str] = set()
+        self.ids: list[str] = []
+        self.vectors: list[np.ndarray] = []
+        self.matrix: np.ndarray | None = None
+
+    def first_match(
+        self, vector: np.ndarray, threshold: float
+    ) -> tuple[str, float] | None:
+        """The first kept (id, similarity) with ``np.dot`` at least ``threshold``."""
+        if not self.ids:
+            return None
+        screen = self.matrix[: len(self.ids)] @ vector
+        for row in np.flatnonzero(screen >= threshold - _SCREEN_MARGIN):
+            sim = float(np.dot(vector, self.vectors[row]))
+            if sim >= threshold:
+                return self.ids[row], sim
+        return None
+
+    def add(self, concept_id: str, text: str, vector: np.ndarray) -> None:
+        if text in self.texts:
+            return
+        self.texts.add(text)
+        n = len(self.ids)
+        if self.matrix is None:
+            self.matrix = np.empty((16, vector.shape[0]), dtype=np.float64)
+        elif n == self.matrix.shape[0]:
+            self.matrix = np.concatenate([self.matrix, np.empty_like(self.matrix)])
+        self.matrix[n] = vector
+        self.ids.append(concept_id)
+        self.vectors.append(vector)
+
+
 def dedup_concepts(
     concepts: list[Concept],
     embedder,
@@ -147,7 +193,25 @@ def dedup_concepts(
     concept reaches the threshold; comparisons never consider dropped
     concepts, so chains collapse onto their first element.  ``scope`` may
     be "global" (default) or "per_subject".  Kept concepts are returned as
-    given; each distinct text is embedded once.
+    given; each distinct text is embedded once.  The embedder returns unit
+    vectors, as both backends in ``teacher`` do.
+
+    The similarity is ``float(np.dot(v, k))`` of the concept's vector ``v``
+    and a kept vector ``k``, and a concept names the first kept concept, in
+    keep order, that reaches the threshold.  So that a concept costs one
+    matrix-vector product rather than one ``np.dot`` per kept concept, each
+    scope group also holds its kept vectors as rows of a float64 matrix
+    ``K``.  Only rows where ``K @ v >= threshold - 1e-9`` are checked, in
+    keep order, with that ``np.dot``.  The screen never hides a match: for
+    unit vectors of dimension ``d``, any float64 sum of the ``d`` products,
+    in any order and with or without fused multiply-adds, lies within about
+    ``d * 2**-53`` (3e-14 at ``d = 256``) of the exact dot product.
+    A screen entry is therefore within 6e-14 of the ``np.dot`` of the same
+    pair, and a pair whose ``np.dot`` reaches the threshold is a candidate.
+    The result, similarities included, is the per-anchor loop's;
+    ``tests/test_concepts.py`` keeps that loop as an oracle and compares the
+    two on random sets, and pins pairs at the threshold and 1 ulp either
+    side.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"dedup threshold must be in (0, 1], got {threshold}")
@@ -160,25 +224,19 @@ def dedup_concepts(
         if text not in vectors:
             vectors[text] = embedder.embed(EmbeddingRequest(text=text))
 
-    kept_by_group: dict[str, list[tuple[str, np.ndarray]]] = {}
+    kept_by_group: dict[str, _KeptRows] = {}
     kept: list[Concept] = []
     dropped: list[DroppedConcept] = []
     for concept, text in zip(concepts, texts):
         vector = vectors[text]
         group = concept.subject if scope == "per_subject" else ""
-        anchors = kept_by_group.setdefault(group, [])
-        duplicate_of = None
-        similarity = 0.0
-        for kept_id, kept_vector in anchors:
-            sim = float(np.dot(vector, kept_vector))
-            if sim >= threshold:
-                duplicate_of, similarity = kept_id, sim
-                break
-        if duplicate_of is None:
-            anchors.append((concept.id, vector))
+        anchors = kept_by_group.setdefault(group, _KeptRows())
+        match = anchors.first_match(vector, threshold)
+        if match is None:
+            anchors.add(concept.id, text, vector)
             kept.append(concept)
         else:
-            dropped.append(DroppedConcept(concept.id, duplicate_of, similarity))
+            dropped.append(DroppedConcept(concept.id, *match))
 
     report = DedupReport(
         threshold=threshold, kept=tuple(c.id for c in kept), dropped=tuple(dropped)

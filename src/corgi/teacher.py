@@ -15,10 +15,10 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import requests
 
 TEACHER_API_KEY_ENV = "TEACHER_API_KEY"
 TEACHER_API_BASE_ENV = "TEACHER_API_BASE"
@@ -86,12 +86,31 @@ def parse_relevance_reply(reply: str) -> bool:
 
 
 def _default_post(url: str, headers: dict, payload: dict, timeout: float):
-    response = requests.post(url, headers=headers, json=payload, timeout=timeout)
+    """POST ``payload`` as JSON; return the status and the decoded JSON body.
+
+    A body that is not JSON reads as ``{}``.  An error status is returned,
+    not raised; transport failures raise ``OSError`` (``URLError``, timeouts)
+    or ``http.client.HTTPException``.  ``urllib.request`` is imported here
+    because only the HTTP backends need it.
+    """
+    import urllib.error
+    import urllib.request
+
+    data = json.dumps(payload).encode("utf-8")
+    req = urllib.request.Request(url, data=data, headers=headers, method="POST")
     try:
-        body = response.json()
+        with urllib.request.urlopen(req, timeout=timeout) as response:
+            return response.status, _json_or_empty(response.read())
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, _json_or_empty(exc.read())
+
+
+def _json_or_empty(raw: bytes):
+    try:
+        return json.loads(raw)
     except ValueError:
-        body = {}
-    return response.status_code, body
+        return {}
 
 
 def _is_transient(status: int | None) -> bool:
@@ -121,6 +140,8 @@ class _RetryingHttp:
         self.sleep = sleep
 
     def request(self, url: str, payload: dict) -> dict:
+        from http.client import HTTPException
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -128,7 +149,7 @@ class _RetryingHttp:
         while True:
             try:
                 status, body = self.post(url, headers, payload, self.timeout)
-            except requests.RequestException as exc:
+            except (OSError, HTTPException) as exc:
                 status, body = None, {"error": str(exc)}
             if status in (401, 403):
                 raise TeacherAuthError(f"authentication failed ({status}) at {url}")
@@ -406,11 +427,21 @@ def _unit(vector: np.ndarray) -> np.ndarray:
     return vector / norm
 
 
+@lru_cache(maxsize=1 << 16)
+def _hash64(text: str) -> int:
+    """64-bit BLAKE2 hash of a string; each trigram is hashed once per process."""
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
+
+
 class ReferenceEmbeddingBackend:
     """Character-trigram feature hashing into a fixed 256-dim unit vector.
 
     Deterministic across processes and platforms: buckets and signs come
-    from BLAKE2, never from Python's per-process string hashing.
+    from BLAKE2, never from Python's per-process string hashing.  A
+    trigram's hash gives its bucket (the hash modulo the dimension) and its
+    sign (the top bit).  The pre-norm vector holds small integer counts, so
+    summing the signs in any order gives the same bits.
     """
 
     dimension = EMBEDDING_DIMENSION
@@ -420,21 +451,15 @@ class ReferenceEmbeddingBackend:
         text = req.text
         if not text:
             raise TeacherError("cannot embed empty text")
-        vector = np.zeros(self.dimension, dtype=np.float64)
         grams = (
             [text[i : i + 3] for i in range(len(text) - 2)] if len(text) >= 3 else [text]
         )
-        for gram in grams:
-            h = int.from_bytes(
-                hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big"
-            )
-            sign = 1.0 if h >> 63 == 0 else -1.0
-            vector[h % self.dimension] += sign
+        hashes = np.fromiter(map(_hash64, grams), dtype=np.uint64, count=len(grams))
+        buckets = (hashes % np.uint64(self.dimension)).astype(np.intp)
+        signs = 1.0 - 2.0 * (hashes >> np.uint64(63))
+        vector = np.bincount(buckets, weights=signs, minlength=self.dimension)
         if not vector.any():
-            h = int.from_bytes(
-                hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "big"
-            )
-            vector[h % self.dimension] = 1.0
+            vector[_hash64(text) % self.dimension] = 1.0
         return _unit(vector)
 
 

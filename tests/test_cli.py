@@ -571,6 +571,24 @@ class TestErrorsAndLocking:
         assert "locked" in json.loads(captured.err.strip())["message"]
         assert read_bytes(lock) == f"{os.getpid()}\n".encode()
 
+    def test_interrupted_pid_write_leaves_no_lock(self, tmp_path, capsys, monkeypatch):
+        """A run killed while writing its pid does not lock the workdir for good."""
+        path = write_config(tmp_path)
+        workdir = load_config(path).workdir
+        real_open = builtins.open
+
+        def open_failing_exclusive_writes(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return _WriteHandle(handle, stop_at=0) if mode == "x" else handle
+
+        monkeypatch.setattr(builtins, "open", open_failing_exclusive_writes)
+        with pytest.raises(Interrupted):
+            main(["run", "--config", path])
+        monkeypatch.setattr(builtins, "open", real_open)
+        rc = main(["run", "--config", path])
+        assert rc == 0, capsys.readouterr().err
+        assert [n for n in os.listdir(workdir) if n.startswith(LOCK_FILE)] == []
+
     def test_run_id_mismatch(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["run", "--config", path]) == 0

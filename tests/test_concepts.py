@@ -18,7 +18,7 @@ from corgi.concepts import (
 )
 from corgi.model import Concept, Course, EducationalStage
 from corgi.prompts import build_concept_prompt, build_refinement_prompt
-from corgi.teacher import MockTeacherBackend, TeacherClient
+from corgi.teacher import EmbeddingRequest, MockTeacherBackend, TeacherClient
 
 HIGHER = EducationalStage("higher")
 
@@ -389,3 +389,139 @@ class TestDedup:
                 )
                 assert math.isclose(drop.similarity, recomputed, abs_tol=1e-12)
                 assert drop.similarity >= threshold
+
+
+class ExactEmbedder:
+    """Returns the planted arrays as given, keyed by concept name."""
+
+    def __init__(self, by_name):
+        self.by_name = by_name
+
+    def embed(self, req):
+        return self.by_name[req.text.split(":", 1)[0]]
+
+
+def oracle_dedup(concepts, embedder, threshold, scope):
+    """The per-anchor loop: one ``np.dot`` per kept concept, in keep order."""
+    texts = [concept.embedding_text() for concept in concepts]
+    vectors = {}
+    for text in texts:
+        if text not in vectors:
+            vectors[text] = embedder.embed(EmbeddingRequest(text=text))
+    kept_by_group = {}
+    kept, dropped = [], []
+    for concept, text in zip(concepts, texts):
+        vector = vectors[text]
+        group = concept.subject if scope == "per_subject" else ""
+        anchors = kept_by_group.setdefault(group, [])
+        duplicate_of, similarity = None, 0.0
+        for kept_id, kept_vector in anchors:
+            sim = float(np.dot(vector, kept_vector))
+            if sim >= threshold:
+                duplicate_of, similarity = kept_id, sim
+                break
+        if duplicate_of is None:
+            anchors.append((concept.id, vector))
+            kept.append(concept)
+        else:
+            dropped.append(DroppedConcept(concept.id, duplicate_of, similarity))
+    report = DedupReport(threshold, tuple(c.id for c in kept), tuple(dropped))
+    return kept, report
+
+
+SCOPES = ("global", "per_subject")
+
+
+class TestThresholdEdge:
+    """A pair whose ``np.dot`` is exactly the threshold is dropped; 1 ulp
+    below it is kept and 1 ulp above it is dropped, in either scope."""
+
+    @staticmethod
+    def run_pair(anchor, other, threshold, scope):
+        embedder = ExactEmbedder({"Anchor": anchor, "Other": other})
+        concepts = [make_concept("Anchor"), make_concept("Other")]
+        _, report = dedup_concepts(concepts, embedder, threshold=threshold, scope=scope)
+        return report
+
+    @pytest.mark.parametrize("scope", SCOPES)
+    @pytest.mark.parametrize("threshold", [0.61, 0.67, 0.73, 1.0])
+    def test_axis_pair(self, threshold, scope):
+        # (1, 0, 0) . (s, r, 0) is s with no rounding at all.
+        anchor = np.array([1.0, 0.0, 0.0])
+        for sim, dropped in (
+            (np.nextafter(threshold, 0.0), False),
+            (threshold, True),
+            (np.nextafter(threshold, 2.0), True),
+        ):
+            other = np.array([sim, math.sqrt(max(0.0, 1.0 - sim * sim)), 0.0])
+            assert float(np.dot(other, anchor)) == sim
+            report = self.run_pair(anchor, other, threshold, scope)
+            if dropped:
+                assert report.to_dict()["dropped"] == [
+                    {"id": "physics/mechanics/other",
+                     "duplicate_of": "physics/mechanics/anchor",
+                     "similarity": float(sim)}
+                ]
+            else:
+                assert report.dropped == () and len(report.kept) == 2
+
+    @pytest.mark.parametrize("scope", SCOPES)
+    def test_dense_pair(self, scope):
+        """256-dim vectors, whose dot rounds: the threshold is set to it."""
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            anchor = rng.normal(size=256)
+            other = anchor + 0.8 * rng.normal(size=256)
+            anchor /= np.linalg.norm(anchor)
+            other /= np.linalg.norm(other)
+            sim = float(np.dot(other, anchor))
+            assert 0.0 < sim < 1.0
+            below = self.run_pair(anchor, other, float(np.nextafter(sim, 2.0)), scope)
+            assert below.dropped == ()
+            for threshold in (sim, float(np.nextafter(sim, 0.0))):
+                report = self.run_pair(anchor, other, threshold, scope)
+                assert [d.similarity for d in report.dropped] == [sim]
+
+
+class TestMatchesOracle:
+    """The screened sweep gives the per-anchor loop's report, bit for bit."""
+
+    @staticmethod
+    def random_concepts(rng, dim):
+        """Clustered unit vectors over a few subjects, some texts repeated."""
+        centers = rng.normal(size=(4, dim))
+        names, by_name, concepts = [], {}, []
+        for i in range(int(rng.integers(20, 120))):
+            if names and rng.random() < 0.15:
+                name = names[int(rng.integers(len(names)))]
+            else:
+                name = f"C{i}"
+                noise = rng.choice((0.05, 0.3, 1.0))
+                vector = centers[int(rng.integers(4))] + noise * rng.normal(size=dim)
+                by_name[name] = vector / np.linalg.norm(vector)
+                names.append(name)
+            subject = f"S{int(rng.integers(3))}"
+            concepts.append(make_concept(name, subject=subject, course=f"{subject}/c{i}"))
+        return concepts, ExactEmbedder(by_name)
+
+    @pytest.mark.parametrize("scope", SCOPES)
+    def test_random_sets(self, scope):
+        rng = np.random.default_rng(0xC0FFEE)
+        compared = dropped = 0
+        for _ in range(PROPERTY_ROUNDS):
+            dim = int(rng.choice((3, 16, 256)))
+            concepts, embedder = self.random_concepts(rng, dim)
+            a = embedder.by_name[concepts[0].name]
+            b = embedder.by_name[concepts[1].name]
+            pair = float(np.dot(a, b))
+            thresholds = {0.3, 0.67, 0.9, 1.0}
+            if 0.0 < pair <= 1.0:
+                thresholds |= {pair, float(np.nextafter(pair, 0.0))}
+            for threshold in sorted(thresholds):
+                kept, report = dedup_concepts(concepts, embedder, threshold, scope)
+                oracle_kept, oracle = oracle_dedup(concepts, embedder, threshold, scope)
+                assert report.to_dict() == oracle.to_dict()
+                assert [c.id for c in kept] == [c.id for c in oracle_kept]
+                compared += 1
+                dropped += len(report.dropped)
+        assert compared >= 4 * PROPERTY_ROUNDS and dropped > 0

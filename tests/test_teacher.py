@@ -1,14 +1,21 @@
 """Teacher client tests: backends, retry plumbing, judging, embeddings."""
 
+import hashlib
+import http.client
+import http.server
 import json
 import math
+import os
 import random
+import socket
+import subprocess
+import sys
 import threading
 import time
+import urllib.error
 
 import numpy as np
 import pytest
-import requests
 
 from corgi.concepts import dedup_concepts
 from corgi.model import Concept, EducationalStage
@@ -31,12 +38,15 @@ from corgi.teacher import (
     TeacherError,
     TeacherRetryError,
     TeacherTruncationError,
+    _default_post,
     fan_out,
     parse_relevance_reply,
     prompt_digest,
 )
 
 BASE_URL = "https://teacher.test/v1"
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 OK_REPLY = "All good."
 
@@ -215,8 +225,26 @@ class TestHttpTeacherBackend:
 
     def test_network_error_is_retried(self):
         fake = FakeTransport(
-            [requests.ConnectionError("refused"), (200, completion_body(OK_REPLY))]
+            [urllib.error.URLError("refused"), (200, completion_body(OK_REPLY))]
         )
+        waits = []
+        backend = HttpTeacherBackend(
+            base_url=BASE_URL, api_key="k", post=fake.post, sleep=waits.append
+        )
+        assert backend.complete(CompletionRequest(prompt="hi")) == OK_REPLY
+        assert waits == [0.5]
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            TimeoutError("timed out"),
+            http.client.RemoteDisconnected("closed"),
+            http.client.IncompleteRead(b"{"),
+        ],
+        ids=["timeout", "disconnected", "incomplete"],
+    )
+    def test_other_transport_errors_are_retried(self, error):
+        fake = FakeTransport([error, (200, completion_body(OK_REPLY))])
         waits = []
         backend = HttpTeacherBackend(
             base_url=BASE_URL, api_key="k", post=fake.post, sleep=waits.append
@@ -311,6 +339,128 @@ class TestHttpTeacherBackend:
         with pytest.raises(TeacherError) as err:
             HttpTeacherBackend()
         assert "TEACHER_API_BASE" in str(err.value)
+
+
+class LoopbackHandler(http.server.BaseHTTPRequestHandler):
+    """Replies by path: ``/<status>`` sends that status with a JSON body,
+    ``/<status>/text`` the same status with a plain-text body."""
+
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        self.server.received.append(
+            {
+                "path": self.path,
+                "content_type": self.headers["Content-Type"],
+                "authorization": self.headers["Authorization"],
+                "payload": json.loads(self.rfile.read(length)),
+            }
+        )
+        status, _, kind = self.path.strip("/").partition("/")
+        reply = completion_body(OK_REPLY) if status == "200" else {"error": status}
+        body, content_type = json.dumps(reply).encode(), "application/json"
+        if kind == "text":
+            body, content_type = b"Service Unavailable", "text/plain"
+        self.send_response(int(status))
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def loopback():
+    """A local HTTP server on an ephemeral port; yields its base URL and server."""
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), LoopbackHandler)
+    server.received = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}", server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+class TestDefaultPost:
+    """The real urllib transport against a loopback server."""
+
+    def test_ok_returns_status_and_json_body(self, loopback):
+        url, server = loopback
+        headers = {"Content-Type": "application/json", "Authorization": "Bearer k"}
+        payload = {"model": "m", "messages": [{"role": "user", "content": "héllo"}]}
+        status, body = _default_post(url + "/200", headers, payload, 10.0)
+        assert (status, body) == (200, completion_body(OK_REPLY))
+        assert server.received == [
+            {
+                "path": "/200",
+                "content_type": "application/json",
+                "authorization": "Bearer k",
+                "payload": payload,
+            }
+        ]
+
+    @pytest.mark.parametrize("status", [401, 429, 503])
+    def test_error_status_is_returned_with_its_json_body(self, loopback, status):
+        url, _ = loopback
+        assert _default_post(f"{url}/{status}", {}, {}, 10.0) == (
+            status, {"error": str(status)}
+        )
+
+    @pytest.mark.parametrize("status", [200, 503])
+    def test_non_json_body_reads_as_empty(self, loopback, status):
+        url, _ = loopback
+        assert _default_post(f"{url}/{status}/text", {}, {}, 10.0) == (status, {})
+
+    def test_backend_retries_503_then_succeeds(self, loopback):
+        url, server = loopback
+        paths = iter(["/503/text", "/429", "/200"])
+        waits = []
+        backend = HttpTeacherBackend(
+            base_url=url, api_key="k", sleep=waits.append,
+            post=lambda _url, *rest: _default_post(url + next(paths), *rest),
+        )
+        assert backend.complete(CompletionRequest(prompt="hi")) == OK_REPLY
+        assert [r["path"] for r in server.received] == ["/503/text", "/429", "/200"]
+        assert waits == [0.5, 1.0]
+
+    def test_backend_auth_failure_through_the_wire(self, loopback):
+        url, server = loopback
+        waits = []
+        backend = HttpTeacherBackend(
+            base_url=url, api_key="k", sleep=waits.append,
+            post=lambda _url, *rest: _default_post(url + "/401", *rest),
+        )
+        with pytest.raises(TeacherAuthError):
+            backend.complete(CompletionRequest(prompt="hi"))
+        assert len(server.received) == 1 and waits == []
+
+    def test_backend_retries_a_refused_connection(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        # The port is closed again, so every attempt is refused.
+        waits = []
+        backend = HttpTeacherBackend(
+            base_url=f"http://127.0.0.1:{port}", api_key="k", max_retries=1,
+            sleep=waits.append,
+        )
+        with pytest.raises(TeacherRetryError) as err:
+            backend.complete(CompletionRequest(prompt="hi"))
+        assert "2 attempt(s)" in str(err.value)
+        assert waits == [0.5]
+
+
+def test_importing_the_cli_does_not_import_requests():
+    env = {**os.environ, "PYTHONPATH": SRC_DIR}
+    subprocess.run(
+        [sys.executable, "-c",
+         "import corgi.cli, sys; assert 'requests' not in sys.modules"],
+        env=env, check=True, timeout=60,
+    )
 
 
 class TestTeacherClient:
@@ -524,6 +674,32 @@ class TestReferenceEmbedder:
         a = ReferenceEmbeddingBackend().embed(EmbeddingRequest(text="magnetism"))
         b = ReferenceEmbeddingBackend().embed(EmbeddingRequest(text="magnetism"))
         assert np.array_equal(a, b)
+
+    # sha256 of ``embed(text).tobytes()``, recorded from the per-trigram
+    # BLAKE2 loop this embedder replaced; the bits must never change.
+    PINNED_DIGESTS = {
+        "a": "524a8b4486c06fc0ea1bcf543673f3efb00fc3546706f4debcebc7f48bf72f9f",
+        "ab": "4b334a4009b1e98ca9df378fa63de0f0d9b79c09681804a523a9d179c47af424",
+        "abc": "34379ecc83758a1f46246af549d6e67a2c62325dd7c2b7d77da34012370c76db",
+        # Its two trigrams share a bucket with opposite signs: the
+        # all-cancel fallback.
+        "aavy": "dc7b75b06c1546914928e6db8d45b7a157e9177e6515d7f68589e6e5535a198c",
+        "Ωmega Σ — café naïve 量子力学: non-ASCII text":
+            "bd72557d3f571e5fce8c26d84be565eecb356220434db53a2405edea5086153a",
+        "Quantum Mechanics: "
+        + " ".join(["The study of wavefunctions, operators and measurement"] * 12):
+            "140ae12e4416057051b19f20025b4a56a480118ef1342bea86fecd0dfe08897c",
+    }
+
+    @pytest.mark.parametrize("text", sorted(PINNED_DIGESTS), ids=range(6))
+    def test_pinned_bits(self, text):
+        vector = ReferenceEmbeddingBackend().embed(EmbeddingRequest(text=text))
+        assert vector.dtype == np.float64
+        assert hashlib.sha256(vector.tobytes()).hexdigest() == self.PINNED_DIGESTS[text]
+
+    def test_all_cancel_fallback_is_one_hot(self):
+        vector = ReferenceEmbeddingBackend().embed(EmbeddingRequest(text="aavy"))
+        assert np.count_nonzero(vector) == 1 and vector.max() == 1.0
 
 
 class TestHttpEmbeddingBackend:
