@@ -1,17 +1,19 @@
 """Command line front end: staged pipeline runs with resume support.
 
-Every stage reads files written by the previous stage and writes its own,
-so a run is a chain of artifacts in one working directory:
+Every stage maps the values of the artifacts it reads to the values of
+those it writes, so a run is a chain of artifacts in one working directory:
 
     courses.jsonl -> courses.refined.jsonl -> concepts.raw.jsonl
     -> concepts.jsonl -> instances.jsonl -> instances.filtered.jsonl
     -> ordered.jsonl -> batch_report.json / training.jsonl
 
-``run.json`` records, per stage, a digest of the inputs and parameters the
-stage saw plus digests of what it wrote.  ``resume`` replays from the first
-stage whose outputs are missing or no longer match their recorded digests,
-or whose recorded input digest no longer matches, so editing the catalog or
-changing the seed invalidates exactly the stages that depend on it.
+Within one process each stage hands its values to the later stages that
+read them, and each file is digested at most once.  ``run.json`` records,
+per stage, a digest of the inputs and parameters the stage saw plus digests
+of what it wrote.  ``resume`` replays from the first stage whose outputs are
+missing or no longer match their recorded digests, or whose recorded input
+digest no longer matches, so editing the catalog or changing the seed
+invalidates exactly the stages that depend on it.
 
 Secrets never live in config files: API keys come only from the
 TEACHER_API_KEY / EMBED_API_KEY environment variables, and endpoint URLs
@@ -27,7 +29,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from typing import Callable
 
@@ -45,7 +47,7 @@ from .dataset_io import (
 )
 from .filtering import Bm25Retriever, FilterConfig, load_corpus, run_filters
 from .instructions import GenerationError, generate_for_concepts
-from .model import Provenance, make_dataset
+from .model import Concept, Course, Dataset, Provenance, make_dataset
 from .scheduler import (
     GRANULARITY_PER_INDEX,
     GRANULARITY_PER_LOAD_TIER,
@@ -80,43 +82,36 @@ TRAINING_FILE = "training.jsonl"
 RUN_MANIFEST_FILE = "run.json"
 LOCK_FILE = ".lock"
 
-CONFIG_KEYS = (
-    "workdir",
-    "catalog",
-    "corpus",
-    "run_id",
-    "seed",
-    "strategy",
-    "interleave_granularity",
-    "batch_size",
-    "dedup_threshold",
-    "dedup_scope",
-    "required_yes",
-    "passages_per_question",
-    "max_failure_fraction",
-    "max_workers",
-    "teacher",
-    "embedder",
-)
-
-# Per section, the default backend and the keys each backend reads besides
-# "backend"; ``load_config`` rejects any other key.
-BACKEND_KEYS = {
-    "teacher": ("simulated", {
-        "simulated": ("seed", "concepts_per_course", "relevance_yes_rate",
-                      "refusal_rate", "temperature"),
-        "scripted": ("script", "temperature"),
-        "http": ("base_url", "model", "timeout", "temperature"),
-    }),
-    "embedder": ("reference", {
-        "reference": (),
-        "http": ("base_url", "model", "dimension"),
-    }),
-}
-
-
 class CliError(RuntimeError):
     """Raised for bad configs, missing artifacts, and locked workdirs."""
+
+
+def _scripted_backend(script: str | None = None) -> MockTeacherBackend:
+    if not script:
+        raise CliError("scripted teacher backend needs a 'script' path")
+    return MockTeacherBackend.from_file(script)
+
+
+# Per section, the default backend, then per backend its constructor and the
+# type of each key it reads besides "backend".  ``load_config`` rejects any
+# other key; a key left out or null takes the constructor's default.
+# "temperature" goes to the teacher client, not to the backend.
+BACKENDS = {
+    "teacher": ("simulated", {
+        "simulated": (SimulatedTeacherBackend, {
+            "seed": int, "concepts_per_course": int, "relevance_yes_rate": float,
+            "refusal_rate": float, "temperature": float,
+        }),
+        "scripted": (_scripted_backend, {"script": str, "temperature": float}),
+        "http": (HttpTeacherBackend, {
+            "base_url": str, "model": str, "timeout": float, "temperature": float,
+        }),
+    }),
+    "embedder": ("reference", {
+        "reference": (ReferenceEmbeddingBackend, {}),
+        "http": (HttpEmbeddingBackend, {"base_url": str, "model": str, "dimension": int}),
+    }),
+}
 
 
 @dataclass(frozen=True)
@@ -163,7 +158,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         raise CliError(f"{path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise CliError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(raw) - set(CONFIG_KEYS))
+    unknown = sorted(set(raw) - {f.name for f in fields(RunConfig)})
     if unknown:
         raise CliError(f"{path}: unknown config key(s): {', '.join(unknown)}")
     for required in ("workdir", "catalog"):
@@ -174,15 +169,15 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     raw["workdir"] = _resolve(base_dir, raw["workdir"])
     raw["catalog"] = _resolve(base_dir, raw["catalog"])
     raw["corpus"] = _resolve(base_dir, raw.get("corpus"))
-    for section, (default, readers) in BACKEND_KEYS.items():
+    for section, (default, backends) in BACKENDS.items():
         spec = raw.get(section) or {}
         if not isinstance(spec, dict):
             raise CliError(f"{path}: {section} must be a JSON object")
         raw[section] = dict(spec)
         kind = spec.get("backend", default)
-        if kind not in readers:
+        if kind not in backends:
             raise CliError(f"{path}: unknown {section} backend: {kind!r}")
-        unknown = sorted(set(spec) - {"backend", *readers[kind]})
+        unknown = sorted(set(spec) - {"backend", *backends[kind][1]})
         if unknown:
             raise CliError(
                 f"{path}: {section} backend {kind!r} does not read key(s): "
@@ -203,53 +198,48 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     return cfg
 
 
+def _teacher_params(cfg: RunConfig) -> dict:
+    """Teacher identity as a stage digest sees it.
+
+    The simulated backend's seed defaults to the run seed, so the effective
+    seed must land in the digest or a seed change would leave stale
+    teacher-derived artifacts looking fresh to ``resume``.
+    """
+    teacher = dict(cfg.teacher)
+    if teacher.get("backend", "simulated") == "simulated":
+        teacher.setdefault("seed", cfg.seed)
+    return {"teacher": teacher}
+
+
+def _backend(section: str, spec: dict) -> tuple[Callable, dict]:
+    """The constructor ``spec`` names and its arguments, typed by ``BACKENDS``."""
+    default, backends = BACKENDS[section]
+    kind = spec.get("backend", default)
+    if kind not in backends:
+        raise CliError(f"unknown {section} backend: {kind!r}")
+    make, types = backends[kind]
+    args = {key: to_type(spec[key])
+            for key, to_type in types.items() if spec.get(key) is not None}
+    return make, args
+
+
 def build_teacher(cfg: RunConfig) -> TeacherClient:
     """Construct the teacher client named by the config.
 
     Backends: "simulated" (offline, deterministic), "scripted" (exact
     digest-keyed replies from a JSON file), "http" (a live endpoint).
     """
-    spec = cfg.teacher
-    kind = spec.get("backend", "simulated")
-    if kind == "simulated":
-        backend = SimulatedTeacherBackend(
-            seed=int(spec.get("seed", cfg.seed)),
-            concepts_per_course=int(spec.get("concepts_per_course", 3)),
-            relevance_yes_rate=float(spec.get("relevance_yes_rate", 0.9)),
-            refusal_rate=float(spec.get("refusal_rate", 0.0)),
-        )
-    elif kind == "scripted":
-        script = spec.get("script")
-        if not script:
-            raise CliError("scripted teacher backend needs a 'script' path")
-        backend = MockTeacherBackend.from_file(script)
-    elif kind == "http":
-        backend = HttpTeacherBackend(
-            base_url=spec.get("base_url"),
-            model=spec.get("model", "teacher"),
-            timeout=float(spec.get("timeout", 120.0)),
-        )
-    else:
-        raise CliError(f"unknown teacher backend: {kind!r}")
-    client = TeacherClient(backend=backend, max_concurrency=cfg.max_workers)
-    if "temperature" in spec:
-        client = replace(client, generation_temperature=float(spec["temperature"]))
+    make, args = _backend("teacher", _teacher_params(cfg)["teacher"])
+    temperature = args.pop("temperature", None)
+    client = TeacherClient(backend=make(**args), max_concurrency=cfg.max_workers)
+    if temperature is not None:
+        client = replace(client, generation_temperature=temperature)
     return client
 
 
 def build_embedder(cfg: RunConfig):
-    spec = cfg.embedder
-    kind = spec.get("backend", "reference")
-    if kind == "reference":
-        return ReferenceEmbeddingBackend()
-    if kind == "http":
-        dimension = spec.get("dimension")
-        return HttpEmbeddingBackend(
-            base_url=spec.get("base_url"),
-            model=spec.get("model", "embedder"),
-            dimension=int(dimension) if dimension is not None else None,
-        )
-    raise CliError(f"unknown embedder backend: {kind!r}")
+    make, args = _backend("embedder", cfg.embedder)
+    return make(**args)
 
 
 def _now_utc() -> str:
@@ -264,70 +254,47 @@ def _file_digest(path: str) -> str:
     return h.hexdigest()
 
 
-def _input_files_digest(paths: list[str]) -> dict[str, str]:
-    """Digest each input; directories contribute every file under them."""
-    digests: dict[str, str] = {}
-    for path in paths:
-        if os.path.isdir(path):
-            for root, _dirs, names in os.walk(path):
-                for name in sorted(names):
-                    full = os.path.join(root, name)
-                    digests[os.path.relpath(full, path)] = _file_digest(full)
-        elif os.path.exists(path):
-            digests[os.path.basename(path)] = _file_digest(path)
-        else:
-            raise CliError(f"missing input file: {path}")
-    return digests
-
-
 @dataclass(frozen=True)
 class Stage:
-    """A pipeline step; ``run`` returns ``{path: sha256}`` of what it wrote."""
+    """A pipeline step: ``run(cfg, run, *values, *paths)`` takes the values of
+    the workdir artifacts named in ``reads`` and the paths of outside files
+    ``sources`` gives (None where unset); it returns ``{artifact: value}`` in
+    the order they are to be written."""
 
     name: str
-    inputs: Callable[[RunConfig], list[str]]
-    params: Callable[[RunConfig], dict]
-    run: Callable[[RunConfig, dict], dict[str, str]]
+    run: Callable[..., dict]
+    reads: tuple[str, ...] = ()
+    sources: Callable[[RunConfig], list] = lambda cfg: []
+    params: Callable[[RunConfig], dict] = lambda cfg: {}
 
 
-def _stage_ingest(cfg: RunConfig, run: dict) -> dict[str, str]:
-    courses = parse_catalog(cfg.catalog)
-    return save_courses(courses, cfg.artifact(COURSES_FILE))
-
-
-def _stage_refine(cfg: RunConfig, run: dict) -> dict[str, str]:
+def _stage_refine(cfg: RunConfig, run: dict, courses: list[Course]) -> dict:
     client = build_teacher(cfg)
-    courses = load_courses(cfg.artifact(COURSES_FILE))
     refined = fan_out(
         lambda course: refine_description(course, client), courses, client.max_concurrency
     )
-    return save_courses(refined, cfg.artifact(REFINED_FILE))
+    return {REFINED_FILE: refined}
 
 
-def _stage_concepts(cfg: RunConfig, run: dict) -> dict[str, str]:
+def _stage_concepts(cfg: RunConfig, run: dict, courses: list[Course]) -> dict:
     client = build_teacher(cfg)
-    courses = load_courses(cfg.artifact(REFINED_FILE))
     per_course = fan_out(
         lambda course: extract_concepts(course, client), courses, client.max_concurrency
     )
-    concepts = [concept for batch in per_course for concept in batch]
-    return save_concepts(concepts, cfg.artifact(RAW_CONCEPTS_FILE))
+    return {RAW_CONCEPTS_FILE: [concept for batch in per_course for concept in batch]}
 
 
-def _stage_dedup(cfg: RunConfig, run: dict) -> dict[str, str]:
-    embedder = build_embedder(cfg)
-    concepts = load_concepts(cfg.artifact(RAW_CONCEPTS_FILE))
+def _stage_dedup(cfg: RunConfig, run: dict, concepts: list[Concept]) -> dict:
     kept, report = dedup_concepts(
-        concepts, embedder, threshold=cfg.dedup_threshold, scope=cfg.dedup_scope
+        concepts, build_embedder(cfg), threshold=cfg.dedup_threshold, scope=cfg.dedup_scope
     )
-    written = save_concepts(kept, cfg.artifact(CONCEPTS_FILE))
-    return written | write_json(cfg.artifact(DEDUP_REPORT_FILE), report.to_dict())
+    return {CONCEPTS_FILE: kept, DEDUP_REPORT_FILE: report.to_dict()}
 
 
-def _stage_generate(cfg: RunConfig, run: dict) -> dict[str, str]:
+def _stage_generate(
+    cfg: RunConfig, run: dict, concepts: list[Concept], courses: list[Course]
+) -> dict:
     client = build_teacher(cfg)
-    concepts = load_concepts(cfg.artifact(CONCEPTS_FILE))
-    courses = load_courses(cfg.artifact(REFINED_FILE))
     titles = {course.id: course.title for course in courses}
     provenance = Provenance(
         teacher_model=client.model_name,
@@ -342,87 +309,64 @@ def _stage_generate(cfg: RunConfig, run: dict) -> dict[str, str]:
             f"systematic backend failure: {len(failures)}/{len(concepts)} "
             "concepts could not be generated"
         )
-    d = make_dataset(instances, run_id=run["run_id"], seed=cfg.seed)
-    written = save_dataset(d, cfg.artifact(INSTANCES_FILE))
-    return written | write_json(cfg.artifact(FAILURES_FILE), [f.to_dict() for f in failures])
+    return {
+        INSTANCES_FILE: make_dataset(instances, run_id=run["run_id"], seed=cfg.seed),
+        FAILURES_FILE: [f.to_dict() for f in failures],
+    }
 
 
-def _stage_filter(cfg: RunConfig, run: dict) -> dict[str, str]:
-    if not cfg.corpus:
+def _stage_filter(cfg: RunConfig, run: dict, instances: Dataset, corpus: str | None) -> dict:
+    if not corpus:
         raise CliError("filter stage requires 'corpus' in the config")
-    client = build_teacher(cfg)
-    retriever = Bm25Retriever(load_corpus(cfg.corpus))
-    d = load_dataset(cfg.artifact(INSTANCES_FILE))
     filtered, stats = run_filters(
-        d,
-        retriever,
-        client,
+        instances,
+        Bm25Retriever(load_corpus(corpus)),
+        build_teacher(cfg),
         FilterConfig(
             required_yes=cfg.required_yes,
             passages_per_question=cfg.passages_per_question,
             max_failure_fraction=cfg.max_failure_fraction,
         ),
     )
-    written = save_dataset(filtered, cfg.artifact(FILTERED_FILE))
-    return written | write_json(cfg.artifact(FILTER_STATS_FILE), stats.to_dict())
+    return {FILTERED_FILE: filtered, FILTER_STATS_FILE: stats.to_dict()}
 
 
-def _stage_order(cfg: RunConfig, run: dict) -> dict[str, str]:
-    d = load_dataset(cfg.artifact(FILTERED_FILE))
+def _stage_order(cfg: RunConfig, run: dict, filtered: Dataset) -> dict:
     ordering = OrderingConfig(
         strategy=cfg.strategy,
         seed=cfg.seed,
         interleave_granularity=cfg.interleave_granularity,
     )
-    return save_dataset(order_dataset(d, ordering), cfg.artifact(ORDERED_FILE))
+    return {ORDERED_FILE: order_dataset(filtered, ordering)}
 
 
-def _stage_analyze(cfg: RunConfig, run: dict) -> dict[str, str]:
-    report = analyze_batches(load_dataset(cfg.artifact(ORDERED_FILE)), cfg.batch_size)
+def _stage_analyze(cfg: RunConfig, run: dict, ordered: Dataset) -> dict:
+    report = analyze_batches(ordered, cfg.batch_size)
     print(json.dumps(report.summary(), ensure_ascii=False))
-    return write_json(cfg.artifact(BATCH_REPORT_FILE), report.to_dict())
-
-
-def _stage_export(cfg: RunConfig, run: dict) -> dict[str, str]:
-    d = load_dataset(cfg.artifact(ORDERED_FILE))
-    return export_training_order(d, cfg.artifact(TRAINING_FILE))
-
-
-def _teacher_params(cfg: RunConfig) -> dict:
-    """Teacher identity as a stage digest sees it.
-
-    The simulated backend's seed defaults to the run seed, so the effective
-    seed must land in the digest or a seed change would leave stale
-    teacher-derived artifacts looking fresh to ``resume``.
-    """
-    teacher = dict(cfg.teacher)
-    if teacher.get("backend", "simulated") == "simulated":
-        teacher.setdefault("seed", cfg.seed)
-    return {"teacher": teacher}
+    return {BATCH_REPORT_FILE: report.to_dict()}
 
 
 STAGES = (
     Stage(
         name="ingest",
-        inputs=lambda cfg: [cfg.catalog],
-        params=lambda cfg: {},
-        run=_stage_ingest,
+        sources=lambda cfg: [cfg.catalog],
+        run=lambda cfg, run, catalog: {COURSES_FILE: parse_catalog(catalog)},
     ),
     Stage(
         name="refine",
-        inputs=lambda cfg: [cfg.artifact(COURSES_FILE)],
+        reads=(COURSES_FILE,),
         params=_teacher_params,
         run=_stage_refine,
     ),
     Stage(
         name="concepts",
-        inputs=lambda cfg: [cfg.artifact(REFINED_FILE)],
+        reads=(REFINED_FILE,),
         params=_teacher_params,
         run=_stage_concepts,
     ),
     Stage(
         name="dedup",
-        inputs=lambda cfg: [cfg.artifact(RAW_CONCEPTS_FILE)],
+        reads=(RAW_CONCEPTS_FILE,),
         params=lambda cfg: {
             "threshold": cfg.dedup_threshold,
             "scope": cfg.dedup_scope,
@@ -432,7 +376,7 @@ STAGES = (
     ),
     Stage(
         name="generate",
-        inputs=lambda cfg: [cfg.artifact(CONCEPTS_FILE), cfg.artifact(REFINED_FILE)],
+        reads=(CONCEPTS_FILE, REFINED_FILE),
         params=lambda cfg: {
             "seed": cfg.seed,
             "max_failure_fraction": cfg.max_failure_fraction,
@@ -442,8 +386,8 @@ STAGES = (
     ),
     Stage(
         name="filter",
-        inputs=lambda cfg: [cfg.artifact(INSTANCES_FILE)]
-        + ([cfg.corpus] if cfg.corpus else []),
+        reads=(INSTANCES_FILE,),
+        sources=lambda cfg: [cfg.corpus],
         params=lambda cfg: {
             "required_yes": cfg.required_yes,
             "passages_per_question": cfg.passages_per_question,
@@ -454,7 +398,7 @@ STAGES = (
     ),
     Stage(
         name="order",
-        inputs=lambda cfg: [cfg.artifact(FILTERED_FILE)],
+        reads=(FILTERED_FILE,),
         params=lambda cfg: {
             "strategy": cfg.strategy,
             "seed": cfg.seed,
@@ -464,29 +408,93 @@ STAGES = (
     ),
     Stage(
         name="analyze",
-        inputs=lambda cfg: [cfg.artifact(ORDERED_FILE)],
+        reads=(ORDERED_FILE,),
         params=lambda cfg: {"batch_size": cfg.batch_size},
         run=_stage_analyze,
     ),
     Stage(
         name="export",
-        inputs=lambda cfg: [cfg.artifact(ORDERED_FILE)],
-        params=lambda cfg: {},
-        run=_stage_export,
+        reads=(ORDERED_FILE,),
+        run=lambda cfg, run, ordered: {TRAINING_FILE: ordered},
     ),
 )
 
 STAGE_NAMES = tuple(stage.name for stage in STAGES)
-_STAGE_BY_NAME = {stage.name: stage for stage in STAGES}
 
 
-def _stage_input_digest(stage: Stage, cfg: RunConfig) -> str:
-    payload = {
-        "files": _input_files_digest(stage.inputs(cfg)),
-        "params": stage.params(cfg),
-    }
-    blob = json.dumps(payload, ensure_ascii=False, sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+def _save_json(payload, path: str) -> dict[str, str]:
+    return write_json(path, payload)
+
+
+# The names of this module's loader and saver of each artifact that is not
+# JSON; ``saver(value, path)`` returns ``{path: sha256}`` of what it wrote.
+# They are looked up at each call, so a wrapper set on the module sees it.
+ARTIFACT_IO = {
+    COURSES_FILE: ("load_courses", "save_courses"),
+    REFINED_FILE: ("load_courses", "save_courses"),
+    RAW_CONCEPTS_FILE: ("load_concepts", "save_concepts"),
+    CONCEPTS_FILE: ("load_concepts", "save_concepts"),
+    INSTANCES_FILE: ("load_dataset", "save_dataset"),
+    FILTERED_FILE: ("load_dataset", "save_dataset"),
+    ORDERED_FILE: ("load_dataset", "save_dataset"),
+    TRAINING_FILE: (None, "export_training_order"),
+}
+
+
+class _Artifacts:
+    """The digests and values of the workdir's files in one pipeline invocation.
+
+    A file written in this process is never parsed or digested again, and
+    any other file is digested at most once and loaded at most once.  That
+    is sound because the workdir lock keeps other runs from writing the
+    workdir meanwhile; the next invocation digests every file afresh, so a
+    hand edit between runs is still found by content.
+    """
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.digests: dict[str, str] = {}
+        self.values: dict[str, object] = {}
+        self.input_digests: dict[str, str] = {}
+
+    def digest(self, path: str) -> str:
+        if path not in self.digests:
+            self.digests[path] = _file_digest(path)
+        return self.digests[path]
+
+    def load(self, name: str):
+        if name not in self.values:
+            self.values[name] = globals()[ARTIFACT_IO[name][0]](self.cfg.artifact(name))
+        return self.values[name]
+
+    def save(self, name: str, value) -> dict[str, str]:
+        saver = globals()[ARTIFACT_IO.get(name, (None, "_save_json"))[1]]
+        written = saver(value, self.cfg.artifact(name))
+        self.digests.update(written)
+        self.values[name] = value
+        self.input_digests.clear()  # the file may be any stage's input
+        return written
+
+    def input_digest(self, stage: Stage) -> str:
+        """Digest of the files ``stage`` reads and of its parameters; a
+        directory contributes every file under it."""
+        if stage.name not in self.input_digests:
+            paths = [self.cfg.artifact(name) for name in stage.reads]
+            files: dict[str, str] = {}
+            for path in paths + [p for p in stage.sources(self.cfg) if p]:
+                if os.path.isdir(path):
+                    for root, _dirs, names in os.walk(path):
+                        for name in sorted(names):
+                            full = os.path.join(root, name)
+                            files[os.path.relpath(full, path)] = self.digest(full)
+                elif os.path.exists(path):
+                    files[os.path.basename(path)] = self.digest(path)
+                else:
+                    raise CliError(f"missing input file: {path}")
+            payload = {"files": files, "params": stage.params(self.cfg)}
+            blob = json.dumps(payload, ensure_ascii=False, sort_keys=True)
+            self.input_digests[stage.name] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return self.input_digests[stage.name]
 
 
 def load_run_manifest(cfg: RunConfig) -> dict:
@@ -516,32 +524,17 @@ def load_run_manifest(cfg: RunConfig) -> dict:
     return run
 
 
-def run_stage(stage: Stage, cfg: RunConfig, run: dict) -> None:
-    """Run one stage and record the digests of the bytes it wrote."""
-    input_digest = _stage_input_digest(stage, cfg)
-    written = stage.run(cfg, run)
+def run_stage(stage: Stage, cfg: RunConfig, run: dict, artifacts: _Artifacts) -> None:
+    """Run one stage on the values it reads and record the digests it wrote."""
+    input_digest = artifacts.input_digest(stage)
+    values = stage.run(cfg, run, *map(artifacts.load, stage.reads), *stage.sources(cfg))
+    written: dict[str, str] = {}
+    for name, value in values.items():
+        written |= artifacts.save(name, value)
     outputs = {os.path.basename(path): digest for path, digest in written.items()}
     run["stages"][stage.name] = {"input_digest": input_digest, "outputs": outputs}
     write_json(cfg.artifact(RUN_MANIFEST_FILE), run)
     print(f"[{stage.name}] wrote {', '.join(sorted(outputs))}")
-
-
-def stage_is_stale(stage: Stage, cfg: RunConfig, run: dict) -> bool:
-    """True when the stage must re-run.
-
-    That is when it has no record or no recorded outputs (every stage writes
-    a file), an output it recorded is gone or no longer matches its digest
-    (truncated, hand-edited), or its inputs changed.
-    """
-    entry = run["stages"].get(stage.name)
-    if entry is None or not entry.get("outputs"):
-        return True
-    outputs = {cfg.artifact(name): digest for name, digest in entry["outputs"].items()}
-    if not all(os.path.exists(out) for out in outputs):
-        return True
-    if entry.get("input_digest") != _stage_input_digest(stage, cfg):
-        return True
-    return any(_file_digest(out) != digest for out, digest in outputs.items())
 
 
 class _WorkdirLock:
@@ -601,43 +594,50 @@ class _WorkdirLock:
         return False
 
 
-def run_pipeline(cfg: RunConfig, from_stage: str | None = None) -> None:
-    """Run stages in order, optionally restricted to one stage."""
-    with _WorkdirLock(cfg):
-        run = load_run_manifest(cfg)
-        if from_stage is not None:
-            run_stage(_STAGE_BY_NAME[from_stage], cfg, run)
-            return
-        for stage in STAGES:
-            run_stage(stage, cfg, run)
+def first_pending_stage(cfg: RunConfig, run: dict,
+                        artifacts: _Artifacts | None = None) -> str | None:
+    """Name of the first stage that must re-run, or None when all is fresh.
 
-
-def first_pending_stage(cfg: RunConfig, run: dict) -> str | None:
-    """Name of the first stage that must re-run, or None when all is fresh."""
+    A stage must re-run when it has no record or no recorded outputs (every
+    stage writes a file), an output it recorded is gone or no longer matches
+    its digest (truncated, hand-edited), or its inputs changed.
+    """
+    artifacts = artifacts or _Artifacts(cfg)
     for stage in STAGES:
-        if stage_is_stale(stage, cfg, run):
+        entry = run["stages"].get(stage.name) or {}
+        recorded = entry.get("outputs") or {}
+        outputs = {cfg.artifact(name): digest for name, digest in recorded.items()}
+        if (
+            not outputs
+            or not all(os.path.exists(out) for out in outputs)
+            or entry.get("input_digest") != artifacts.input_digest(stage)
+            or any(artifacts.digest(out) != digest for out, digest in outputs.items())
+        ):
             return stage.name
     return None
 
 
-def resume_pipeline(cfg: RunConfig) -> None:
-    """Re-run from the first stale stage; everything after it re-runs too."""
+def run_pipeline(cfg: RunConfig, command: str = "run") -> None:
+    """Run every stage, the one stage ``command`` names, or (``"resume"``)
+    every stage from the first stale one on; a value passes to the later
+    stages that read it and is dropped after the last of them."""
     with _WorkdirLock(cfg):
         run = load_run_manifest(cfg)
-        pending = first_pending_stage(cfg, run)
-        if pending is None:
-            for stage in STAGES:
+        artifacts = _Artifacts(cfg)
+        if command == "resume":
+            pending = first_pending_stage(cfg, run, artifacts)
+            start = len(STAGES) if pending is None else STAGE_NAMES.index(pending)
+            for stage in STAGES[:start]:
                 print(f"[{stage.name}] up to date")
-            print("nothing to do")
-            return
-        replay = False
-        for stage in STAGES:
-            if stage.name == pending:
-                replay = True
-            if replay:
-                run_stage(stage, cfg, run)
-            else:
-                print(f"[{stage.name}] up to date")
+            if pending is None:
+                print("nothing to do")
+            stages = STAGES[start:]
+        else:
+            stages = STAGES if command == "run" else (STAGES[STAGE_NAMES.index(command)],)
+        for i, stage in enumerate(stages):
+            run_stage(stage, cfg, run, artifacts)
+            later = {name for after in stages[i + 1:] for name in after.reads}
+            artifacts.values = {n: v for n, v in artifacts.values.items() if n in later}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -680,12 +680,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, _overrides_from_args(args))
         os.makedirs(cfg.workdir, exist_ok=True)
-        if args.command == "run":
-            run_pipeline(cfg)
-        elif args.command == "resume":
-            resume_pipeline(cfg)
-        else:
-            run_pipeline(cfg, from_stage=args.command)
+        run_pipeline(cfg, args.command)
     except Exception as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error, ensure_ascii=False), file=sys.stderr)

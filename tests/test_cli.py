@@ -350,6 +350,8 @@ class TestBuildBackends:
         )
         assert isinstance(http, HttpEmbeddingBackend)
         assert http.dimension == 512
+        unsized = {"backend": "http", "base_url": "https://embed.test", "dimension": None}
+        assert build_embedder(self.config(embedder=unsized)).dimension is None
         with pytest.raises(CliError):
             build_embedder(self.config(embedder={"backend": "lookup"}))
 
@@ -694,9 +696,9 @@ class TestResume:
         running = []
         real_digest, real_run_stage = cli._file_digest, cli.run_stage
 
-        def run_stage(stage, cfg, run):
+        def run_stage(stage, cfg, run, *rest):
             running.append(stage.name)
-            real_run_stage(stage, cfg, run)
+            real_run_stage(stage, cfg, run, *rest)
 
         def file_digest(path):
             digested.setdefault(running[-1], set()).add(path)
@@ -710,6 +712,55 @@ class TestResume:
         for name, entry in read_json(cfg.artifact(RUN_MANIFEST_FILE))["stages"].items():
             wrote = {cfg.artifact(out) for out in entry["outputs"]}
             assert not wrote & digested.get(name, set()), name
+
+    def test_a_process_loads_and_digests_each_file_at_most_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        loaded, digested = [], []
+        for name in ("load_courses", "load_concepts", "load_dataset"):
+            def loader(path, real=getattr(cli, name)):
+                loaded.append(os.path.basename(path))
+                return real(path)
+
+            monkeypatch.setattr(cli, name, loader)
+        real_digest = cli._file_digest
+
+        def file_digest(path):
+            digested.append(path)
+            return real_digest(path)
+
+        monkeypatch.setattr(cli, "_file_digest", file_digest)
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        assert loaded == []
+        assert len(digested) == len(set(digested))
+        workdir = load_config(path).workdir
+        assert [p for p in digested if os.path.dirname(p) == workdir] == []
+
+        capsys.readouterr()
+        for replays in (True, False):
+            loaded.clear()
+            digested.clear()
+            assert main(["resume", "--config", path, "--strategy", "block"]) == 0
+            out = capsys.readouterr().out
+            assert ("[order] wrote" in out) is replays
+            assert loaded == ([FILTERED_FILE] if replays else [])
+            assert len(digested) == len(set(digested)), out
+        assert out.rstrip().endswith("nothing to do")
+
+    def test_handed_over_values_equal_reloaded_ones(self, tmp_path, capsys, monkeypatch):
+        """One ``run`` writes what nine one-stage commands, each loading its
+        inputs from disk, write: every file, ``run.json`` included."""
+        monkeypatch.setattr(cli, "_now_utc", lambda: STAMP)
+        whole = write_config(tmp_path / "whole")
+        assert main(["run", "--config", whole]) == 0
+        staged = write_config(tmp_path / "staged")
+        for stage in STAGE_NAMES:
+            assert main([stage, "--config", staged]) == 0, stage
+        capsys.readouterr()
+        clean = workdir_bytes(load_config(whole).workdir)
+        assert RUN_MANIFEST_FILE in clean
+        assert workdir_bytes(load_config(staged).workdir) == clean
 
     def test_catalog_edit_pends_ingest(self, tmp_path, capsys):
         local_catalog = tmp_path / "catalog.csv"
