@@ -440,6 +440,10 @@ ARTIFACT_IO = {
     TRAINING_FILE: (None, "export_training_order"),
 }
 
+# Artifacts saved as a dataset's canonical JSONL: the file's sha256 is
+# ``dataset_digest`` of the items, as save -> load -> save is byte-identical.
+DATASET_FILES = frozenset(n for n, (load, _save) in ARTIFACT_IO.items() if load == "load_dataset")
+
 
 class _Artifacts:
     """The digests and values of the workdir's files in one pipeline invocation.
@@ -449,10 +453,17 @@ class _Artifacts:
     is sound because the workdir lock keeps other runs from writing the
     workdir meanwhile; the next invocation digests every file afresh, so a
     hand edit between runs is still found by content.
+
+    A dataset value carries its file's sha256 as ``Dataset.digest`` when
+    that file is known to be canonical: this process saved it, or the digest
+    held for it equals one that ``run`` records for it, which only a save
+    by this engine writes there.  A file rewritten by hand, even with the
+    same records, loads without a digest.
     """
 
-    def __init__(self, cfg: RunConfig):
+    def __init__(self, cfg: RunConfig, run: dict):
         self.cfg = cfg
+        self.run = run
         self.digests: dict[str, str] = {}
         self.values: dict[str, object] = {}
         self.input_digests: dict[str, str] = {}
@@ -464,14 +475,24 @@ class _Artifacts:
 
     def load(self, name: str):
         if name not in self.values:
-            self.values[name] = globals()[ARTIFACT_IO[name][0]](self.cfg.artifact(name))
+            path = self.cfg.artifact(name)
+            value = globals()[ARTIFACT_IO[name][0]](path)
+            digest = self.digests.get(path)
+            recorded = ((entry.get("outputs") or {}).get(name)
+                        for entry in self.run["stages"].values())
+            if name in DATASET_FILES and digest is not None and digest in recorded:
+                value = replace(value, digest=digest)
+            self.values[name] = value
         return self.values[name]
 
     def save(self, name: str, value) -> dict[str, str]:
         saver = globals()[ARTIFACT_IO.get(name, (None, "_save_json"))[1]]
-        written = saver(value, self.cfg.artifact(name))
+        path = self.cfg.artifact(name)
+        written = saver(value, path)
         self.digests.update(written)
-        self.values[name] = value
+        self.values[name] = (
+            replace(value, digest=written[path]) if name in DATASET_FILES else value
+        )
         self.input_digests.clear()  # the file may be any stage's input
         return written
 
@@ -602,7 +623,7 @@ def first_pending_stage(cfg: RunConfig, run: dict,
     stage writes a file), an output it recorded is gone or no longer matches
     its digest (truncated, hand-edited), or its inputs changed.
     """
-    artifacts = artifacts or _Artifacts(cfg)
+    artifacts = artifacts or _Artifacts(cfg, run)
     for stage in STAGES:
         entry = run["stages"].get(stage.name) or {}
         recorded = entry.get("outputs") or {}
@@ -623,7 +644,7 @@ def run_pipeline(cfg: RunConfig, command: str = "run") -> None:
     stages that read it and is dropped after the last of them."""
     with _WorkdirLock(cfg):
         run = load_run_manifest(cfg)
-        artifacts = _Artifacts(cfg)
+        artifacts = _Artifacts(cfg, run)
         if command == "resume":
             pending = first_pending_stage(cfg, run, artifacts)
             start = len(STAGES) if pending is None else STAGE_NAMES.index(pending)

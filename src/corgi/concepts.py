@@ -10,14 +10,15 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, replace
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from .catalog import SlugError, slugify
 from .model import Concept, Course
 from .prompts import build_concept_prompt, build_refinement_prompt
 from .teacher import EmbeddingRequest, TeacherClient
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -142,14 +143,11 @@ _SCREEN_MARGIN = 1e-9
 class _KeptRows:
     """Kept concepts of one dedup scope group, their vectors also matrix rows.
 
-    A kept concept whose text an earlier kept row already has gets no row of
-    its own: its similarities equal that row's, and the earlier row is met
-    first.  The matrix starts small and doubles when full, so a group costs
-    rows in proportion to the distinct texts it keeps.
+    The matrix starts small and doubles when full, so a group costs rows in
+    proportion to the concepts it keeps.
     """
 
     def __init__(self):
-        self.texts: set[str] = set()
         self.ids: list[str] = []
         self.vectors: list[np.ndarray] = []
         self.matrix: np.ndarray | None = None
@@ -157,20 +155,25 @@ class _KeptRows:
     def first_match(
         self, vector: np.ndarray, threshold: float
     ) -> tuple[str, float] | None:
-        """The first kept (id, similarity) with ``np.dot`` at least ``threshold``."""
+        """The first kept (id, similarity) whose ``np.dot`` with ``vector`` is
+        at least ``threshold``, or whose vector equals it (similarity 1.0)."""
+        import numpy as np
+
         if not self.ids:
             return None
         screen = self.matrix[: len(self.ids)] @ vector
         for row in np.flatnonzero(screen >= threshold - _SCREEN_MARGIN):
-            sim = float(np.dot(vector, self.vectors[row]))
+            kept = self.vectors[row]
+            sim = float(np.dot(vector, kept))
             if sim >= threshold:
                 return self.ids[row], sim
+            if np.array_equal(vector, kept):
+                return self.ids[row], 1.0
         return None
 
-    def add(self, concept_id: str, text: str, vector: np.ndarray) -> None:
-        if text in self.texts:
-            return
-        self.texts.add(text)
+    def add(self, concept_id: str, vector: np.ndarray) -> None:
+        import numpy as np
+
         n = len(self.ids)
         if self.matrix is None:
             self.matrix = np.empty((16, vector.shape[0]), dtype=np.float64)
@@ -198,16 +201,24 @@ def dedup_concepts(
 
     The similarity is ``float(np.dot(v, k))`` of the concept's vector ``v``
     and a kept vector ``k``, and a concept names the first kept concept, in
-    keep order, that reaches the threshold.  So that a concept costs one
-    matrix-vector product rather than one ``np.dot`` per kept concept, each
-    scope group also holds its kept vectors as rows of a float64 matrix
-    ``K``.  Only rows where ``K @ v >= threshold - 1e-9`` are checked, in
-    keep order, with that ``np.dot``.  The screen never hides a match: for
+    keep order, that reaches the threshold.  A kept vector equal to ``v``
+    element for element is a match whatever the dot gives, because a unit
+    vector's dot with itself can round to just below 1.0 (0.9999999999999998
+    for some reference embeddings), which would keep exact duplicates at
+    threshold 1.0; its similarity is recorded as 1.0 where the dot fell
+    short.  So every drop has a similarity of at least the threshold.
+
+    So that a concept costs one matrix-vector product rather than one
+    ``np.dot`` per kept concept, each scope group also holds its kept vectors
+    as rows of a float64 matrix ``K``.  Only rows where
+    ``K @ v >= threshold - 1e-9`` are checked, in keep order, with that
+    ``np.dot``.  The screen never hides a match: for
     unit vectors of dimension ``d``, any float64 sum of the ``d`` products,
     in any order and with or without fused multiply-adds, lies within about
     ``d * 2**-53`` (3e-14 at ``d = 256``) of the exact dot product.
     A screen entry is therefore within 6e-14 of the ``np.dot`` of the same
-    pair, and a pair whose ``np.dot`` reaches the threshold is a candidate.
+    pair, and a pair whose ``np.dot`` reaches the threshold is a candidate,
+    as is an equal pair, whose exact dot is 1 within rounding.
     The result, similarities included, is the per-anchor loop's;
     ``tests/test_concepts.py`` keeps that loop as an oracle and compares the
     two on random sets, and pins pairs at the threshold and 1 ulp either
@@ -233,7 +244,7 @@ def dedup_concepts(
         anchors = kept_by_group.setdefault(group, _KeptRows())
         match = anchors.first_match(vector, threshold)
         if match is None:
-            anchors.add(concept.id, text, vector)
+            anchors.add(concept.id, vector)
             kept.append(concept)
         else:
             dropped.append(DroppedConcept(concept.id, *match))

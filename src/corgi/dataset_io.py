@@ -176,6 +176,77 @@ def instance_from_record(record: dict, path: str = "<memory>", line: int = 0) ->
     )
 
 
+# The keys of a canonical instance record and of its provenance, in order.
+_INSTANCE_KEYS = (
+    "id", "stage", "stage_level", "subject", "course_id", "concept_id",
+    "cognitive_index", "cognitive_process", "cognitive_subprocess", "cognitive_load",
+    "system_message", "question", "answer", "filter_status", "relevance_votes",
+    "provenance",
+)
+_PROVENANCE_KEYS = ("teacher_model", "created_at", "run_id")
+
+
+def _canonical_instance(
+    record: dict, stages: dict, provenances: dict
+) -> InstructionInstance | None:
+    """The instance of a record with exactly the canonical keys, in order,
+    and values of the declared types; None for any other record.
+
+    ``stages`` and ``provenances`` map each value seen to one shared object.
+    A None sends the record to ``instance_from_record``, which names the
+    fault of a bad record, so this path owns no error message.
+    """
+    if tuple(record) != _INSTANCE_KEYS:
+        return None
+    (item_id, stage_value, level, subject, course_id, concept_id, index, process,
+     subprocess, load, system, question, answer, status, votes, prov) = record.values()
+    if not (
+        type(item_id) is str and type(stage_value) is str
+        and (level is None or type(level) is str)
+        and type(subject) is str and type(course_id) is str
+        and type(concept_id) is str and type(index) is int
+        and type(process) is str and type(subprocess) is str
+        and type(load) is str and type(system) is str
+        and type(question) is str and type(answer) is str
+        and type(status) is str
+        and type(prov) is dict and tuple(prov) == _PROVENANCE_KEYS
+    ):
+        return None
+    if votes is not None:
+        if type(votes) is not list or not all(v is True or v is False for v in votes):
+            return None
+        votes = tuple(votes)
+    stage = stages.get((stage_value, level))
+    if stage is None:
+        try:
+            stage = stages[stage_value, level] = EducationalStage(stage_value, level)
+        except ValueError:
+            return None
+    prov_key = tuple(prov.values())
+    provenance = provenances.get(prov_key)
+    if provenance is None:
+        if not all(type(value) is str for value in prov_key):
+            return None
+        provenance = provenances[prov_key] = Provenance(*prov_key)
+    return InstructionInstance(
+        id=item_id,
+        stage=stage,
+        subject=subject,
+        course_id=course_id,
+        concept_id=concept_id,
+        cognitive_index=index,
+        cognitive_process=process,
+        cognitive_subprocess=subprocess,
+        cognitive_load=load,
+        system_message=system,
+        question=question,
+        answer=answer,
+        filter_status=status,
+        relevance_votes=votes,
+        provenance=provenance,
+    )
+
+
 def _dump_line(record: dict) -> str:
     return json.dumps(record, ensure_ascii=False)
 
@@ -231,8 +302,19 @@ def save_dataset(d: Dataset, path: str) -> dict[str, str]:
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read a dataset file; malformed lines raise with line and field named."""
-    items = [instance_from_record(rec, path, line) for line, rec in _read_jsonl(path)]
+    """Read a dataset file; malformed lines raise with line and field named.
+
+    A canonical record, as ``instance_line`` writes it, is decoded on a fast
+    path; any other goes through ``instance_from_record``.  Both give equal
+    items, and the items of one file share their stage and provenance values.
+    """
+    stages: dict = {}
+    provenances: dict = {}
+    items = [
+        _canonical_instance(rec, stages, provenances)
+        or instance_from_record(rec, path, line)
+        for line, rec in _read_jsonl(path)
+    ]
     side = manifest_path(path)
     if os.path.exists(side):
         with open(side, encoding="utf-8") as handle:

@@ -16,9 +16,10 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .model import (
     FILTER_DROPPED_RETRIEVAL,
@@ -158,6 +159,8 @@ class Bm25Retriever:
         k1: float = BM25_K1,
         b: float = BM25_B,
     ):
+        import numpy as np
+
         if window_words < 1:
             raise FilterError(f"window_words must be positive, got {window_words}")
         self.k1 = k1
@@ -204,6 +207,8 @@ class Bm25Retriever:
 
     def retrieve(self, question: str, k: int = DEFAULT_PASSAGES_PER_QUESTION) -> list[Passage]:
         """Top-k windows by BM25 score, deterministic under ties."""
+        import numpy as np
+
         if k < 1:
             raise FilterError(f"k must be at least 1, got {k}")
         scores = np.zeros(self._count)

@@ -130,10 +130,18 @@ class InstructionInstance:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An ordered collection of instances plus its manifest metadata."""
+    """An ordered collection of instances plus its manifest metadata.
+
+    ``digest``, when set, is ``dataset_digest(items)``: the sha256 of the
+    items' canonical JSONL, which is the file ``save_dataset`` writes.
+    ``order`` records it as the input digest rather than encode every item
+    again.  It takes no part in equality; a value built from another with
+    ``dataclasses.replace`` and new items must not keep it.
+    """
 
     items: tuple[InstructionInstance, ...]
     manifest: dict[str, Any] = field(default_factory=dict)
+    digest: str | None = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.items)

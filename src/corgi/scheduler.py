@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .dataset_io import _dump_line, instance_line, manifest_path, write_json, write_lines
+from .dataset_io import _json_str, instance_line, manifest_path, write_json, write_lines
 from .model import (
     HIGHER,
     SECONDARY,
@@ -168,7 +168,8 @@ def order(d: Dataset, cfg: OrderingConfig) -> Dataset:
     """Emit the curriculum permutation for one strategy.
 
     The manifest keeps the input's ``run_id`` and records the ordering keys
-    ``strategy``, ``seed``, ``granularity`` and the input's digest.
+    ``strategy``, ``seed``, ``granularity`` and the input's digest, which is
+    ``d.digest`` when set and ``dataset_digest(d.items)`` otherwise.
     """
     report = validate(d)
     if not report.ok:
@@ -202,7 +203,7 @@ def order(d: Dataset, cfg: OrderingConfig) -> Dataset:
         strategy=cfg.strategy,
         seed=cfg.seed,
         extra={"granularity": cfg.interleave_granularity,
-               "input_digest": dataset_digest(d.items)},
+               "input_digest": d.digest or dataset_digest(d.items)},
     )
 
 
@@ -344,9 +345,14 @@ def export_training_order(d: Dataset, path: str) -> dict[str, str]:
 
 
 def _conversation_line(item: InstructionInstance) -> str:
-    messages = []
-    if item.system_message:
-        messages.append({"role": "system", "content": item.system_message})
-    messages.append({"role": "user", "content": item.question})
-    messages.append({"role": "assistant", "content": item.answer})
-    return _dump_line({"messages": messages})
+    """``json.dumps({"messages": [...]}, ensure_ascii=False)`` of the item's
+    turns, written field by field as ``instance_line`` is."""
+    system = (
+        f'{{"role": "system", "content": {_json_str(item.system_message)}}}, '
+        if item.system_message else ""
+    )
+    return (
+        f'{{"messages": [{system}'
+        f'{{"role": "user", "content": {_json_str(item.question)}}}, '
+        f'{{"role": "assistant", "content": {_json_str(item.answer)}}}]}}'
+    )

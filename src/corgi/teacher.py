@@ -16,9 +16,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 TEACHER_API_KEY_ENV = "TEACHER_API_KEY"
 TEACHER_API_BASE_ENV = "TEACHER_API_BASE"
@@ -421,6 +422,8 @@ class TeacherClient:
 
 
 def _unit(vector: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     norm = float(np.linalg.norm(vector))
     if norm == 0.0:
         raise TeacherError("embedding collapsed to the zero vector")
@@ -448,6 +451,8 @@ class ReferenceEmbeddingBackend:
     model_name = "trigram-reference"
 
     def embed(self, req: EmbeddingRequest) -> np.ndarray:
+        import numpy as np
+
         text = req.text
         if not text:
             raise TeacherError("cannot embed empty text")
@@ -498,6 +503,8 @@ class HttpEmbeddingBackend:
         )
 
     def embed(self, req: EmbeddingRequest) -> np.ndarray:
+        import numpy as np
+
         if not req.text:
             raise TeacherError("cannot embed empty text")
         body = self._http.request(

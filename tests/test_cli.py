@@ -37,7 +37,8 @@ from corgi.cli import (
     load_run_manifest,
     main,
 )
-from corgi.dataset_io import manifest_path
+from corgi.dataset_io import load_dataset, manifest_path
+from corgi.scheduler import dataset_digest
 from corgi.teacher import (
     HttpEmbeddingBackend,
     HttpTeacherBackend,
@@ -813,6 +814,81 @@ class TestResume:
         cfg = load_config(path)
         manifest = read_json(manifest_path(cfg.artifact(ORDERED_FILE)))
         assert manifest["strategy"] == "cluster"
+
+
+# Run in a child process: ``corgi resume --strategy block`` on a built
+# workdir, then fail if anything imported numpy.
+RESUME_WITHOUT_NUMPY = """
+import sys
+import corgi.cli as cli
+assert cli.main(["resume", "--config", sys.argv[1], "--strategy", "block"]) == 0
+assert "numpy" not in sys.modules, "the resume imported numpy"
+"""
+
+
+class TestOrderInputDigest:
+    """``ordered.jsonl.manifest`` records ``dataset_digest`` of the items order
+    read, whether it is taken from a verified file digest or encoded again."""
+
+    @staticmethod
+    def input_digest_and_expected(cfg):
+        manifest = read_json(manifest_path(cfg.artifact(ORDERED_FILE)))
+        expected = dataset_digest(load_dataset(cfg.artifact(FILTERED_FILE)).items)
+        return manifest["input_digest"], expected
+
+    @pytest.mark.parametrize(
+        "command", [["order"], ["run"], ["resume", "--strategy", "block"]]
+    )
+    def test_a_rewritten_input_file_is_digested_by_its_items(
+        self, tmp_path, capsys, command
+    ):
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        cfg = load_config(path)
+        filtered = cfg.artifact(FILTERED_FILE)
+        canonical = read_bytes(filtered)
+        records = jsonl_records(filtered)
+        with open(filtered, "w", encoding="utf-8") as handle:
+            for record in records:
+                handle.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
+                handle.write("\n")
+        assert read_bytes(filtered) != canonical
+        assert main([command[0], "--config", path, *command[1:]]) == 0, capsys.readouterr()
+        digest, expected = self.input_digest_and_expected(cfg)
+        assert digest == expected
+
+    def test_run_and_resume_reuse_the_digest_of_a_canonical_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        encoded = []
+
+        def counting_digest(items):
+            encoded.append(len(items))
+            return dataset_digest(items)
+
+        monkeypatch.setattr(corgi.scheduler, "dataset_digest", counting_digest)
+        path = write_config(tmp_path)
+        cfg = load_config(path)
+        for argv in (["run"], ["resume", "--strategy", "cluster"]):
+            assert main([argv[0], "--config", path, *argv[1:]]) == 0
+            assert "[order] wrote" in capsys.readouterr().out
+            assert encoded == []
+            digest, expected = self.input_digest_and_expected(cfg)
+            assert digest == expected
+
+    def test_resume_with_a_strategy_imports_no_numpy(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        src = os.path.dirname(os.path.dirname(corgi.__file__))
+        child = subprocess.run(
+            [sys.executable, "-c", RESUME_WITHOUT_NUMPY, path],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert "[order] wrote" in child.stdout
 
 
 # Run in a child process: ``corgi run`` that dies with ``os._exit`` in the

@@ -18,7 +18,12 @@ from corgi.concepts import (
 )
 from corgi.model import Concept, Course, EducationalStage
 from corgi.prompts import build_concept_prompt, build_refinement_prompt
-from corgi.teacher import EmbeddingRequest, MockTeacherBackend, TeacherClient
+from corgi.teacher import (
+    EmbeddingRequest,
+    MockTeacherBackend,
+    ReferenceEmbeddingBackend,
+    TeacherClient,
+)
 
 HIGHER = EducationalStage("higher")
 
@@ -281,6 +286,20 @@ class TestDedup:
         assert [c.name for c in kept] == ["A", "Near"]
         assert report.dropped[0].id == concepts[2].id
 
+    def test_threshold_one_drops_identical_reference_embeddings(self):
+        """The reference vector of this text has a ``np.dot`` with itself just
+        below 1.0; its second copy is still an exact duplicate."""
+        embedder = ReferenceEmbeddingBackend()
+        concepts = [make_concept("Gravity"), make_concept("Gravity", course="physics/orbits")]
+        vector = embedder.embed(EmbeddingRequest(text=concepts[0].embedding_text()))
+        assert float(np.dot(vector, vector)) < 1.0
+        for scope in SCOPES:
+            kept, report = dedup_concepts(concepts, embedder, threshold=1.0, scope=scope)
+            assert kept == concepts[:1]
+            assert report.to_dict()["dropped"] == [
+                {"id": concepts[1].id, "duplicate_of": concepts[0].id, "similarity": 1.0}
+            ]
+
     def test_per_subject_scope_keeps_cross_subject_twins(self):
         embedder = PlantedEmbedder({"Shared": CHAIN_A, "Twin": CHAIN_A})
         concepts = [
@@ -402,7 +421,8 @@ class ExactEmbedder:
 
 
 def oracle_dedup(concepts, embedder, threshold, scope):
-    """The per-anchor loop: one ``np.dot`` per kept concept, in keep order."""
+    """The per-anchor loop: one ``np.dot`` per kept concept, in keep order; an
+    equal vector matches with similarity 1.0 where its dot falls short."""
     texts = [concept.embedding_text() for concept in concepts]
     vectors = {}
     for text in texts:
@@ -419,6 +439,9 @@ def oracle_dedup(concepts, embedder, threshold, scope):
             sim = float(np.dot(vector, kept_vector))
             if sim >= threshold:
                 duplicate_of, similarity = kept_id, sim
+                break
+            if np.array_equal(vector, kept_vector):
+                duplicate_of, similarity = kept_id, 1.0
                 break
         if duplicate_of is None:
             anchors.append((concept.id, vector))

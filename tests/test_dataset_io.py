@@ -10,8 +10,10 @@ import pytest
 from conftest import make_instance
 from corgi.dataset_io import (
     DatasetFormatError,
+    _canonical_instance,
     _dump_line,
     concept_to_record,
+    instance_from_record,
     instance_line,
     instance_to_record,
     load_concepts,
@@ -238,6 +240,59 @@ def test_instance_line_matches_the_generic_encoder():
     ):
         with pytest.raises(TypeError):
             instance_line(bad)
+
+
+# Quotes, backslashes, control characters, U+2028 and a non-BMP character.
+AWKWARD = 'Say "why" \\ now\n\ttab \x00\x1f \u2028 \U0001f600 \u00e9'
+
+
+def _awkward_items():
+    from dataclasses import replace
+
+    base = make_instance("Alpha", "c1", 7, question=AWKWARD, answer="A: " + AWKWARD)
+    return [
+        base,
+        replace(base, system_message=AWKWARD),
+        replace(base, stage=EducationalStage("higher", "graduate"),
+                relevance_votes=(True, False),
+                provenance=Provenance("m" + AWKWARD, "2026-01-01T00:00:00Z", "r")),
+        replace(base, relevance_votes=()),
+    ] + _varied_items(random.Random(45))
+
+
+def test_conversation_line_matches_the_generic_encoder():
+    from corgi.scheduler import _conversation_line
+
+    items = _awkward_items()
+    assert {bool(item.system_message) for item in items} == {True, False}
+    for item in items:
+        turns = [{"role": "system", "content": item.system_message}] if item.system_message else []
+        turns += [
+            {"role": "user", "content": item.question},
+            {"role": "assistant", "content": item.answer},
+        ]
+        assert _conversation_line(item) == json.dumps({"messages": turns}, ensure_ascii=False)
+
+
+def test_load_dataset_matches_the_generic_decoder(tmp_path):
+    """Canonical lines take the fast path and decode as ``instance_from_record``
+    does; lines in another key order or with a retired key take the slow one."""
+    items = _awkward_items()
+    for item in items:
+        assert _canonical_instance(instance_to_record(item), {}, {}) == item
+    lines = []
+    for k, item in enumerate(items):
+        record = instance_to_record(item)
+        if k % 3 == 1:
+            record = dict(reversed(record.items()))
+        elif k % 3 == 2:
+            record["filter_reason"] = None
+        lines.append(_dump_line(record))
+    path = str(tmp_path / "mixed.jsonl")
+    write_lines(path, lines)
+    records = [json.loads(line) for line in lines]
+    generic = tuple(instance_from_record(rec, path, n) for n, rec in enumerate(records, 1))
+    assert load_dataset(path).items == generic == tuple(items)
 
 
 def test_dataset_digest_is_the_digest_of_the_saved_file(tmp_path):
