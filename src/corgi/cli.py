@@ -195,6 +195,11 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         raise CliError(f"unknown granularity: {cfg.interleave_granularity!r}")
     if cfg.batch_size < 1:
         raise CliError(f"batch_size must be positive, got {cfg.batch_size}")
+    if not 1 <= cfg.required_yes <= cfg.passages_per_question:
+        raise CliError(
+            f"required_yes must be between 1 and passages_per_question "
+            f"({cfg.passages_per_question}), got {cfg.required_yes}"
+        )
     return cfg
 
 
@@ -546,9 +551,17 @@ def load_run_manifest(cfg: RunConfig) -> dict:
 
 
 def run_stage(stage: Stage, cfg: RunConfig, run: dict, artifacts: _Artifacts) -> None:
-    """Run one stage on the values it reads and record the digests it wrote."""
+    """Run one stage on the values it reads and record the digests it wrote.
+
+    A stage that leaves courses, concepts or a dataset empty fails before
+    anything is saved; only ``instances.jsonl`` may be empty, when
+    ``max_failure_fraction`` lets every concept fail to generate.
+    """
     input_digest = artifacts.input_digest(stage)
     values = stage.run(cfg, run, *map(artifacts.load, stage.reads), *stage.sources(cfg))
+    for name, value in values.items():
+        if name in ARTIFACT_IO and name != INSTANCES_FILE and not value:
+            raise CliError(f"stage {stage.name!r} produced an empty {name}")
     written: dict[str, str] = {}
     for name, value in values.items():
         written |= artifacts.save(name, value)

@@ -18,12 +18,13 @@ Strategies are permutations; none of them drops or duplicates items.
   pinned: iterate i from n-1 down to 1 and swap with j = next() mod (i+1).
 
 Subject and concept orders default to first appearance in the input.
+Every strategy but random is one stable sort of the items by a key
+(``_order_group``), so items whose keys are equal keep their input order.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -158,12 +159,6 @@ def canonical_orders(
     return subjects, concept_orders
 
 
-def _level_of(item: InstructionInstance, granularity: str) -> int:
-    if granularity == GRANULARITY_PER_INDEX:
-        return item.cognitive_index
-    return _LOAD_TIER_RANK[item.cognitive_load]
-
-
 def order(d: Dataset, cfg: OrderingConfig) -> Dataset:
     """Emit the curriculum permutation for one strategy.
 
@@ -193,10 +188,7 @@ def order(d: Dataset, cfg: OrderingConfig) -> Dataset:
 
     ordered: list[InstructionInstance] = []
     for group in groups:
-        ordered.extend(
-            _order_group(group, cfg, subjects, subject_rank, concept_rank,
-                         concept_orders)
-        )
+        ordered.extend(_order_group(group, cfg, subject_rank, concept_rank))
     return make_dataset(
         ordered,
         run_id=d.manifest.get("run_id", ""),
@@ -210,121 +202,57 @@ def order(d: Dataset, cfg: OrderingConfig) -> Dataset:
 def _order_group(
     items: list[InstructionInstance],
     cfg: OrderingConfig,
-    subjects: list[str],
     subject_rank: dict[str, int],
     concept_rank: dict[tuple[str, str], int],
-    concept_orders: dict[str, list[str]],
 ) -> list[InstructionInstance]:
+    """One stable sort by the strategy's key; equal keys keep input order."""
+    if cfg.strategy == STRATEGY_RANDOM:
+        return [items[i] for i in fisher_yates(len(items), cfg.seed or 0)]
+    subject = [subject_rank[it.subject] for it in items]
+    concept = [concept_rank[(it.subject, it.concept_id)] for it in items]
+    index = [it.cognitive_index for it in items]
     if cfg.strategy == STRATEGY_BLOCK:
-        pos = {id(item): i for i, item in enumerate(items)}
-        return sorted(
-            items,
-            key=lambda it: (
-                subject_rank[it.subject],
-                it.cognitive_index,
-                concept_rank[(it.subject, it.concept_id)],
-                pos[id(it)],
-            ),
-        )
-    if cfg.strategy == STRATEGY_CLUSTER:
-        pos = {id(item): i for i, item in enumerate(items)}
-        return sorted(
-            items,
-            key=lambda it: (
-                subject_rank[it.subject],
-                concept_rank[(it.subject, it.concept_id)],
-                it.cognitive_index,
-                pos[id(it)],
-            ),
-        )
-    if cfg.strategy == STRATEGY_INTERLEAVE:
-        return _order_interleave(
-            items, subjects, concept_rank, cfg.interleave_granularity
-        )
-    if cfg.strategy == STRATEGY_SPIRAL:
-        return _order_spiral(items, subjects, concept_orders)
-    perm = fisher_yates(len(items), cfg.seed or 0)
-    return [items[i] for i in perm]
+        # Subjects are contiguous, easier indices first; one index's items
+        # follow concept order.
+        keys = list(zip(subject, index, concept))
+    elif cfg.strategy == STRATEGY_CLUSTER:
+        # Subjects, then their concepts, are contiguous, easier indices first.
+        keys = list(zip(subject, concept, index))
+    elif cfg.strategy == STRATEGY_INTERLEAVE:
+        # A subject's queue at a level holds its items by concept.  Each
+        # round of a level emits the next item of every subject whose queue
+        # is not yet exhausted, in subject order, so the item at place
+        # ``turn`` of its queue comes out in round ``turn``.
+        if cfg.interleave_granularity == GRANULARITY_PER_INDEX:
+            level = index
+        else:
+            level = [_LOAD_TIER_RANK[it.cognitive_load] for it in items]
+        turn = _places(list(zip(level, subject)), concept)
+        keys = list(zip(level, turn, subject))
+    else:
+        # A subject's concept pointer walks its concepts cyclically and
+        # skips empty queues, so its k-th pass takes the k-th easiest item
+        # (``round`` k) of every concept that has more than k, in concept
+        # order, before wrapping to pass k+1: the subject emits its items by
+        # (round, concept).  Subjects take turns and skip exhausted ones, so
+        # the item a subject emits at ``visit`` v comes out in round v of
+        # the subject rotation.
+        rounds = _places(list(zip(subject, concept)), index)
+        visit = _places(subject, list(zip(rounds, concept)))
+        keys = list(zip(visit, subject))
+    return [items[i] for i in sorted(range(len(items)), key=keys.__getitem__)]
 
 
-def _order_interleave(
-    items: list[InstructionInstance],
-    subjects: list[str],
-    concept_rank: dict[tuple[str, str], int],
-    granularity: str,
-) -> list[InstructionInstance]:
-    # Per (level, subject) queues; within a queue items keep concept order
-    # then input order.  The subject rotation restarts at every level.
-    levels = sorted({_level_of(item, granularity) for item in items})
-    queues: dict[tuple[int, str], deque] = {}
-    buckets: dict[tuple[int, str], list[tuple[int, int, InstructionInstance]]] = {}
-    for position, item in enumerate(items):
-        key = (_level_of(item, granularity), item.subject)
-        buckets.setdefault(key, []).append(
-            (concept_rank[(item.subject, item.concept_id)], position, item)
-        )
-    for key, entries in buckets.items():
-        entries.sort(key=lambda e: (e[0], e[1]))
-        queues[key] = deque(entry[2] for entry in entries)
-
-    ordered: list[InstructionInstance] = []
-    for level in levels:
-        active = [s for s in subjects if queues.get((level, s))]
-        while active:
-            still_active = []
-            for subject in active:
-                queue = queues[(level, subject)]
-                ordered.append(queue.popleft())
-                if queue:
-                    still_active.append(subject)
-            active = still_active
-    return ordered
-
-
-def _order_spiral(
-    items: list[InstructionInstance],
-    subjects: list[str],
-    concept_orders: dict[str, list[str]],
-) -> list[InstructionInstance]:
-    # Per-concept queues sorted by cognitive index (ties by input order).
-    # Subjects rotate round-robin; each visit advances that subject's own
-    # concept pointer to the next non-empty queue and pops one item.
-    concept_queues: dict[str, dict[str, deque]] = {
-        subject: {} for subject in subjects
-    }
-    buckets: dict[tuple[str, str], list[tuple[int, int, InstructionInstance]]] = {}
-    for position, item in enumerate(items):
-        buckets.setdefault((item.subject, item.concept_id), []).append(
-            (item.cognitive_index, position, item)
-        )
-    for (subject, cid), entries in buckets.items():
-        entries.sort(key=lambda e: (e[0], e[1]))
-        concept_queues[subject][cid] = deque(entry[2] for entry in entries)
-
-    pointers = {subject: -1 for subject in subjects}
-    remaining = {
-        subject: sum(len(q) for q in concept_queues[subject].values())
-        for subject in subjects
-    }
-    ordered: list[InstructionInstance] = []
-    total = len(items)
-    subject_cycle = deque(subjects)
-    while len(ordered) < total:
-        subject = subject_cycle[0]
-        subject_cycle.rotate(-1)
-        if remaining[subject] == 0:
-            continue
-        cids = concept_orders[subject]
-        pointer = pointers[subject]
-        for step in range(1, len(cids) + 1):
-            candidate = (pointer + step) % len(cids)
-            queue = concept_queues[subject].get(cids[candidate])
-            if queue:
-                ordered.append(queue.popleft())
-                remaining[subject] -= 1
-                pointers[subject] = candidate
-                break
-    return ordered
+def _places(groups: list, keys: list) -> list[int]:
+    """Each item's place (0, 1, ...) among the items of its group, taken in
+    key order with ties in input order; ``groups[i]`` and ``keys[i]`` belong
+    to item i."""
+    places = [0] * len(keys)
+    taken: dict = {}
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        places[i] = taken.get(groups[i], 0)
+        taken[groups[i]] = places[i] + 1
+    return places
 
 
 def export_training_order(d: Dataset, path: str) -> dict[str, str]:

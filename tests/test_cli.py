@@ -1,6 +1,7 @@
 """Command line tests: configs, staged runs, resume, and determinism."""
 
 import builtins
+import hashlib
 import itertools
 import json
 import os
@@ -280,6 +281,23 @@ class TestLoadConfig:
         with pytest.raises(CliError):
             load_config(write_config(tmp_path, batch_size=0))
 
+    @pytest.mark.parametrize("required_yes", [0, 4])
+    def test_unsatisfiable_vote_threshold_is_rejected(self, tmp_path, capsys, required_yes):
+        path = write_config(tmp_path)
+        rc = main(["run", "--config", path, "--required-yes", str(required_yes)])
+        error = json.loads(capsys.readouterr().err.strip())
+        assert rc == 1
+        assert error["error"] == "CliError"
+        assert "required_yes" in error["message"]
+        assert not os.path.exists(load_config(path).workdir)
+
+    def test_vote_threshold_needs_a_passage(self, tmp_path):
+        with pytest.raises(CliError) as err:
+            load_config(write_config(tmp_path, passages_per_question=0))
+        assert "passages_per_question" in str(err.value)
+        cfg = load_config(write_config(tmp_path, required_yes=2, passages_per_question=2))
+        assert cfg.required_yes == 2
+
 
 class TestBuildBackends:
     @staticmethod
@@ -537,6 +555,31 @@ class TestErrorsAndLocking:
             assert rc == 0, captured.err
             assert jsonl_records(cfg.artifact(INSTANCES_FILE)) == []
             assert "generate" in recorded
+
+    @staticmethod
+    def assert_empty_stage_fails(path, capsys, stage, artifact):
+        rc = main(["run", "--config", path])
+        error = json.loads(capsys.readouterr().err.strip())
+        assert rc == 1
+        assert error["error"] == "CliError"
+        assert repr(stage) in error["message"] and artifact in error["message"]
+        cfg = load_config(path)
+        assert stage not in load_run_manifest(cfg)["stages"]
+        assert not os.path.exists(cfg.artifact(artifact))
+
+    def test_header_only_catalog_fails_at_ingest(self, tmp_path, capsys):
+        catalog = tmp_path / "catalog.csv"
+        with open(CATALOG, encoding="utf-8") as handle:
+            catalog.write_text(handle.readline(), encoding="utf-8")
+        path = write_config(tmp_path, catalog=str(catalog))
+        self.assert_empty_stage_fails(path, capsys, "ingest", COURSES_FILE)
+
+    def test_filter_that_keeps_nothing_fails_at_filter(self, tmp_path, capsys):
+        teacher = {"backend": "simulated", "relevance_yes_rate": 0.0}
+        path = write_config(tmp_path, teacher=teacher)
+        self.assert_empty_stage_fails(path, capsys, "filter", FILTERED_FILE)
+        recorded = load_run_manifest(load_config(path))["stages"]
+        assert list(recorded) == list(STAGE_NAMES[:STAGE_NAMES.index("filter")])
 
     def test_locked_workdir_refuses_to_run(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -814,6 +857,52 @@ class TestResume:
         cfg = load_config(path)
         manifest = read_json(manifest_path(cfg.artifact(ORDERED_FILE)))
         assert manifest["strategy"] == "cluster"
+
+
+# sha256 of training.jsonl and batch_report.json after ``resume --strategy``
+# on the fixture build (seed 5), per (strategy, interleave granularity).
+TRAINING_PINS = {
+    ("block", "per_index"): (
+        "90af538c2dc326b8483c9a21771c22e7d72697d5967819c5b36b7477e4168743",
+        "603eb7dd67d17a69835643c354e037133d57de9ec1a3ed52efb988e3480d61c1",
+    ),
+    ("cluster", "per_index"): (
+        "163cd0d74e8ca5675f2c9f56cb846c47bf18c173515104192c4513fc97bc22c8",
+        "bbecc95e819ae6873e655653510ae332ad8689bd8a2afa9b46ed414a53308d50",
+    ),
+    ("interleave", "per_index"): (
+        "cae44999d37267bb03c38bf5b74ac93388fa6923ebd107d93b2cbd41144992ea",
+        "bef593ec707768e18d7c80fc593f711e600c84feb9abd8c23dcb2453b825601c",
+    ),
+    ("spiral", "per_index"): (
+        "df705704e6169b08c1690ee454a8dec0d28d24f88d4dc2ed801e36dead03e655",
+        "e22c73b34dd9e68bbd1ce4d329a0100c8e76222aa7428f023ee96cfe7c401611",
+    ),
+    ("random", "per_index"): (
+        "da20ddee13226f72ce74b03bc4270404c1824fe34fefd643af7f56ecb1c3e61e",
+        "926a740605b57fb4fc232422fa23f99fee65c0fbd6434495307b5d6ca1034aed",
+    ),
+    ("interleave", "per_load_tier"): (
+        "d6a4b66335680a32a80cdf1fcf2a35c572afed958e8d01ec015b1586a0a2e95a",
+        "bef593ec707768e18d7c80fc593f711e600c84feb9abd8c23dcb2453b825601c",
+    ),
+}
+
+
+def test_fixture_training_files_per_strategy_match_the_pins(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["run", "--config", path]) == 0
+    cfg = load_config(path)
+    got = {}
+    for strategy, granularity in TRAINING_PINS:
+        path = write_config(tmp_path, interleave_granularity=granularity)
+        assert main(["resume", "--config", path, "--strategy", strategy]) == 0
+        got[strategy, granularity] = tuple(
+            hashlib.sha256(read_bytes(cfg.artifact(name))).hexdigest()
+            for name in (TRAINING_FILE, BATCH_REPORT_FILE)
+        )
+    capsys.readouterr()
+    assert got == TRAINING_PINS
 
 
 # Run in a child process: ``corgi resume --strategy block`` on a built

@@ -1,11 +1,19 @@
 """Ordering strategy tests: fixture sequences, oracle agreement, invariants."""
 
+import itertools
 import json
 import random
 
 import pytest
 
-from conftest import make_instance, nine_item_fixture, random_dataset, triples
+from conftest import (
+    SUBJECT_POOL,
+    ids_of,
+    make_instance,
+    nine_item_fixture,
+    random_dataset,
+    triples,
+)
 from corgi.model import make_dataset
 from corgi.scheduler import (
     STRATEGIES,
@@ -206,6 +214,51 @@ def test_oracle_equivalence_stage_outermost():
             boundary = stages.count("secondary")
             assert all(s == "secondary" for s in stages[:boundary])
             assert all(s == "higher" for s in stages[boundary:])
+
+
+def uneven_dataset(rng):
+    """Up to four subjects of one to six concepts, each concept holding a
+    random 1 to 19 of the indices, at mixed stages, in shuffled order."""
+    items = []
+    for subject in SUBJECT_POOL[: rng.randint(1, len(SUBJECT_POOL))]:
+        for c in range(1, rng.randint(1, 6) + 1):
+            for index in rng.sample(range(1, 20), rng.randint(1, 19)):
+                stage = rng.choice(("secondary", "higher"))
+                items.append(make_instance(subject, f"c{c}", index, stage=stage))
+    rng.shuffle(items)
+    return make_dataset(items, run_id="uneven")
+
+
+def test_oracle_equivalence_option_cross_product():
+    """Every combination of granularity, stage nesting and subject order
+    agrees with the reference for every strategy."""
+    rng = random.Random(0x5EED)
+    for _ in range(12):
+        d = uneven_dataset(rng)
+        subjects = list(dict.fromkeys(it.subject for it in d.items))
+        rng.shuffle(subjects)
+        options = itertools.product(
+            ("per_index", "per_load_tier"), (False, True), (None, tuple(subjects))
+        )
+        for granularity, stage_outermost, subject_order in options:
+            for strategy in STRATEGIES:
+                seed = rng.randrange(2**63) if strategy == "random" else None
+                cfg = OrderingConfig(
+                    strategy=strategy,
+                    seed=seed,
+                    subject_order=subject_order,
+                    interleave_granularity=granularity,
+                    stage_outermost=stage_outermost,
+                )
+                want = ref_order(
+                    d.items,
+                    strategy,
+                    seed=seed,
+                    subject_order=subject_order,
+                    granularity=granularity,
+                    stage_outermost=stage_outermost,
+                )
+                assert ids_of(order(d, cfg).items) == ids_of(want), cfg
 
 
 def test_permutation_property():
