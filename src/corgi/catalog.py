@@ -220,14 +220,3 @@ def _parse_jsonl(path: str) -> list[Course]:
                 )
             )
     return courses
-
-
-def subject_order_of(courses: list[Course]) -> list[str]:
-    """Canonical subject order: first appearance in the catalog."""
-    order: list[str] = []
-    seen = set()
-    for course in courses:
-        if course.subject not in seen:
-            seen.add(course.subject)
-            order.append(course.subject)
-    return order

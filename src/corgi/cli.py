@@ -554,13 +554,12 @@ def run_stage(stage: Stage, cfg: RunConfig, run: dict, artifacts: _Artifacts) ->
     """Run one stage on the values it reads and record the digests it wrote.
 
     A stage that leaves courses, concepts or a dataset empty fails before
-    anything is saved; only ``instances.jsonl`` may be empty, when
-    ``max_failure_fraction`` lets every concept fail to generate.
+    anything is saved.
     """
     input_digest = artifacts.input_digest(stage)
     values = stage.run(cfg, run, *map(artifacts.load, stage.reads), *stage.sources(cfg))
     for name, value in values.items():
-        if name in ARTIFACT_IO and name != INSTANCES_FILE and not value:
+        if name in ARTIFACT_IO and not value:
             raise CliError(f"stage {stage.name!r} produced an empty {name}")
     written: dict[str, str] = {}
     for name, value in values.items():

@@ -15,20 +15,18 @@ import math
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     import numpy as np
 
 from .model import (
-    FILTER_DROPPED_RETRIEVAL,
     FILTER_KEPT,
     FILTER_UNFILTERED,
     Dataset,
     InstructionInstance,
     make_dataset,
-    with_filter_status,
 )
 from .teacher import TeacherAuthError, TeacherClient, TeacherError, fan_out
 
@@ -230,21 +228,17 @@ class Bm25Retriever:
         ]
 
 
-def decide_votes(votes: list[bool], required_yes: int) -> bool:
-    return sum(votes) >= required_yes
-
-
 def retrieval_filter(
     instance: InstructionInstance,
     retriever: Bm25Retriever,
     client: TeacherClient,
     required_yes: int = DEFAULT_REQUIRED_YES,
     passages_per_question: int = DEFAULT_PASSAGES_PER_QUESTION,
-) -> InstructionInstance:
-    """Judge retrieved passages and mark the instance kept or dropped.
+) -> InstructionInstance | None:
+    """Judge retrieved passages; return the kept instance, or None to drop it.
 
     All passages are judged (no early exit) so the full vote vector lands
-    on the instance.  A retrieval or judging failure leaves the instance
+    on a kept instance.  A retrieval or judging failure leaves the instance
     unfiltered rather than dropping it; a TeacherAuthError propagates, since
     every later judge call would be rejected too.
     """
@@ -258,9 +252,10 @@ def retrieval_filter(
         raise
     except (TeacherError, FilterError) as exc:
         log.warning("retrieval filtering failed for %s: %s", instance.id, exc)
-        return with_filter_status(instance, FILTER_UNFILTERED)
-    status = FILTER_KEPT if decide_votes(votes, required_yes) else FILTER_DROPPED_RETRIEVAL
-    return with_filter_status(instance, status, votes=tuple(votes))
+        return replace(instance, filter_status=FILTER_UNFILTERED, relevance_votes=None)
+    if sum(votes) < required_yes:
+        return None
+    return replace(instance, filter_status=FILTER_KEPT, relevance_votes=tuple(votes))
 
 
 @dataclass(frozen=True)
@@ -328,14 +323,14 @@ def run_filters(
 
     judged = fan_out(judge, survivors, client.max_concurrency)
 
-    failures = sum(1 for item in judged if item.filter_status == FILTER_UNFILTERED)
+    output = [item for item in judged if item is not None]
+    failures = sum(1 for item in output if item.filter_status == FILTER_UNFILTERED)
     if survivors and failures / len(survivors) > config.max_failure_fraction:
         raise FilterError(
             f"systematic backend failure: {failures}/{len(survivors)} "
             "instances could not be judged"
         )
 
-    output = [item for item in judged if item.filter_status != FILTER_DROPPED_RETRIEVAL]
     retrieval_dropped = len(judged) - len(output)
     stats = FilterStats(
         input_count=len(d.items),

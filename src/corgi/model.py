@@ -7,7 +7,7 @@ them in place and instead build new values with ``dataclasses.replace``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any
 
@@ -20,13 +20,8 @@ STAGE_VALUES = (SECONDARY, HIGHER)
 
 FILTER_UNFILTERED = "unfiltered"
 FILTER_KEPT = "kept"
-FILTER_DROPPED_RETRIEVAL = "dropped_retrieval"
 
-FILTER_STATUSES = (
-    FILTER_UNFILTERED,
-    FILTER_KEPT,
-    FILTER_DROPPED_RETRIEVAL,
-)
+FILTER_STATUSES = (FILTER_UNFILTERED, FILTER_KEPT)
 
 _SLUG_RE = re.compile(r"^[a-z0-9]+(-[a-z0-9]+)*$")
 
@@ -283,13 +278,10 @@ def validate(d: Dataset) -> ValidationReport:
             add(item, "cognitive_load", f"unknown load {item.cognitive_load!r}")
         if item.filter_status not in FILTER_STATUSES:
             add(item, "filter_status", f"unknown status {item.filter_status!r}")
-        if item.filter_status in (FILTER_KEPT, FILTER_UNFILTERED):
-            if not item.question.strip():
-                add(item, "question", "empty question on a surviving instance")
-            if not item.answer.strip():
-                add(item, "answer", "empty answer on a surviving instance")
-        if item.filter_status == FILTER_DROPPED_RETRIEVAL and item.relevance_votes is None:
-            add(item, "relevance_votes", "retrieval drops must carry the vote vector")
+        if not item.question.strip():
+            add(item, "question", "empty question")
+        if not item.answer.strip():
+            add(item, "answer", "empty answer")
         if not item.subject.strip():
             add(item, "subject", "empty subject")
         _check_id_shape(item, add)
@@ -310,11 +302,3 @@ def validate(d: Dataset) -> ValidationReport:
                 )
 
     return ValidationReport(issues=tuple(issues))
-
-
-def with_filter_status(
-    item: InstructionInstance,
-    status: str,
-    votes: tuple[bool, ...] | None = None,
-) -> InstructionInstance:
-    return replace(item, filter_status=status, relevance_votes=votes)

@@ -230,8 +230,3 @@ def template_for(index: int) -> CognitiveTemplate:
     if index < MIN_INDEX or index > MAX_INDEX:
         raise ValueError(f"cognitive index out of range 1..19: {index}")
     return COGNITIVE_TEMPLATES[index - 1]
-
-
-def cognitive_load_of(index: int) -> str:
-    """Map a cognitive index to its load tier: 1-4 easy, 5-17 medium, 18-19 hard."""
-    return template_for(index).load

@@ -114,40 +114,51 @@ def _json_or_empty(raw: bytes):
         return {}
 
 
-def _is_transient(status: int | None) -> bool:
-    """Transport errors (no status), 408, 429 and 5xx are worth retrying."""
-    return status is None or status in (408, 429) or 500 <= status <= 599
+# Retry policy of both HTTP backends: a transport error (no status), 408, 429
+# or 5xx is retried up to HTTP_RETRIES times, after waits of
+# HTTP_FIRST_WAIT * 2**attempt seconds (0.5, 1, 2 and 4 s).
+TRANSIENT_STATUSES = frozenset({None, 408, 429, *range(500, 600)})
+HTTP_RETRIES = 4
+HTTP_FIRST_WAIT = 0.5
+EMBED_TIMEOUT = 60.0
 
 
-class _RetryingHttp:
-    """Shared POST-with-backoff plumbing for the HTTP backends."""
+class _HttpBackend:
+    """Endpoint, key and POST-with-backoff shared by the HTTP backends.
+
+    A subclass sets ``service`` and the environment variables ``base_env``
+    and ``key_env`` that give the endpoint and key the arguments leave out.
+    """
 
     def __init__(
         self,
+        base_url: str | None,
+        model: str,
         api_key: str | None,
         timeout: float,
-        max_retries: int,
-        backoff_base: float,
-        backoff_cap: float,
         post: Callable | None,
         sleep: Callable[[float], None],
     ):
-        self.api_key = api_key
+        base = base_url or os.environ.get(self.base_env)
+        if not base:
+            raise TeacherError(
+                f"no {self.service} endpoint: pass base_url or set {self.base_env}"
+            )
+        self.base_url = base.rstrip("/")
+        self.model_name = model
+        self.api_key = api_key or os.environ.get(self.key_env)
         self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.post = post or _default_post
         self.sleep = sleep
 
-    def request(self, url: str, payload: dict) -> dict:
+    def _request(self, path: str, payload: dict) -> dict:
         from http.client import HTTPException
 
+        url = f"{self.base_url}/{path}"
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        attempt = 0
-        while True:
+        for attempt in range(HTTP_RETRIES + 1):
             try:
                 status, body = self.post(url, headers, payload, self.timeout)
             except (OSError, HTTPException) as exc:
@@ -156,23 +167,23 @@ class _RetryingHttp:
                 raise TeacherAuthError(f"authentication failed ({status}) at {url}")
             if status == 200:
                 return body
-            if not _is_transient(status):
+            if status not in TRANSIENT_STATUSES:
                 raise TeacherError(
                     f"permanent failure ({status}) at {url}: "
                     f"body={json.dumps(body)[:200]}"
                 )
-            if attempt >= self.max_retries:
+            if attempt == HTTP_RETRIES:
                 raise TeacherRetryError(
                     f"gave up after {attempt + 1} attempt(s) at {url}: "
                     f"status={status} body={json.dumps(body)[:200]}"
                 )
-            delay = min(self.backoff_base * (2 ** attempt), self.backoff_cap)
-            self.sleep(delay)
-            attempt += 1
+            self.sleep(HTTP_FIRST_WAIT * 2**attempt)
 
 
-class HttpTeacherBackend:
+class HttpTeacherBackend(_HttpBackend):
     """Chat-completion endpoint speaking the common messages schema."""
+
+    service, base_env, key_env = "teacher", TEACHER_API_BASE_ENV, TEACHER_API_KEY_ENV
 
     def __init__(
         self,
@@ -180,36 +191,18 @@ class HttpTeacherBackend:
         model: str = "teacher",
         api_key: str | None = None,
         timeout: float = 120.0,
-        max_retries: int = 4,
-        backoff_base: float = 0.5,
-        backoff_cap: float = 30.0,
         post: Callable | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        base = base_url or os.environ.get(TEACHER_API_BASE_ENV)
-        if not base:
-            raise TeacherError(
-                f"no teacher endpoint: pass base_url or set {TEACHER_API_BASE_ENV}"
-            )
-        self.base_url = base.rstrip("/")
-        self.model_name = model
-        self._http = _RetryingHttp(
-            api_key=api_key or os.environ.get(TEACHER_API_KEY_ENV),
-            timeout=timeout,
-            max_retries=max_retries,
-            backoff_base=backoff_base,
-            backoff_cap=backoff_cap,
-            post=post,
-            sleep=sleep,
-        )
+        super().__init__(base_url, model, api_key, timeout, post, sleep)
 
     def complete(self, req: CompletionRequest) -> str:
         messages = []
         if req.system_message:
             messages.append({"role": "system", "content": req.system_message})
         messages.append({"role": "user", "content": req.prompt})
-        body = self._http.request(
-            f"{self.base_url}/chat/completions",
+        body = self._request(
+            "chat/completions",
             {
                 "model": req.model or self.model_name,
                 "messages": messages,
@@ -385,8 +378,6 @@ class TeacherClient:
 
     backend: object
     generation_temperature: float = DEFAULT_GENERATION_TEMPERATURE
-    judge_temperature: float = DEFAULT_JUDGE_TEMPERATURE
-    max_tokens: int = 1024
     max_concurrency: int = DEFAULT_MAX_CONCURRENCY
 
     @property
@@ -397,11 +388,7 @@ class TeacherClient:
         return self.backend.complete(req)
 
     def ask(
-        self,
-        prompt: str,
-        system_message: str = "",
-        temperature: float | None = None,
-        max_tokens: int | None = None,
+        self, prompt: str, system_message: str = "", temperature: float | None = None
     ) -> str:
         req = CompletionRequest(
             prompt=prompt,
@@ -409,7 +396,6 @@ class TeacherClient:
             temperature=(
                 self.generation_temperature if temperature is None else temperature
             ),
-            max_tokens=self.max_tokens if max_tokens is None else max_tokens,
         )
         return self.complete(req)
 
@@ -417,7 +403,7 @@ class TeacherClient:
         from .prompts import build_retrieval_check_prompt
 
         prompt = build_retrieval_check_prompt(question, passage_title, passage)
-        reply = self.ask(prompt, system_message="", temperature=self.judge_temperature)
+        reply = self.ask(prompt, temperature=DEFAULT_JUDGE_TEMPERATURE)
         return parse_relevance_reply(reply)
 
 
@@ -468,8 +454,10 @@ class ReferenceEmbeddingBackend:
         return _unit(vector)
 
 
-class HttpEmbeddingBackend:
+class HttpEmbeddingBackend(_HttpBackend):
     """Remote embedding endpoint; vectors are re-normalized to unit length."""
+
+    service, base_env, key_env = "embedding", EMBED_API_BASE_ENV, EMBED_API_KEY_ENV
 
     def __init__(
         self,
@@ -477,39 +465,19 @@ class HttpEmbeddingBackend:
         model: str = "embedder",
         api_key: str | None = None,
         dimension: int | None = None,
-        timeout: float = 60.0,
-        max_retries: int = 4,
-        backoff_base: float = 0.5,
-        backoff_cap: float = 30.0,
         post: Callable | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        base = base_url or os.environ.get(EMBED_API_BASE_ENV)
-        if not base:
-            raise TeacherError(
-                f"no embedding endpoint: pass base_url or set {EMBED_API_BASE_ENV}"
-            )
-        self.base_url = base.rstrip("/")
-        self.model_name = model
+        super().__init__(base_url, model, api_key, EMBED_TIMEOUT, post, sleep)
         self.dimension = dimension
-        self._http = _RetryingHttp(
-            api_key=api_key or os.environ.get(EMBED_API_KEY_ENV),
-            timeout=timeout,
-            max_retries=max_retries,
-            backoff_base=backoff_base,
-            backoff_cap=backoff_cap,
-            post=post,
-            sleep=sleep,
-        )
 
     def embed(self, req: EmbeddingRequest) -> np.ndarray:
         import numpy as np
 
         if not req.text:
             raise TeacherError("cannot embed empty text")
-        body = self._http.request(
-            f"{self.base_url}/embeddings",
-            {"model": req.model or self.model_name, "input": req.text},
+        body = self._request(
+            "embeddings", {"model": req.model or self.model_name, "input": req.text}
         )
         try:
             values = body["data"][0]["embedding"]

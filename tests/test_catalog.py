@@ -14,7 +14,6 @@ from corgi.catalog import (
     course_id_for,
     parse_catalog,
     slugify,
-    subject_order_of,
 )
 
 CSV_HEADER = "subject,course_title,course_description,source,stage_hint"
@@ -217,22 +216,6 @@ class TestParseCatalog:
         )
         courses = parse_catalog(str(path))
         assert courses[0].stage.value == "secondary"
-
-    def test_subject_order_of(self, tmp_path):
-        path = tmp_path / "order.csv"
-        _write_csv(
-            path,
-            [
-                '"Higher Education - Law","Contracts","First.","",""',
-                '"Higher Education - Physics","Mechanics","Second.","",""',
-                '"Higher Education - Law","Torts","Third.","",""',
-            ],
-        )
-        courses = parse_catalog(str(path))
-        assert subject_order_of(courses) == [
-            "Higher Education - Law",
-            "Higher Education - Physics",
-        ]
 
 
 def test_course_id_for():

@@ -184,7 +184,7 @@ def test_votes_and_provenance_survive(tmp_path):
 
     item = replace(
         make_instance("Alpha", "c1", 1),
-        filter_status="dropped_retrieval",
+        filter_status="kept",
         relevance_votes=(False, True, False),
         provenance=prov,
     )
@@ -227,7 +227,7 @@ def test_instance_line_matches_the_generic_encoder():
     items = [
         base,
         replace(base, stage=EducationalStage("higher", "graduate")),
-        replace(base, filter_status="dropped_retrieval", relevance_votes=(False, True, False)),
+        replace(base, filter_status="kept", relevance_votes=(False, True, False)),
         replace(base, relevance_votes=()),
         replace(base, provenance=prov),
     ] + _varied_items(random.Random(43))

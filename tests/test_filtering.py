@@ -22,19 +22,13 @@ from corgi.filtering import (
     FilterConfig,
     FilterError,
     FilterStats,
-    decide_votes,
     load_corpus,
     retrieval_filter,
     rule_filter,
     run_filters,
     tokenize,
 )
-from corgi.model import (
-    FILTER_DROPPED_RETRIEVAL,
-    FILTER_KEPT,
-    FILTER_UNFILTERED,
-    make_dataset,
-)
+from corgi.model import FILTER_KEPT, FILTER_UNFILTERED, make_dataset
 from corgi.teacher import REFUSAL_TEXT, TeacherAuthError, TeacherError
 
 ORACLE_ROUNDS = 50
@@ -400,6 +394,7 @@ class TestLoadCorpus:
 
 class TestDecideVotes:
     def test_vote_table(self):
+        """An instance is kept iff at least ``required_yes`` judges say yes."""
         table = (
             ([True, True, True], True, True),
             ([True, True, False], True, False),
@@ -408,11 +403,17 @@ class TestDecideVotes:
             ([False, False, True], True, False),
             ([False, False, False], False, False),
             ([True], True, False),
-            ([], False, False),
         )
+        retriever = Bm25Retriever(one_window_corpus())
         for votes, want_one, want_three in table:
-            assert decide_votes(votes, 1) is want_one, votes
-            assert decide_votes(votes, 3) is want_three, votes
+            for required_yes, want in ((1, want_one), (3, want_three)):
+                judged = retrieval_filter(
+                    instance_with(), retriever, SequenceJudgeClient(votes),
+                    required_yes=required_yes, passages_per_question=len(votes),
+                )
+                assert (judged is not None) is want, (votes, required_yes)
+                if want:
+                    assert judged.relevance_votes == tuple(votes)
 
 
 class TestRetrievalFilter:
@@ -438,9 +439,8 @@ class TestRetrievalFilter:
     def test_all_no_drops(self):
         retriever = Bm25Retriever(one_window_corpus())
         client = SequenceJudgeClient([False, False, False])
-        judged = retrieval_filter(instance_with(), retriever, client)
-        assert judged.filter_status == FILTER_DROPPED_RETRIEVAL
-        assert judged.relevance_votes == (False, False, False)
+        assert retrieval_filter(instance_with(), retriever, client) is None
+        assert len(client.calls) == 3
 
     def test_required_yes_three(self):
         retriever = Bm25Retriever(one_window_corpus())
@@ -448,7 +448,7 @@ class TestRetrievalFilter:
         judged = retrieval_filter(
             instance_with(), retriever, client, required_yes=3
         )
-        assert judged.filter_status == FILTER_DROPPED_RETRIEVAL
+        assert judged is None
 
     def test_passages_per_question(self):
         retriever = Bm25Retriever(one_window_corpus())

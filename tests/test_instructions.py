@@ -66,7 +66,7 @@ class CountingClient:
         self.question_calls = []
         self.answer_calls = []
 
-    def ask(self, prompt, system_message="", temperature=None, max_tokens=None):
+    def ask(self, prompt, system_message="", temperature=None):
         if "### Question ###" in prompt:
             number = len(self.question_calls) + 1
             self.question_calls.append((prompt, system_message))
@@ -88,7 +88,7 @@ class DigestClient:
     def __init__(self, max_concurrency=8):
         self.max_concurrency = max_concurrency
 
-    def ask(self, prompt, system_message="", temperature=None, max_tokens=None):
+    def ask(self, prompt, system_message="", temperature=None):
         digest = prompt_digest(prompt)[:10]
         if "### Question ###" in prompt:
             return f"Question: What governs {digest}?"
@@ -102,10 +102,10 @@ class FailForConceptClient(DigestClient):
         super().__init__()
         self.poison_name = poison_name
 
-    def ask(self, prompt, system_message="", temperature=None, max_tokens=None):
+    def ask(self, prompt, system_message="", temperature=None):
         if "### Question ###" in prompt and self.poison_name in prompt:
             raise RuntimeError("poisoned concept")
-        return super().ask(prompt, system_message, temperature, max_tokens)
+        return super().ask(prompt, system_message, temperature)
 
 
 class TestStripQuestionLabel:

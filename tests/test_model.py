@@ -15,13 +15,8 @@ from corgi.model import (
     build_manifest,
     make_dataset,
     validate,
-    with_filter_status,
 )
-from corgi.taxonomy import (
-    COGNITIVE_TEMPLATES,
-    cognitive_load_of,
-    template_for,
-)
+from corgi.taxonomy import COGNITIVE_TEMPLATES, template_for
 
 FUZZ_ROUNDS = 200
 
@@ -52,15 +47,8 @@ class TestTaxonomyTable:
         assert row.subprocess == "recognizing"
         assert row.load == "easy"
 
-    def test_cognitive_load_of_examples(self):
-        assert cognitive_load_of(1) == "easy"
-        assert cognitive_load_of(17) == "medium"
-        assert cognitive_load_of(19) == "hard"
-
     def test_out_of_range_rejected(self):
         for bad in (0, 20, -3):
-            with pytest.raises(ValueError):
-                cognitive_load_of(bad)
             with pytest.raises(ValueError):
                 template_for(bad)
 
@@ -177,13 +165,6 @@ class TestValidate:
         assert "manifest.counts.total" in fields
         assert "manifest.counts.higher" in fields
 
-    def test_dropped_retrieval_needs_votes(self):
-        item = replace(
-            make_instance("Alpha", "c1", 1), filter_status="dropped_retrieval"
-        )
-        report = validate(make_dataset([item], run_id="r"))
-        assert any(i.field == "relevance_votes" for i in report.issues)
-
     def test_mutation_fuzzer(self):
         """Every single-field mutation of a valid instance is flagged."""
         mutations = [
@@ -211,16 +192,6 @@ class TestValidate:
             broken = mutate(base)
             report = validate(make_dataset([broken], run_id="r"))
             assert not report.ok, f"mutation not flagged: {broken}"
-
-
-def test_with_filter_status():
-    item = make_instance("Alpha", "c1", 1)
-    dropped = with_filter_status(
-        item, "dropped_retrieval", votes=(False, False, False)
-    )
-    assert dropped.filter_status == "dropped_retrieval"
-    assert dropped.relevance_votes == (False, False, False)
-    assert item.filter_status == "unfiltered"
 
 
 def test_provenance_defaults():

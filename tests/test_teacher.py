@@ -195,33 +195,16 @@ class TestHttpTeacherBackend:
         assert waits == []
 
     def test_retry_budget_exhausted(self):
-        fake = FakeTransport([(500, {})] * 3)
+        fake = FakeTransport([(500, {})] * 5)
         waits = []
         backend = HttpTeacherBackend(
-            base_url=BASE_URL,
-            api_key="k",
-            max_retries=2,
-            post=fake.post,
-            sleep=waits.append,
+            base_url=BASE_URL, api_key="k", post=fake.post, sleep=waits.append
         )
         with pytest.raises(TeacherRetryError) as err:
             backend.complete(CompletionRequest(prompt="hi"))
-        assert "3 attempt(s)" in str(err.value)
-        assert len(fake.calls) == 3
-        assert waits == [0.5, 1.0]
-
-    def test_backoff_is_capped(self):
-        fake = FakeTransport([(503, {})] * 4 + [(200, completion_body(OK_REPLY))])
-        waits = []
-        backend = HttpTeacherBackend(
-            base_url=BASE_URL,
-            api_key="k",
-            backoff_cap=1.0,
-            post=fake.post,
-            sleep=waits.append,
-        )
-        assert backend.complete(CompletionRequest(prompt="hi")) == OK_REPLY
-        assert waits == [0.5, 1.0, 1.0, 1.0]
+        assert "5 attempt(s)" in str(err.value)
+        assert len(fake.calls) == 5
+        assert waits == [0.5, 1.0, 2.0, 4.0]
 
     def test_network_error_is_retried(self):
         fake = FakeTransport(
@@ -445,13 +428,12 @@ class TestDefaultPost:
         # The port is closed again, so every attempt is refused.
         waits = []
         backend = HttpTeacherBackend(
-            base_url=f"http://127.0.0.1:{port}", api_key="k", max_retries=1,
-            sleep=waits.append,
+            base_url=f"http://127.0.0.1:{port}", api_key="k", sleep=waits.append
         )
         with pytest.raises(TeacherRetryError) as err:
             backend.complete(CompletionRequest(prompt="hi"))
-        assert "2 attempt(s)" in str(err.value)
-        assert waits == [0.5]
+        assert "5 attempt(s)" in str(err.value)
+        assert waits == [0.5, 1.0, 2.0, 4.0]
 
 
 IMPORT_GATE = """
@@ -484,10 +466,10 @@ class TestTeacherClient:
     def test_ask_temperature_override(self):
         backend = RecordingBackend()
         client = TeacherClient(backend=backend)
-        client.ask("Explain gravity.", temperature=0.2, max_tokens=64)
+        client.ask("Explain gravity.", temperature=0.2)
         req = backend.requests[0]
         assert req.temperature == 0.2
-        assert req.max_tokens == 64
+        assert req.max_tokens == 1024
 
     def test_judge_uses_zero_temperature_and_no_system(self):
         backend = RecordingBackend(reply="A) Yes")
@@ -782,3 +764,55 @@ class TestHttpEmbeddingBackend:
         with pytest.raises(TeacherError) as err:
             HttpEmbeddingBackend()
         assert "EMBED_API_BASE" in str(err.value)
+
+    def test_unavailable_then_succeeds(self):
+        fake = FakeTransport([(503, {}), (200, self.embedding_body([3.0, 4.0]))])
+        waits = []
+        backend = HttpEmbeddingBackend(
+            base_url="https://embed.test", api_key="k", post=fake.post,
+            sleep=waits.append,
+        )
+        vector = backend.embed(EmbeddingRequest(text="tides"))
+        assert vector.tolist() == [0.6, 0.8]
+        assert len(fake.calls) == 2
+        assert waits == [0.5]
+
+    def test_auth_failure_does_not_retry(self):
+        fake = FakeTransport([(401, {"error": "bad key"})])
+        waits = []
+        backend = HttpEmbeddingBackend(
+            base_url="https://embed.test", api_key="k", post=fake.post,
+            sleep=waits.append,
+        )
+        with pytest.raises(TeacherAuthError):
+            backend.embed(EmbeddingRequest(text="tides"))
+        assert len(fake.calls) == 1
+        assert waits == []
+
+    def test_retry_budget_exhausted(self):
+        fake = FakeTransport([(500, {})] * 5)
+        waits = []
+        backend = HttpEmbeddingBackend(
+            base_url="https://embed.test", api_key="k", post=fake.post,
+            sleep=waits.append,
+        )
+        with pytest.raises(TeacherRetryError) as err:
+            backend.embed(EmbeddingRequest(text="tides"))
+        assert "5 attempt(s)" in str(err.value)
+        assert len(fake.calls) == 5
+        assert waits == [0.5, 1.0, 2.0, 4.0]
+
+    def test_credentials_come_from_environment(self, monkeypatch):
+        monkeypatch.setenv("EMBED_API_BASE", "https://env.test/api/")
+        monkeypatch.setenv("EMBED_API_KEY", "env-key")
+        fake = FakeTransport([(200, self.embedding_body([1.0, 0.0]))])
+        HttpEmbeddingBackend(post=fake.post).embed(EmbeddingRequest(text="tides"))
+        call = fake.calls[0]
+        assert call["url"] == "https://env.test/api/embeddings"
+        assert call["headers"]["Authorization"] == "Bearer env-key"
+
+    def test_timeout_reaches_the_transport(self):
+        fake = FakeTransport([(200, self.embedding_body([1.0, 0.0]))])
+        backend = HttpEmbeddingBackend(base_url="https://embed.test", post=fake.post)
+        backend.embed(EmbeddingRequest(text="tides"))
+        assert fake.calls[0]["timeout"] == 60
