@@ -7,9 +7,9 @@ reference list covers the 45 subjects the toolkit ships fixtures for.
 from __future__ import annotations
 
 import csv
-import json
 import re
 
+from .dataset_io import DatasetFormatError, read_jsonl
 from .model import HIGHER, SECONDARY, Course, EducationalStage
 
 CSV_COLUMNS = ("subject", "course_title", "course_description", "source", "stage_hint")
@@ -197,26 +197,17 @@ def _parse_csv(path: str) -> list[Course]:
 
 
 def _parse_jsonl(path: str) -> list[Course]:
-    courses = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise CatalogError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise CatalogError(f"{path}:{line_no}: expected a JSON object")
-            courses.append(
-                _course_from_fields(
-                    subject=str(record.get("subject", "")).strip(),
-                    title=str(record.get("course_title", "")).strip(),
-                    description=str(record.get("course_description", "")).strip(),
-                    source=str(record.get("source", "")).strip(),
-                    stage_hint=record.get("stage_hint"),
-                    where=f"{path}:{line_no}",
-                )
+    try:
+        return [
+            _course_from_fields(
+                subject=str(record.get("subject", "")).strip(),
+                title=str(record.get("course_title", "")).strip(),
+                description=str(record.get("course_description", "")).strip(),
+                source=str(record.get("source", "")).strip(),
+                stage_hint=record.get("stage_hint"),
+                where=f"{path}:{line_no}",
             )
-    return courses
+            for line_no, record in read_jsonl(path)
+        ]
+    except DatasetFormatError as exc:
+        raise CatalogError(str(exc)) from exc

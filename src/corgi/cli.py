@@ -31,11 +31,11 @@ import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
-from typing import Callable
+from typing import Callable, get_args, get_type_hints
 
 from .batching import analyze as analyze_batches
 from .catalog import parse_catalog
-from .concepts import dedup_concepts, extract_concepts, refine_description
+from .concepts import DEDUP_SCOPES, dedup_concepts, extract_concepts, refine_description
 from .dataset_io import (
     load_concepts,
     load_courses,
@@ -165,10 +165,6 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         if not raw.get(required):
             raise CliError(f"{path}: config is missing {required!r}")
 
-    base_dir = os.path.dirname(os.path.abspath(path))
-    raw["workdir"] = _resolve(base_dir, raw["workdir"])
-    raw["catalog"] = _resolve(base_dir, raw["catalog"])
-    raw["corpus"] = _resolve(base_dir, raw.get("corpus"))
     for section, (default, backends) in BACKENDS.items():
         spec = raw.get(section) or {}
         if not isinstance(spec, dict):
@@ -183,12 +179,11 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
                 f"{path}: {section} backend {kind!r} does not read key(s): "
                 f"{', '.join(unknown)}"
             )
-    if raw["teacher"].get("script"):
-        raw["teacher"]["script"] = _resolve(base_dir, raw["teacher"]["script"])
 
     cfg = RunConfig(**raw)
     if overrides:
         cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    _check_types(path, cfg)
     if cfg.strategy not in STRATEGIES:
         raise CliError(f"unknown strategy: {cfg.strategy!r}")
     if cfg.interleave_granularity not in (GRANULARITY_PER_INDEX, GRANULARITY_PER_LOAD_TIER):
@@ -200,7 +195,39 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
             f"required_yes must be between 1 and passages_per_question "
             f"({cfg.passages_per_question}), got {cfg.required_yes}"
         )
-    return cfg
+    if not 0 < cfg.dedup_threshold <= 1:
+        raise CliError(f"dedup_threshold must be in (0, 1], got {cfg.dedup_threshold}")
+    if cfg.dedup_scope not in DEDUP_SCOPES:
+        raise CliError(f"unknown dedup_scope: {cfg.dedup_scope!r}")
+    if not 0 <= cfg.max_failure_fraction <= 1:
+        raise CliError(
+            f"max_failure_fraction must be in [0, 1], got {cfg.max_failure_fraction}"
+        )
+
+    base_dir = os.path.dirname(os.path.abspath(path))
+    if cfg.teacher.get("script"):
+        cfg.teacher["script"] = _resolve(base_dir, cfg.teacher["script"])
+    return replace(
+        cfg,
+        workdir=_resolve(base_dir, cfg.workdir),
+        catalog=_resolve(base_dir, cfg.catalog),
+        corpus=_resolve(base_dir, cfg.corpus),
+    )
+
+
+_JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number",
+                    dict: "an object", type(None): "null"}
+
+
+def _check_types(path: str, cfg: RunConfig) -> None:
+    """Every config value has its field's JSON type; an int is also a
+    float, and a bool is never a number."""
+    for name, kind in get_type_hints(RunConfig).items():
+        value = getattr(cfg, name)
+        kinds = get_args(kind) or (kind,)
+        if type(value) not in kinds and not (float in kinds and type(value) is int):
+            expected = " or ".join(_JSON_TYPE_NAMES[k] for k in kinds)
+            raise CliError(f"{path}: {name} must be {expected}, got {value!r}")
 
 
 def _teacher_params(cfg: RunConfig) -> dict:

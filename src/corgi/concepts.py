@@ -23,6 +23,7 @@ if TYPE_CHECKING:
 log = logging.getLogger(__name__)
 
 DEFAULT_DEDUP_THRESHOLD = 0.67
+DEDUP_SCOPES = ("global", "per_subject")
 
 _ENTRY_RE = re.compile(r"^\s*(?:Concept\s+)?(\d{1,3})\s*(?:[.):]|→|->)\s*(.*)$")
 
@@ -226,7 +227,7 @@ def dedup_concepts(
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"dedup threshold must be in (0, 1], got {threshold}")
-    if scope not in ("global", "per_subject"):
+    if scope not in DEDUP_SCOPES:
         raise ValueError(f"unknown dedup scope: {scope!r}")
 
     texts = [concept.embedding_text() for concept in concepts]

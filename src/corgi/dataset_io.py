@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any, Iterable
+from typing import Any, Iterable, NoReturn
 
 from .model import (
     Concept,
@@ -141,65 +141,26 @@ def instance_line(item: InstructionInstance) -> str:
     )
 
 
-def instance_from_record(record: dict, path: str = "<memory>", line: int = 0) -> InstructionInstance:
-    stage_value = _require(record, path, line, "stage", str)
-    votes = record.get("relevance_votes")
-    if votes is not None:
-        if not isinstance(votes, list) or not all(isinstance(v, bool) for v in votes):
-            raise DatasetFormatError(path, line, "relevance_votes", "expected a list of booleans")
-        votes = tuple(votes)
-    prov = _require(record, path, line, "provenance", dict)
-    try:
-        stage = EducationalStage(stage_value, _optional_str(record, path, line, "stage_level"))
-    except ValueError as exc:
-        raise DatasetFormatError(path, line, "stage", str(exc)) from exc
-    return InstructionInstance(
-        id=_require(record, path, line, "id", str),
-        stage=stage,
-        subject=_require(record, path, line, "subject", str),
-        course_id=_require(record, path, line, "course_id", str),
-        concept_id=_require(record, path, line, "concept_id", str),
-        cognitive_index=_require(record, path, line, "cognitive_index", int),
-        cognitive_process=_require(record, path, line, "cognitive_process", str),
-        cognitive_subprocess=_require(record, path, line, "cognitive_subprocess", str),
-        cognitive_load=_require(record, path, line, "cognitive_load", str),
-        system_message=_require(record, path, line, "system_message", str),
-        question=_require(record, path, line, "question", str),
-        answer=_require(record, path, line, "answer", str),
-        filter_status=_require(record, path, line, "filter_status", str),
-        relevance_votes=votes,
-        provenance=Provenance(
-            teacher_model=_require(prov, path, line, "teacher_model", str),
-            created_at=_require(prov, path, line, "created_at", str),
-            run_id=_require(prov, path, line, "run_id", str),
-        ),
-    )
+def instance_from_record(
+    record: dict, path: str = "<memory>", line: int = 0, shared: dict | None = None
+) -> InstructionInstance:
+    """The one decoder of an instance record; keys it does not read are ignored.
 
-
-# The keys of a canonical instance record and of its provenance, in order.
-_INSTANCE_KEYS = (
-    "id", "stage", "stage_level", "subject", "course_id", "concept_id",
-    "cognitive_index", "cognitive_process", "cognitive_subprocess", "cognitive_load",
-    "system_message", "question", "answer", "filter_status", "relevance_votes",
-    "provenance",
-)
-_PROVENANCE_KEYS = ("teacher_model", "created_at", "run_id")
-
-
-def _canonical_instance(
-    record: dict, stages: dict, provenances: dict
-) -> InstructionInstance | None:
-    """The instance of a record with exactly the canonical keys, in order,
-    and values of the declared types; None for any other record.
-
-    ``stages`` and ``provenances`` map each value seen to one shared object.
-    A None sends the record to ``instance_from_record``, which names the
-    fault of a bad record, so this path owns no error message.
+    Each field is read by key and its type checked inline.  Only a record
+    that fails a check goes to ``_instance_fault``, which names its first
+    bad field.  ``shared`` maps each stage and provenance seen to one
+    object, so that the items of one file share them.
     """
-    if tuple(record) != _INSTANCE_KEYS:
-        return None
-    (item_id, stage_value, level, subject, course_id, concept_id, index, process,
-     subprocess, load, system, question, answer, status, votes, prov) = record.values()
+    get = record.get
+    item_id, stage_value, level = get("id"), get("stage"), get("stage_level")
+    subject, course_id, concept_id = get("subject"), get("course_id"), get("concept_id")
+    index, process, subprocess = (
+        get("cognitive_index"), get("cognitive_process"), get("cognitive_subprocess")
+    )
+    load, system, question = get("cognitive_load"), get("system_message"), get("question")
+    answer, status, votes, prov = (
+        get("answer"), get("filter_status"), get("relevance_votes"), get("provenance")
+    )
     if not (
         type(item_id) is str and type(stage_value) is str
         and (level is None or type(level) is str)
@@ -208,53 +169,66 @@ def _canonical_instance(
         and type(process) is str and type(subprocess) is str
         and type(load) is str and type(system) is str
         and type(question) is str and type(answer) is str
-        and type(status) is str
-        and type(prov) is dict and tuple(prov) == _PROVENANCE_KEYS
+        and type(status) is str and type(prov) is dict
+        and (votes is None
+             or type(votes) is list and all(v is True or v is False for v in votes))
     ):
-        return None
-    if votes is not None:
-        if type(votes) is not list or not all(v is True or v is False for v in votes):
-            return None
-        votes = tuple(votes)
-    stage = stages.get((stage_value, level))
+        _instance_fault(record, path, line)
+    prov_key = (prov.get("teacher_model"), prov.get("created_at"), prov.get("run_id"))
+    if not all(type(value) is str for value in prov_key):
+        _instance_fault(record, path, line)
+    shared = {} if shared is None else shared
+    stage = shared.get((stage_value, level))
     if stage is None:
         try:
-            stage = stages[stage_value, level] = EducationalStage(stage_value, level)
+            stage = shared[stage_value, level] = EducationalStage(stage_value, level)
         except ValueError:
-            return None
-    prov_key = tuple(prov.values())
-    provenance = provenances.get(prov_key)
-    if provenance is None:
-        if not all(type(value) is str for value in prov_key):
-            return None
-        provenance = provenances[prov_key] = Provenance(*prov_key)
+            _instance_fault(record, path, line)
+    provenance = shared.get(prov_key) or shared.setdefault(prov_key, Provenance(*prov_key))
     return InstructionInstance(
-        id=item_id,
-        stage=stage,
-        subject=subject,
-        course_id=course_id,
-        concept_id=concept_id,
-        cognitive_index=index,
-        cognitive_process=process,
-        cognitive_subprocess=subprocess,
-        cognitive_load=load,
-        system_message=system,
-        question=question,
-        answer=answer,
-        filter_status=status,
-        relevance_votes=votes,
-        provenance=provenance,
+        item_id, stage, subject, course_id, concept_id, index, process, subprocess, load,
+        system, question, answer, status, None if votes is None else tuple(votes), provenance,
     )
+
+
+def _instance_fault(record: dict, path: str, line: int) -> NoReturn:
+    """Raise for the first field of ``record`` that fails its check."""
+    _require(record, path, line, "stage", str)
+    votes = record.get("relevance_votes")
+    if votes is not None and (
+        not isinstance(votes, list) or not all(isinstance(v, bool) for v in votes)
+    ):
+        raise DatasetFormatError(path, line, "relevance_votes", "expected a list of booleans")
+    prov = _require(record, path, line, "provenance", dict)
+    try:
+        EducationalStage(record["stage"], _optional_str(record, path, line, "stage_level"))
+    except ValueError as exc:
+        raise DatasetFormatError(path, line, "stage", str(exc)) from exc
+    for field in (
+        "id", "subject", "course_id", "concept_id", "cognitive_index",
+        "cognitive_process", "cognitive_subprocess", "cognitive_load",
+        "system_message", "question", "answer", "filter_status",
+    ):
+        _require(record, path, line, field, int if field == "cognitive_index" else str)
+    for field in ("teacher_model", "created_at", "run_id"):
+        _require(prov, path, line, field, str)
+    raise AssertionError(f"{path}:{line}: record passed every check")
 
 
 def _dump_line(record: dict) -> str:
     return json.dumps(record, ensure_ascii=False)
 
 
-def _read_jsonl(path: str) -> Iterable[tuple[int, dict]]:
+def read_jsonl(path: str) -> Iterable[tuple[int, dict]]:
+    """Yield ``(line number, record)`` for each non-blank line of ``path``.
+
+    This is the one JSONL line reader of every input, so invalid JSON and
+    a line that is not an object raise ``DatasetFormatError`` naming the
+    line, whichever stage reads the file.
+    """
     with open(path, encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
-            raw = raw.strip("\n")
+            raw = raw.strip()
             if not raw:
                 continue
             try:
@@ -304,17 +278,12 @@ def save_dataset(d: Dataset, path: str) -> dict[str, str]:
 def load_dataset(path: str) -> Dataset:
     """Read a dataset file; malformed lines raise with line and field named.
 
-    A canonical record, as ``instance_line`` writes it, is decoded on a fast
-    path; any other goes through ``instance_from_record``.  Both give equal
-    items, and the items of one file share their stage and provenance values.
+    Every line is decoded by ``instance_from_record``, whatever its key
+    order or extra keys, and the items of one file share their stage and
+    provenance values.
     """
-    stages: dict = {}
-    provenances: dict = {}
-    items = [
-        _canonical_instance(rec, stages, provenances)
-        or instance_from_record(rec, path, line)
-        for line, rec in _read_jsonl(path)
-    ]
+    shared: dict = {}
+    items = [instance_from_record(rec, path, line, shared) for line, rec in read_jsonl(path)]
     side = manifest_path(path)
     if os.path.exists(side):
         with open(side, encoding="utf-8") as handle:
@@ -395,7 +364,7 @@ def save_courses(courses: Iterable[Course], path: str) -> dict[str, str]:
 
 
 def load_courses(path: str) -> list[Course]:
-    return [course_from_record(rec, path, line) for line, rec in _read_jsonl(path)]
+    return [course_from_record(rec, path, line) for line, rec in read_jsonl(path)]
 
 
 def save_concepts(concepts: Iterable[Concept], path: str) -> dict[str, str]:
@@ -403,4 +372,4 @@ def save_concepts(concepts: Iterable[Concept], path: str) -> dict[str, str]:
 
 
 def load_concepts(path: str) -> list[Concept]:
-    return [concept_from_record(rec, path, line) for line, rec in _read_jsonl(path)]
+    return [concept_from_record(rec, path, line) for line, rec in read_jsonl(path)]

@@ -9,7 +9,6 @@ teacher judges each, and the instance survives when enough judges say yes.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
@@ -21,6 +20,7 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:
     import numpy as np
 
+from .dataset_io import DatasetFormatError, read_jsonl
 from .model import (
     FILTER_KEPT,
     FILTER_UNFILTERED,
@@ -105,16 +105,9 @@ def load_corpus(path: str) -> list[CorpusDocument]:
             title = os.path.splitext(name)[0]
             documents.append(CorpusDocument(doc_id=name, title=title, text=text))
     elif os.path.isfile(path):
-        with open(path, encoding="utf-8") as handle:
-            for line_no, raw in enumerate(handle, start=1):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    record = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise FilterError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-                if not isinstance(record, dict) or "title" not in record or "text" not in record:
+        try:
+            for line_no, record in read_jsonl(path):
+                if "title" not in record or "text" not in record:
                     raise FilterError(
                         f"{path}:{line_no}: corpus records need title and text fields"
                     )
@@ -125,6 +118,8 @@ def load_corpus(path: str) -> list[CorpusDocument]:
                         text=str(record["text"]),
                     )
                 )
+        except DatasetFormatError as exc:
+            raise FilterError(str(exc)) from exc
     else:
         raise FilterError(f"corpus path does not exist: {path}")
     if not documents:
@@ -137,7 +132,7 @@ def tokenize(text: str) -> list[str]:
 
 
 class Bm25Retriever:
-    """Okapi BM25 (k1=1.2, b=0.75) over non-overlapping 256-word windows.
+    """Okapi BM25 (``BM25_K1``, ``BM25_B``) over non-overlapping 256-word windows.
 
     Windows are cut by whitespace word count per document, with a shorter
     final window.  Scores use the non-negative idf variant
@@ -154,15 +149,11 @@ class Bm25Retriever:
         self,
         documents: list[CorpusDocument],
         window_words: int = WINDOW_WORDS,
-        k1: float = BM25_K1,
-        b: float = BM25_B,
     ):
         import numpy as np
 
         if window_words < 1:
             raise FilterError(f"window_words must be positive, got {window_words}")
-        self.k1 = k1
-        self.b = b
         self.window_words = window_words
         self.windows: list[Passage] = []
         window_lengths: list[int] = []
@@ -193,14 +184,15 @@ class Bm25Retriever:
             raise FilterError("corpus produced no retrieval windows")
         self._count = len(self.windows)
         avgdl = sum(window_lengths) / self._count
-        norms = k1 * (1.0 - b + b * np.array(window_lengths, dtype=np.float64) / avgdl)
+        lengths = np.array(window_lengths, dtype=np.float64)
+        norms = BM25_K1 * (1.0 - BM25_B + BM25_B * lengths / avgdl)
         self._postings: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for term, (ids, tfs) in grouped.items():
             n = len(ids)
             idf = math.log(1.0 + (self._count - n + 0.5) / (n + 0.5))
             window_ids = np.array(ids, dtype=np.intp)
             tf = np.array(tfs, dtype=np.float64)
-            contrib = idf * tf * (k1 + 1.0) / (tf + norms[window_ids])
+            contrib = idf * tf * (BM25_K1 + 1.0) / (tf + norms[window_ids])
             self._postings[term] = (window_ids, contrib)
 
     def retrieve(self, question: str, k: int = DEFAULT_PASSAGES_PER_QUESTION) -> list[Passage]:

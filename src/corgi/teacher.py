@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -219,6 +220,8 @@ class HttpTeacherBackend(_HttpBackend):
             raise TeacherTruncationError(
                 f"reply truncated at max_tokens={req.max_tokens}"
             )
+        if not isinstance(content, str):
+            raise TeacherError(f"malformed completion response: {body!r}")
         return content
 
 
@@ -483,6 +486,12 @@ class HttpEmbeddingBackend(_HttpBackend):
             values = body["data"][0]["embedding"]
         except (KeyError, IndexError, TypeError) as exc:
             raise TeacherError(f"malformed embedding response: {body!r}") from exc
+        # A null would become NaN, and a NaN vector is never a duplicate.
+        if not (
+            isinstance(values, list) and values
+            and all(type(v) is float and math.isfinite(v) or type(v) is int for v in values)
+        ):
+            raise TeacherError(f"malformed embedding response: {body!r}")
         vector = _unit(np.asarray(values, dtype=np.float64))
         if self.dimension is not None and vector.shape[0] != self.dimension:
             raise TeacherError(

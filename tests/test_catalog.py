@@ -198,6 +198,22 @@ class TestParseCatalog:
         with pytest.raises(CatalogError):
             parse_catalog(str(jsonl_path), format="parquet")
 
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [("{broken", "invalid JSON: "), ('["a list"]', "expected a JSON object")],
+    )
+    def test_bad_jsonl_line_names_path_and_line(self, tmp_path, bad_line, message):
+        path = tmp_path / "cat.jsonl"
+        good = json.dumps({
+            "subject": "Higher Education - Ethics",
+            "course_title": "Intro",
+            "course_description": "Moral reasoning.",
+        })
+        path.write_text(good + "\n  \n" + bad_line + "\n", encoding="utf-8")
+        with pytest.raises(CatalogError) as err:
+            parse_catalog(str(path))
+        assert str(err.value).startswith(f"{path}:3: {message}")
+
     def test_empty_description_rejected(self, tmp_path):
         path = tmp_path / "blank.csv"
         _write_csv(

@@ -281,6 +281,53 @@ class TestLoadConfig:
         with pytest.raises(CliError):
             load_config(write_config(tmp_path, batch_size=0))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", "5"),
+            ("seed", 5.0),
+            ("batch_size", True),
+            ("dedup_threshold", "0.7"),
+            ("max_failure_fraction", False),
+            ("run_id", 5),
+            ("corpus", 5),
+            ("workdir", ["work"]),
+        ],
+    )
+    def test_wrong_json_type_is_rejected(self, tmp_path, key, value):
+        with pytest.raises(CliError) as err:
+            load_config(write_config(tmp_path, **{key: value}))
+        assert f": {key} must be " in str(err.value)
+
+    def test_an_int_is_a_number(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, dedup_threshold=1, max_failure_fraction=0))
+        assert (cfg.dedup_threshold, cfg.max_failure_fraction) == (1, 0)
+        assert load_config(write_config(tmp_path, corpus=None)).corpus is None
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("dedup_threshold", 0),
+            ("dedup_threshold", -0.5),
+            ("dedup_threshold", 1.01),
+            ("dedup_scope", "per_course"),
+            ("max_failure_fraction", -1),
+            ("max_failure_fraction", 1.5),
+        ],
+    )
+    def test_out_of_range_value_is_rejected(self, tmp_path, key, value):
+        with pytest.raises(CliError) as err:
+            load_config(write_config(tmp_path, **{key: value}))
+        assert key in str(err.value)
+
+    def test_an_override_is_checked_too(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        rc = main(["run", "--config", path, "--threshold", "1.5"])
+        error = json.loads(capsys.readouterr().err.strip())
+        assert (rc, error["error"]) == (1, "CliError")
+        assert "dedup_threshold" in error["message"]
+        assert not os.path.exists(load_config(path).workdir)
+
     @pytest.mark.parametrize("required_yes", [0, 4])
     def test_unsatisfiable_vote_threshold_is_rejected(self, tmp_path, capsys, required_yes):
         path = write_config(tmp_path)

@@ -10,7 +10,6 @@ import pytest
 from conftest import make_instance
 from corgi.dataset_io import (
     DatasetFormatError,
-    _canonical_instance,
     _dump_line,
     concept_to_record,
     instance_from_record,
@@ -74,7 +73,8 @@ def test_manifest_sidecar(tmp_path):
     save_dataset(d, str(path))
     side = manifest_path(str(path))
     assert side == str(path) + ".manifest"
-    manifest = json.loads(open(side).read())
+    with open(side, encoding="utf-8") as handle:
+        manifest = json.load(handle)
     assert manifest["run_id"] == "side"
     assert manifest["counts"] == {"total": 1, "secondary": 0, "higher": 1}
 
@@ -275,11 +275,12 @@ def test_conversation_line_matches_the_generic_encoder():
 
 
 def test_load_dataset_matches_the_generic_decoder(tmp_path):
-    """Canonical lines take the fast path and decode as ``instance_from_record``
-    does; lines in another key order or with a retired key take the slow one."""
+    """``load_dataset`` decodes every line with ``instance_from_record``,
+    whatever its key order or retired keys, and shares equal stage and
+    provenance values between the items of one file."""
     items = _awkward_items()
     for item in items:
-        assert _canonical_instance(instance_to_record(item), {}, {}) == item
+        assert instance_from_record(instance_to_record(item)) == item
     lines = []
     for k, item in enumerate(items):
         record = instance_to_record(item)
@@ -292,7 +293,108 @@ def test_load_dataset_matches_the_generic_decoder(tmp_path):
     write_lines(path, lines)
     records = [json.loads(line) for line in lines]
     generic = tuple(instance_from_record(rec, path, n) for n, rec in enumerate(records, 1))
-    assert load_dataset(path).items == generic == tuple(items)
+    loaded = load_dataset(path).items
+    assert loaded == generic == tuple(items)
+    assert len({id(item.stage) for item in loaded}) == len({item.stage for item in loaded})
+    assert len({id(item.provenance) for item in loaded}) == len(
+        {item.provenance for item in loaded}
+    )
+
+
+# Each field of an instance record with a value of the wrong type, and the
+# field the error names.  A bad ``stage_level`` is reported under ``stage``,
+# since the stage is built from both.  A list or an object in the provenance
+# must name its field, not fail as an unhashable key of the shared values.
+WRONG_TYPES = [
+    ("id", 7, "id"),
+    ("stage", 7, "stage"),
+    ("stage_level", 7, "stage"),
+    ("subject", None, "subject"),
+    ("course_id", [], "course_id"),
+    ("concept_id", {}, "concept_id"),
+    ("cognitive_index", True, "cognitive_index"),
+    ("cognitive_index", 1.0, "cognitive_index"),
+    ("cognitive_process", 1, "cognitive_process"),
+    ("cognitive_subprocess", 1, "cognitive_subprocess"),
+    ("cognitive_load", 1, "cognitive_load"),
+    ("system_message", None, "system_message"),
+    ("question", 1, "question"),
+    ("answer", False, "answer"),
+    ("filter_status", None, "filter_status"),
+    ("relevance_votes", [True, 1], "relevance_votes"),
+    ("relevance_votes", "yes", "relevance_votes"),
+    ("provenance", "m", "provenance"),
+    ("provenance.teacher_model", None, "teacher_model"),
+    ("provenance.teacher_model", {"m": 1}, "teacher_model"),
+    ("provenance.created_at", 1, "created_at"),
+    ("provenance.run_id", ["r"], "run_id"),
+]
+OPTIONAL_FIELDS = ("stage_level", "relevance_votes")
+
+
+def _write_with_fault(tmp_path, key, value=None, delete=False):
+    """A three-line dataset file whose second line has ``key`` broken."""
+    from dataclasses import replace
+
+    good = instance_to_record(make_instance("Alpha", "c1", 1))
+    bad = instance_to_record(replace(
+        make_instance("Alpha", "c1", 2),
+        stage=EducationalStage("higher", "graduate"),
+        filter_status="kept",
+        relevance_votes=(True, False),
+    ))
+    section, _, name = key.rpartition(".")
+    target = bad[section] if section else bad
+    if delete:
+        del target[name]
+    else:
+        target[name] = value
+    path = tmp_path / "fault.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in (good, bad, good)) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("key", sorted({key for key, _, _ in WRONG_TYPES}))
+def test_missing_field_names_line_and_field(tmp_path, key):
+    path = _write_with_fault(tmp_path, key, delete=True)
+    if key in OPTIONAL_FIELDS:
+        item = load_dataset(path).items[1]
+        assert (item.stage.level, item.relevance_votes) == (
+            (None, (True, False)) if key == "stage_level" else ("graduate", None)
+        )
+        return
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(path)
+    assert (err.value.field, err.value.line) == (key.split(".")[-1], 2)
+    assert "missing required field" in str(err.value)
+
+
+@pytest.mark.parametrize("key, value, field", WRONG_TYPES)
+def test_wrong_type_names_line_and_field(tmp_path, key, value, field):
+    path = _write_with_fault(tmp_path, key, value)
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(path)
+    assert (err.value.field, err.value.line) == (field, 2)
+    assert f"{path}:2: field {field!r}: " in str(err.value)
+
+
+def test_first_bad_field_is_named(tmp_path):
+    """With several faults, the error names the first in decoding order."""
+    record = instance_to_record(make_instance("Alpha", "c1", 1))
+    record["question"] = 1
+    record["id"] = 2
+    path = tmp_path / "two.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(str(path))
+    assert err.value.field == "id"
+
+
+def test_whitespace_only_lines_are_skipped(tmp_path):
+    first = json.dumps(instance_to_record(make_instance("Alpha", "c1", 1)))
+    path = tmp_path / "gaps.jsonl"
+    path.write_text("  \n" + first + "\n\t\n")
+    assert len(load_dataset(str(path)).items) == 1
 
 
 def test_dataset_digest_is_the_digest_of_the_saved_file(tmp_path):

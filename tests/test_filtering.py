@@ -376,6 +376,13 @@ class TestLoadCorpus:
             load_corpus(str(path))
         assert ":2:" in str(err.value)
 
+    def test_non_object_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"title": "A", "text": "x"}\n  \n"just text"\n', encoding="utf-8")
+        with pytest.raises(FilterError) as err:
+            load_corpus(str(path))
+        assert str(err.value) == f"{path}:3: expected a JSON object"
+
     def test_missing_fields(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"title": "A"}\n', encoding="utf-8")

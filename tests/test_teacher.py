@@ -252,6 +252,18 @@ class TestHttpTeacherBackend:
             backend.complete(CompletionRequest(prompt="hi"))
         assert "malformed" in str(err.value)
 
+    @pytest.mark.parametrize("content", [None, 7, ["a"], {"text": "yes"}])
+    def test_content_that_is_not_text_raises(self, content):
+        """A reply whose content is not a string is a TeacherError, which the
+        retrieval filter counts as a failure instead of dying on it."""
+        fake = FakeTransport([(200, completion_body(content))])
+        backend = HttpTeacherBackend(
+            base_url=BASE_URL, api_key="k", post=fake.post, sleep=lambda _: None
+        )
+        with pytest.raises(TeacherError) as err:
+            TeacherClient(backend).judge_relevance("Why?", "Title", "Passage.")
+        assert "malformed completion response" in str(err.value)
+
     def test_payload_with_system_message(self):
         fake = FakeTransport([(200, completion_body(OK_REPLY))])
         backend = HttpTeacherBackend(
@@ -758,6 +770,22 @@ class TestHttpEmbeddingBackend:
         with pytest.raises(TeacherError) as err:
             backend.embed(EmbeddingRequest(text="tides"))
         assert "malformed" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "values",
+        [None, [], 7, "0.6", [0.6, None], [True, False], [[0.6, 0.8]], [0.6, float("nan")],
+         [float("inf"), 1.0]],
+    )
+    def test_embedding_that_is_not_finite_numbers_raises(self, values):
+        """A null or NaN would give a NaN vector that dedups against nothing."""
+        fake = FakeTransport([(200, self.embedding_body(values))])
+        backend = HttpEmbeddingBackend(
+            base_url="https://embed.test", api_key="k", post=fake.post,
+            sleep=lambda _: None,
+        )
+        with pytest.raises(TeacherError) as err:
+            backend.embed(EmbeddingRequest(text="tides"))
+        assert "malformed embedding response" in str(err.value)
 
     def test_missing_endpoint_is_an_error(self, monkeypatch):
         monkeypatch.delenv("EMBED_API_BASE", raising=False)
