@@ -197,17 +197,29 @@ def _parse_csv(path: str) -> list[Course]:
 
 
 def _parse_jsonl(path: str) -> list[Course]:
+    """Each field is a string or null; a null or missing field reads as empty."""
     try:
-        return [
-            _course_from_fields(
-                subject=str(record.get("subject", "")).strip(),
-                title=str(record.get("course_title", "")).strip(),
-                description=str(record.get("course_description", "")).strip(),
-                source=str(record.get("source", "")).strip(),
-                stage_hint=record.get("stage_hint"),
-                where=f"{path}:{line_no}",
+        courses = []
+        for line_no, record in read_jsonl(path):
+            fields = {}
+            for name in CSV_COLUMNS:
+                value = record.get(name)
+                if value is not None and type(value) is not str:
+                    raise DatasetFormatError(
+                        path, line_no, name,
+                        f"expected string or null, got {type(value).__name__}",
+                    )
+                fields[name] = (value or "").strip()
+            courses.append(
+                _course_from_fields(
+                    subject=fields["subject"],
+                    title=fields["course_title"],
+                    description=fields["course_description"],
+                    source=fields["source"],
+                    stage_hint=fields["stage_hint"],
+                    where=f"{path}:{line_no}",
+                )
             )
-            for line_no, record in read_jsonl(path)
-        ]
+        return courses
     except DatasetFormatError as exc:
         raise CatalogError(str(exc)) from exc

@@ -205,8 +205,11 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         )
 
     base_dir = os.path.dirname(os.path.abspath(path))
-    if cfg.teacher.get("script"):
-        cfg.teacher["script"] = _resolve(base_dir, cfg.teacher["script"])
+    script = cfg.teacher.get("script")
+    if script is not None and type(script) is not str:
+        raise CliError(f"{path}: teacher.script must be a string, got {script!r}")
+    if script:
+        cfg.teacher["script"] = _resolve(base_dir, script)
     return replace(
         cfg,
         workdir=_resolve(base_dir, cfg.workdir),

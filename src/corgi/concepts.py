@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
 from .catalog import SlugError, slugify
 from .model import Concept, Course
 from .prompts import build_concept_prompt, build_refinement_prompt
-from .teacher import EmbeddingRequest, TeacherClient
+from .teacher import TeacherClient
 
 if TYPE_CHECKING:
     import numpy as np
@@ -144,14 +145,17 @@ _SCREEN_MARGIN = 1e-9
 class _KeptRows:
     """Kept concepts of one dedup scope group, their vectors also matrix rows.
 
-    The matrix starts small and doubles when full, so a group costs rows in
-    proportion to the concepts it keeps.
+    The matrix has a row for each distinct text of the group, so it never
+    grows.  Rows are written only as concepts are kept, and the pages of
+    rows never written need not become resident.
     """
 
-    def __init__(self):
+    def __init__(self, capacity: int, dimension: int):
+        import numpy as np
+
         self.ids: list[str] = []
         self.vectors: list[np.ndarray] = []
-        self.matrix: np.ndarray | None = None
+        self.matrix = np.empty((capacity, dimension), dtype=np.float64)
 
     def first_match(
         self, vector: np.ndarray, threshold: float
@@ -173,14 +177,7 @@ class _KeptRows:
         return None
 
     def add(self, concept_id: str, vector: np.ndarray) -> None:
-        import numpy as np
-
-        n = len(self.ids)
-        if self.matrix is None:
-            self.matrix = np.empty((16, vector.shape[0]), dtype=np.float64)
-        elif n == self.matrix.shape[0]:
-            self.matrix = np.concatenate([self.matrix, np.empty_like(self.matrix)])
-        self.matrix[n] = vector
+        self.matrix[len(self.ids)] = vector
         self.ids.append(concept_id)
         self.vectors.append(vector)
 
@@ -197,8 +194,9 @@ def dedup_concepts(
     concept reaches the threshold; comparisons never consider dropped
     concepts, so chains collapse onto their first element.  ``scope`` may
     be "global" (default) or "per_subject".  Kept concepts are returned as
-    given; each distinct text is embedded once.  The embedder returns unit
-    vectors, as both backends in ``teacher`` do.
+    given.  The distinct texts, in order of first appearance, are embedded
+    in one ``embedder.embed_many`` call, which returns their unit vectors
+    as rows, as both backends in ``teacher`` do.
 
     The similarity is ``float(np.dot(v, k))`` of the concept's vector ``v``
     and a kept vector ``k``, and a concept names the first kept concept, in
@@ -220,6 +218,15 @@ def dedup_concepts(
     A screen entry is therefore within 6e-14 of the ``np.dot`` of the same
     pair, and a pair whose ``np.dot`` reaches the threshold is a candidate,
     as is an equal pair, whose exact dot is 1 within rounding.
+
+    A text repeated within a scope group is not screened again: it gets the
+    match of its first concept in the group.  Kept rows are only ever
+    appended, so if that concept was dropped against row ``r``, the repeat
+    reaches ``r`` first too, with the same similarity.  If it was kept at
+    row ``r``, no earlier row matches the repeat and row ``r`` is its own
+    vector: the similarity is ``np.dot(v, v)``, or 1.0 where that falls
+    below the threshold, as ``first_match`` would give.
+
     The result, similarities included, is the per-anchor loop's;
     ``tests/test_concepts.py`` keeps that loop as an oracle and compares the
     two on random sets, and pins pairs at the threshold and 1 ulp either
@@ -230,25 +237,35 @@ def dedup_concepts(
     if scope not in DEDUP_SCOPES:
         raise ValueError(f"unknown dedup scope: {scope!r}")
 
-    texts = [concept.embedding_text() for concept in concepts]
-    vectors: dict[str, np.ndarray] = {}
-    for text in texts:
-        if text not in vectors:
-            vectors[text] = embedder.embed(EmbeddingRequest(text=text))
+    import numpy as np
 
-    kept_by_group: dict[str, _KeptRows] = {}
+    texts = [concept.embedding_text() for concept in concepts]
+    rows = {text: row for row, text in enumerate(dict.fromkeys(texts))}
+    vectors = embedder.embed_many(list(rows))
+
+    groups = [c.subject if scope == "per_subject" else "" for c in concepts]
+    capacity = Counter(group for group, _ in dict.fromkeys(zip(groups, texts)))
+    kept_by_group = {
+        group: _KeptRows(n, vectors.shape[1]) for group, n in capacity.items()
+    }
+    # (group, text) -> the match of that text's first concept in the group.
+    matches: dict[tuple[str, str], tuple[str, float]] = {}
     kept: list[Concept] = []
     dropped: list[DroppedConcept] = []
-    for concept, text in zip(concepts, texts):
-        vector = vectors[text]
-        group = concept.subject if scope == "per_subject" else ""
-        anchors = kept_by_group.setdefault(group, _KeptRows())
-        match = anchors.first_match(vector, threshold)
+    for concept, group, text in zip(concepts, groups, texts):
+        match = matches.get((group, text))
         if match is None:
-            anchors.add(concept.id, vector)
-            kept.append(concept)
-        else:
-            dropped.append(DroppedConcept(concept.id, *match))
+            vector = vectors[rows[text]]
+            anchors = kept_by_group[group]
+            match = anchors.first_match(vector, threshold)
+            if match is None:
+                anchors.add(concept.id, vector)
+                kept.append(concept)
+                sim = float(np.dot(vector, vector))
+                matches[group, text] = (concept.id, sim if sim >= threshold else 1.0)
+                continue
+            matches[group, text] = match
+        dropped.append(DroppedConcept(concept.id, *match))
 
     report = DedupReport(
         threshold=threshold, kept=tuple(c.id for c in kept), dropped=tuple(dropped)

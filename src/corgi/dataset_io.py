@@ -200,8 +200,9 @@ def _instance_fault(record: dict, path: str, line: int) -> NoReturn:
     ):
         raise DatasetFormatError(path, line, "relevance_votes", "expected a list of booleans")
     prov = _require(record, path, line, "provenance", dict)
+    level = _optional_str(record, path, line, "stage_level")
     try:
-        EducationalStage(record["stage"], _optional_str(record, path, line, "stage_level"))
+        EducationalStage(record["stage"], level)
     except ValueError as exc:
         raise DatasetFormatError(path, line, "stage", str(exc)) from exc
     for field in (

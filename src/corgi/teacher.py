@@ -426,35 +426,90 @@ def _hash64(text: str) -> int:
     return int.from_bytes(digest, "big")
 
 
+# Texts embedded per vectorised pass of ``ReferenceEmbeddingBackend.embed_many``;
+# it bounds the temporary gram arrays, not the result.
+_EMBED_CHUNK = 64
+# A code point takes 21 bits, so three of them pack into one uint64 code.
+_CODE_BITS = 21
+
+
 class ReferenceEmbeddingBackend:
     """Character-trigram feature hashing into a fixed 256-dim unit vector.
 
     Deterministic across processes and platforms: buckets and signs come
     from BLAKE2, never from Python's per-process string hashing.  A
     trigram's hash gives its bucket (the hash modulo the dimension) and its
-    sign (the top bit).  The pre-norm vector holds small integer counts, so
-    summing the signs in any order gives the same bits.
+    sign (the top bit); a text shorter than three characters is its own
+    gram.  The pre-norm vector holds small integer counts, so summing the
+    signs, or their squares for the norm, in any order gives the same bits.
+    Where every sign cancels, the vector is one-hot at the whole text's
+    bucket.
     """
 
     dimension = EMBEDDING_DIMENSION
     model_name = "trigram-reference"
 
     def embed(self, req: EmbeddingRequest) -> np.ndarray:
+        return self.embed_many([req.text])[0]
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """The unit vectors of ``texts`` as the rows of an (n, 256) array."""
         import numpy as np
 
-        text = req.text
-        if not text:
+        out = np.empty((len(texts), self.dimension), dtype=np.float64)
+        for start in range(0, len(texts), _EMBED_CHUNK):
+            chunk = texts[start : start + _EMBED_CHUNK]
+            self._embed_chunk(chunk, out[start : start + len(chunk)])
+        return out
+
+    def _embed_chunk(self, texts: Sequence[str], out: np.ndarray) -> None:
+        """Write the unit vectors of ``texts`` into the rows of ``out``.
+
+        Each trigram is packed as ``c0 << 42 | c1 << 21 | c2`` of its code
+        points, and the string of each distinct code is hashed once; one
+        ``bincount`` over ``row * dimension + bucket`` sums the signs of
+        every row.
+        """
+        import numpy as np
+
+        dim = self.dimension
+        lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+        if not lengths.all():
             raise TeacherError("cannot embed empty text")
-        grams = (
-            [text[i : i + 3] for i in range(len(text) - 2)] if len(text) >= 3 else [text]
+        joined = "".join(texts)
+        points = np.frombuffer(joined.encode("utf-32-le"), dtype="<u4").astype(np.uint64)
+        # Position i starts a trigram iff it lies at least 3 from its text's end.
+        ends = np.cumsum(lengths)
+        owner = np.repeat(np.arange(len(texts)), lengths)
+        starts = np.flatnonzero(np.arange(points.shape[0]) + 3 <= ends[owner])
+        codes = (
+            points[starts] << np.uint64(2 * _CODE_BITS)
+            | points[starts + 1] << np.uint64(_CODE_BITS)
+            | points[starts + 2]
         )
+        rows = owner[starts]
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        # Where some occurrence of each distinct trigram starts.
+        at = np.empty(distinct.shape[0], dtype=np.intp)
+        at[inverse] = starts
+        grams = [joined[i : i + 3] for i in at.tolist()]
         hashes = np.fromiter(map(_hash64, grams), dtype=np.uint64, count=len(grams))
-        buckets = (hashes % np.uint64(self.dimension)).astype(np.intp)
+        hashes = hashes[inverse]
+        short = np.flatnonzero(lengths < 3)
+        if short.size:
+            short_hashes = [_hash64(texts[i]) for i in short]
+            hashes = np.concatenate([hashes, np.array(short_hashes, dtype=np.uint64)])
+            rows = np.concatenate([rows, short])
+        buckets = (hashes % np.uint64(dim)).astype(np.intp)
         signs = 1.0 - 2.0 * (hashes >> np.uint64(63))
-        vector = np.bincount(buckets, weights=signs, minlength=self.dimension)
-        if not vector.any():
-            vector[_hash64(text) % self.dimension] = 1.0
-        return _unit(vector)
+        counts = np.bincount(
+            rows * dim + buckets, weights=signs, minlength=len(texts) * dim
+        ).reshape(len(texts), dim)
+        for row in np.flatnonzero(~counts.any(axis=1)):
+            counts[row, _hash64(texts[row]) % dim] = 1.0
+        norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
+        np.divide(counts, norms[:, None], out=out)
 
 
 class HttpEmbeddingBackend(_HttpBackend):
@@ -498,3 +553,16 @@ class HttpEmbeddingBackend(_HttpBackend):
                 f"embedding dimension {vector.shape[0]} != expected {self.dimension}"
             )
         return vector
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """The vectors of ``texts`` as rows, one POST per text, in order."""
+        import numpy as np
+
+        vectors = [self.embed(EmbeddingRequest(text=text)) for text in texts]
+        if not vectors:
+            return np.empty((0, self.dimension or 0))
+        width = vectors[0].shape[0]
+        for vector in vectors:
+            if vector.shape[0] != width:
+                raise TeacherError(f"embedding dimension {vector.shape[0]} != {width}")
+        return np.stack(vectors)

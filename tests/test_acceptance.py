@@ -420,8 +420,8 @@ class PlantedEmbedder:
         self.vectors = vectors
         self.dimension = PLANTED_DIM
 
-    def embed(self, request):
-        return self.vectors[request.text.split(":", 1)[0]]
+    def embed_many(self, texts):
+        return np.stack([self.vectors[text.split(":", 1)[0]] for text in texts])
 
 
 def test_criterion_07_dedup_postcondition():

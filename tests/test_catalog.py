@@ -7,6 +7,7 @@ import string
 import pytest
 
 from corgi.catalog import (
+    CSV_COLUMNS,
     REFERENCE_SUBJECTS,
     CatalogError,
     SlugError,
@@ -213,6 +214,51 @@ class TestParseCatalog:
         with pytest.raises(CatalogError) as err:
             parse_catalog(str(path))
         assert str(err.value).startswith(f"{path}:3: {message}")
+
+    @pytest.mark.parametrize("field", ["subject", "course_title", "course_description"])
+    def test_null_jsonl_field_reads_as_empty(self, tmp_path, field):
+        """As in a CSV catalog, not as the text "None"."""
+        record = {
+            "subject": "Higher Education - Ethics",
+            "course_title": "Intro",
+            "course_description": "Moral reasoning.",
+            field: None,
+        }
+        path = tmp_path / "cat.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(CatalogError) as err:
+            parse_catalog(str(path))
+        assert str(err.value) == f"{path}:1: empty {field}"
+
+    def test_null_optional_jsonl_fields_read_as_empty(self, tmp_path):
+        record = {
+            "subject": "Higher Education - Ethics",
+            "course_title": "Intro",
+            "course_description": "Moral reasoning.",
+            "source": None,
+            "stage_hint": None,
+        }
+        path = tmp_path / "cat.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        (course,) = parse_catalog(str(path))
+        assert (course.id, course.source) == ("higher-education-ethics/intro", "")
+
+    @pytest.mark.parametrize("field", CSV_COLUMNS)
+    @pytest.mark.parametrize("value", [42, 1.5, True, ["Intro"], {"en": "Intro"}])
+    def test_non_string_jsonl_field_is_rejected(self, tmp_path, field, value):
+        record = {
+            "subject": "Higher Education - Ethics",
+            "course_title": "Intro",
+            "course_description": "Moral reasoning.",
+            field: value,
+        }
+        path = tmp_path / "cat.jsonl"
+        path.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(CatalogError) as err:
+            parse_catalog(str(path))
+        assert str(err.value) == (
+            f"{path}:2: field {field!r}: expected string or null, got {type(value).__name__}"
+        )
 
     def test_empty_description_rejected(self, tmp_path):
         path = tmp_path / "blank.csv"

@@ -187,6 +187,13 @@ class TestLoadConfig:
         assert cfg.corpus == str(nested / "corpus")
         assert cfg.teacher["script"] == str(nested / "scripts.json")
 
+    @pytest.mark.parametrize("script", [5, ["s.json"], {"path": "s.json"}, False])
+    def test_a_script_that_is_not_a_path_is_rejected(self, tmp_path, script):
+        path = write_config(tmp_path, teacher={"backend": "scripted", "script": script})
+        with pytest.raises(CliError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}: teacher.script must be a string, got {script!r}"
+
     def test_unknown_key(self, tmp_path):
         path = write_config(tmp_path, tempo=9)
         with pytest.raises(CliError) as err:

@@ -56,6 +56,12 @@ def make_concept(name, subject="Physics", course="physics/mechanics"):
     )
 
 
+def stacked(embed, texts):
+    """``embed_many`` from a per-text ``embed``: the vectors as rows, in order."""
+    rows = [embed(EmbeddingRequest(text=text)) for text in texts]
+    return np.stack(rows) if rows else np.empty((0, 0))
+
+
 class PlantedEmbedder:
     """Embedder returning pre-seeded unit vectors keyed by concept name."""
 
@@ -69,6 +75,9 @@ class PlantedEmbedder:
         name = req.text.split(":", 1)[0]
         return self.by_name[name]
 
+    def embed_many(self, texts):
+        return stacked(self.embed, texts)
+
 
 class CountingEmbedder:
     """Wraps an embedder and records every text it is asked to embed."""
@@ -76,10 +85,12 @@ class CountingEmbedder:
     def __init__(self, inner):
         self.inner = inner
         self.texts = []
+        self.calls = 0
 
-    def embed(self, req):
-        self.texts.append(req.text)
-        return self.inner.embed(req)
+    def embed_many(self, texts):
+        self.calls += 1
+        self.texts.extend(texts)
+        return self.inner.embed_many(texts)
 
 
 def scripted_client(pairs):
@@ -341,9 +352,8 @@ class TestDedup:
             make_concept("Shared", subject="History", course="history/modern"),
         ]
         kept, report = dedup_concepts(concepts, embedder, scope="per_subject")
-        assert sorted(embedder.texts) == sorted(
-            {c.embedding_text() for c in concepts}
-        )
+        assert embedder.calls == 1
+        assert embedder.texts == list(dict.fromkeys(c.embedding_text() for c in concepts))
         assert [c.id for c in kept] == [
             "physics/mechanics/shared",
             "physics/mechanics/a",
@@ -418,6 +428,9 @@ class ExactEmbedder:
 
     def embed(self, req):
         return self.by_name[req.text.split(":", 1)[0]]
+
+    def embed_many(self, texts):
+        return stacked(self.embed, texts)
 
 
 def oracle_dedup(concepts, embedder, threshold, scope):
@@ -510,12 +523,12 @@ class TestMatchesOracle:
     """The screened sweep gives the per-anchor loop's report, bit for bit."""
 
     @staticmethod
-    def random_concepts(rng, dim):
+    def random_concepts(rng, dim, repeat_rate=0.15):
         """Clustered unit vectors over a few subjects, some texts repeated."""
         centers = rng.normal(size=(4, dim))
         names, by_name, concepts = [], {}, []
         for i in range(int(rng.integers(20, 120))):
-            if names and rng.random() < 0.15:
+            if names and rng.random() < repeat_rate:
                 name = names[int(rng.integers(len(names)))]
             else:
                 name = f"C{i}"
@@ -548,3 +561,127 @@ class TestMatchesOracle:
                 compared += 1
                 dropped += len(report.dropped)
         assert compared >= 4 * PROPERTY_ROUNDS and dropped > 0
+
+    @pytest.mark.parametrize("scope", SCOPES)
+    def test_random_sets_of_mostly_repeated_texts(self, scope):
+        """Thresholds at a kept vector's dot with itself, and 1 ulp either
+        side, decide the similarity that its repeats record."""
+        rng = np.random.default_rng(0xD1CE)
+        repeats = 0
+        for _ in range(PROPERTY_ROUNDS):
+            dim = int(rng.choice((3, 16, 256)))
+            concepts, embedder = self.random_concepts(rng, dim, repeat_rate=0.5)
+            repeats += len(concepts) - len({c.name for c in concepts})
+            thresholds = {0.3, 0.67, 1.0}
+            for concept in concepts[:3]:
+                vector = embedder.by_name[concept.name]
+                own = float(np.dot(vector, vector))
+                thresholds |= {
+                    t for t in (own, float(np.nextafter(own, 0.0)), float(np.nextafter(own, 2.0)))
+                    if t <= 1.0
+                }
+            for threshold in sorted(thresholds):
+                kept, report = dedup_concepts(concepts, embedder, threshold, scope)
+                oracle_kept, oracle = oracle_dedup(concepts, embedder, threshold, scope)
+                assert report.to_dict() == oracle.to_dict()
+                assert [c.id for c in kept] == [c.id for c in oracle_kept]
+        assert repeats > 10 * PROPERTY_ROUNDS
+
+
+class TestRepeatedTexts:
+    """A repeated text takes its first concept's match in its scope group;
+    the report is the per-anchor loop's."""
+
+    @staticmethod
+    def dedup(concepts, embedder, threshold, scope):
+        kept, report = dedup_concepts(concepts, embedder, threshold, scope)
+        oracle_kept, oracle = oracle_dedup(concepts, embedder, threshold, scope)
+        assert report.to_dict() == oracle.to_dict()
+        assert kept == oracle_kept
+        return [(d.id, d.duplicate_of, d.similarity) for d in report.dropped]
+
+    @pytest.mark.parametrize("scope", SCOPES)
+    def test_kept_then_repeated(self, scope):
+        """The repeats of a kept text name it, with its dot with itself, or
+        1.0 where that is below the threshold."""
+        embedder = ReferenceEmbeddingBackend()
+        concepts = [
+            make_concept("Gravity", course="physics/a"),
+            make_concept("Tides", course="physics/a"),
+            make_concept("Gravity", course="physics/b"),
+            make_concept("Gravity", course="physics/c"),
+        ]
+        vector = embedder.embed(EmbeddingRequest(text=concepts[0].embedding_text()))
+        own = float(np.dot(vector, vector))
+        assert own < 1.0
+        for threshold, sim in (
+            (float(np.nextafter(own, 0.0)), own),
+            (own, own),
+            (float(np.nextafter(own, 2.0)), 1.0),
+            (1.0, 1.0),
+        ):
+            assert self.dedup(concepts, embedder, threshold, scope) == [
+                ("physics/b/gravity", "physics/a/gravity", sim),
+                ("physics/c/gravity", "physics/a/gravity", sim),
+            ]
+
+    @pytest.mark.parametrize("scope", SCOPES)
+    @pytest.mark.parametrize("threshold", [0.61, 0.67, 0.73, 1.0])
+    def test_dropped_then_repeated(self, threshold, scope):
+        """At the threshold and 1 ulp above it, every copy of "Other" is
+        dropped against "Anchor"; 1 ulp below it, the first copy is kept and
+        the rest name it."""
+        anchor = np.array([1.0, 0.0, 0.0])
+        concepts = [
+            make_concept("Anchor"),
+            make_concept("Other", course="physics/a"),
+            make_concept("Other", course="physics/b"),
+            make_concept("Other", course="physics/c"),
+        ]
+        for sim in (np.nextafter(threshold, 0.0), threshold, np.nextafter(threshold, 2.0)):
+            other = np.array([sim, math.sqrt(max(0.0, 1.0 - sim * sim)), 0.0])
+            embedder = ExactEmbedder({"Anchor": anchor, "Other": other})
+            own = float(np.dot(other, other))
+            if sim >= threshold:
+                expected = [(f"physics/{c}/other", "physics/mechanics/anchor", float(sim))
+                            for c in "abc"]
+            else:
+                expected = [(f"physics/{c}/other", "physics/a/other",
+                             own if own >= threshold else 1.0) for c in "bc"]
+            assert self.dedup(concepts, embedder, threshold, scope) == expected
+
+    def test_repeated_across_subjects(self):
+        """Under ``per_subject`` a text's first concept in each subject is
+        screened against that subject only; under ``global`` the later
+        subject's copies name the first subject's."""
+        embedder = ExactEmbedder({
+            "Anchor": np.array([1.0, 0.0, 0.0]),
+            "Other": np.array([0.8, 0.6, 0.0]),
+        })
+        concepts = [
+            make_concept("Anchor", subject="Physics", course="physics/a"),
+            make_concept("Other", subject="Physics", course="physics/b"),
+            make_concept("Other", subject="History", course="history/a"),
+            make_concept("Other", subject="History", course="history/b"),
+            make_concept("Anchor", subject="History", course="history/c"),
+            make_concept("Other", subject="Physics", course="physics/c"),
+            make_concept("Anchor", subject="Physics", course="physics/d"),
+        ]
+        own = float(np.dot(embedder.by_name["Other"], embedder.by_name["Other"]))
+        sim = float(np.dot(embedder.by_name["Other"], embedder.by_name["Anchor"]))
+        one = float(np.dot(embedder.by_name["Anchor"], embedder.by_name["Anchor"]))
+        assert self.dedup(concepts, embedder, 0.7, "per_subject") == [
+            ("physics/b/other", "physics/a/anchor", sim),
+            ("history/b/other", "history/a/other", own),
+            ("history/c/anchor", "history/a/other", sim),
+            ("physics/c/other", "physics/a/anchor", sim),
+            ("physics/d/anchor", "physics/a/anchor", one),
+        ]
+        assert self.dedup(concepts, embedder, 0.7, "global") == [
+            ("physics/b/other", "physics/a/anchor", sim),
+            ("history/a/other", "physics/a/anchor", sim),
+            ("history/b/other", "physics/a/anchor", sim),
+            ("history/c/anchor", "physics/a/anchor", one),
+            ("physics/c/other", "physics/a/anchor", sim),
+            ("physics/d/anchor", "physics/a/anchor", one),
+        ]

@@ -302,13 +302,12 @@ def test_load_dataset_matches_the_generic_decoder(tmp_path):
 
 
 # Each field of an instance record with a value of the wrong type, and the
-# field the error names.  A bad ``stage_level`` is reported under ``stage``,
-# since the stage is built from both.  A list or an object in the provenance
+# field the error names.  A list or an object in the provenance
 # must name its field, not fail as an unhashable key of the shared values.
 WRONG_TYPES = [
     ("id", 7, "id"),
     ("stage", 7, "stage"),
-    ("stage_level", 7, "stage"),
+    ("stage_level", 7, "stage_level"),
     ("subject", None, "subject"),
     ("course_id", [], "course_id"),
     ("concept_id", {}, "concept_id"),
@@ -376,6 +375,14 @@ def test_wrong_type_names_line_and_field(tmp_path, key, value, field):
         load_dataset(path)
     assert (err.value.field, err.value.line) == (field, 2)
     assert f"{path}:2: field {field!r}: " in str(err.value)
+
+
+def test_bad_stage_level_is_named_once(tmp_path):
+    """The type check of ``stage_level`` is not reported as a bad stage."""
+    path = _write_with_fault(tmp_path, "stage_level", 5)
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}:2: field 'stage_level': expected string or null"
 
 
 def test_first_bad_field_is_named(tmp_path):

@@ -701,6 +701,48 @@ class TestReferenceEmbedder:
         vector = ReferenceEmbeddingBackend().embed(EmbeddingRequest(text="aavy"))
         assert np.count_nonzero(vector) == 1 and vector.max() == 1.0
 
+    @staticmethod
+    def per_trigram(text):
+        """The embedder's definition, one text and one trigram at a time."""
+
+        def hash64(gram):
+            return int.from_bytes(hashlib.blake2b(gram.encode(), digest_size=8).digest(), "big")
+
+        vector = np.zeros(EMBEDDING_DIMENSION)
+        for gram in [text[i : i + 3] for i in range(len(text) - 2)] or [text]:
+            vector[hash64(gram) % EMBEDDING_DIMENSION] += -1.0 if hash64(gram) >> 63 else 1.0
+        if not vector.any():
+            vector[hash64(text) % EMBEDDING_DIMENSION] = 1.0
+        return vector / float(np.linalg.norm(vector))
+
+    def test_embed_many_is_the_stacked_embed(self):
+        """Bit for bit, over several chunks of short texts whose grams mix
+        astral-plane, NUL and other non-ASCII code points."""
+        rng = random.Random(13)
+        alphabet = "ab \x00\x7fé—量\U0001F600\U0010FFFF"
+        texts = ["aavy", "a", "\U0001F600", "\x00\x00\x00"] + [
+            "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 9)))
+            for _ in range(300)
+        ]
+        backend = ReferenceEmbeddingBackend()
+        many = backend.embed_many(texts)
+        assert many.shape == (len(texts), EMBEDDING_DIMENSION) and many.dtype == np.float64
+        one_by_one = np.stack([backend.embed(EmbeddingRequest(text=t)) for t in texts])
+        assert many.tobytes() == one_by_one.tobytes()
+        oracle = np.stack([self.per_trigram(t) for t in texts])
+        assert many.tobytes() == oracle.tobytes()
+
+    def test_embed_many_of_nothing(self):
+        many = ReferenceEmbeddingBackend().embed_many([])
+        assert many.shape == (0, EMBEDDING_DIMENSION) and many.dtype == np.float64
+
+    @pytest.mark.parametrize("where", [0, 1, 70])
+    def test_embed_many_rejects_an_empty_text(self, where):
+        texts = ["tides"] * 100
+        texts[where] = ""
+        with pytest.raises(TeacherError):
+            ReferenceEmbeddingBackend().embed_many(texts)
+
 
 class TestHttpEmbeddingBackend:
     @staticmethod
@@ -731,6 +773,32 @@ class TestHttpEmbeddingBackend:
         assert [d.id for d in report.dropped] == ["s/b/tides"]
         # [3, 4] with itself: 25 unless normalized to [0.6, 0.8].
         assert math.isclose(report.dropped[0].similarity, 1.0, abs_tol=1e-12)
+
+    def test_embed_many_stacks_one_post_per_text(self):
+        fake = FakeTransport(
+            [(200, self.embedding_body([3.0, 4.0])), (200, self.embedding_body([0.0, 2.0]))]
+        )
+        backend = HttpEmbeddingBackend(
+            base_url="https://embed.test", api_key="k", post=fake.post,
+            sleep=lambda _: None,
+        )
+        assert backend.embed_many(["tides", "waves"]).tolist() == [[0.6, 0.8], [0.0, 1.0]]
+        assert [call["payload"]["input"] for call in fake.calls] == ["tides", "waves"]
+        assert backend.embed_many([]).shape == (0, 0)
+        backend.dimension = 2
+        assert backend.embed_many([]).shape == (0, 2)
+
+    def test_embed_many_rejects_mixed_dimensions(self):
+        fake = FakeTransport(
+            [(200, self.embedding_body([3.0, 4.0])), (200, self.embedding_body([1.0, 0.0, 0.0]))]
+        )
+        backend = HttpEmbeddingBackend(
+            base_url="https://embed.test", api_key="k", post=fake.post,
+            sleep=lambda _: None,
+        )
+        with pytest.raises(TeacherError) as err:
+            backend.embed_many(["tides", "waves"])
+        assert "dimension 3 != 2" in str(err.value)
 
     def test_dimension_mismatch(self):
         fake = FakeTransport([(200, self.embedding_body([1.0, 0.0]))])
