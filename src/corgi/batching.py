@@ -11,8 +11,6 @@ The final batch may be smaller than ``batch_size``; it is still analyzed.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,17 +18,6 @@ from .model import Dataset, InstructionInstance
 from .taxonomy import LOAD_EASY, LOAD_HARD, LOAD_MEDIUM
 
 LOAD_TIERS = (LOAD_EASY, LOAD_MEDIUM, LOAD_HARD)
-
-CSV_HEADER = (
-    "batch_index",
-    "size",
-    "unique_subjects",
-    "subject_coverage",
-    "mean_cognitive_index",
-    "easy",
-    "medium",
-    "hard",
-)
 
 
 class BatchingError(ValueError):
@@ -62,6 +49,7 @@ class BatchStats:
 @dataclass(frozen=True)
 class BatchReport:
     strategy: str
+    granularity: str
     batch_size: int
     total_items: int
     total_subjects: int
@@ -93,6 +81,7 @@ class BatchReport:
     def summary(self) -> dict:
         return {
             "strategy": self.strategy,
+            "granularity": self.granularity,
             "batch_size": self.batch_size,
             "total_items": self.total_items,
             "total_subjects": self.total_subjects,
@@ -107,26 +96,6 @@ class BatchReport:
             "summary": self.summary(),
             "batches": [b.to_dict() for b in self.batches],
         }
-
-    def to_csv(self) -> str:
-        """Per-batch rows as CSV text, one row per batch."""
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(CSV_HEADER)
-        for b in self.batches:
-            writer.writerow(
-                [
-                    b.index,
-                    b.size,
-                    b.unique_subjects,
-                    f"{b.subject_coverage:.6f}",
-                    f"{b.mean_cognitive_index:.6f}",
-                    b.load_histogram.get(LOAD_EASY, 0),
-                    b.load_histogram.get(LOAD_MEDIUM, 0),
-                    b.load_histogram.get(LOAD_HARD, 0),
-                ]
-            )
-        return buffer.getvalue()
 
 
 def _batch_stats(
@@ -147,22 +116,13 @@ def _batch_stats(
     )
 
 
-def analyze(
-    ordered: Dataset | Sequence[InstructionInstance],
-    batch_size: int,
-    strategy: str | None = None,
-) -> BatchReport:
+def analyze(ordered: Dataset, batch_size: int) -> BatchReport:
     """Cut the ordered sequence into consecutive batches and describe each.
 
-    A ``Dataset`` is labelled by its manifest's strategy unless ``strategy``
-    is given.
+    The report is labelled with the strategy and granularity that the
+    manifest of ``ordered`` records.
     """
-    if isinstance(ordered, Dataset):
-        items: Sequence[InstructionInstance] = ordered.items
-        if strategy is None:
-            strategy = ordered.manifest.get("strategy")
-    else:
-        items = ordered
+    items = ordered.items
     if not isinstance(batch_size, int) or isinstance(batch_size, bool):
         raise BatchingError(f"batch_size must be an int, got {batch_size!r}")
     if batch_size < 1:
@@ -175,7 +135,8 @@ def analyze(
         chunk = items[start : start + batch_size]
         batches.append(_batch_stats(len(batches), chunk, total_subjects))
     return BatchReport(
-        strategy=strategy or "",
+        strategy=ordered.manifest.get("strategy") or "",
+        granularity=ordered.manifest.get("granularity") or "",
         batch_size=batch_size,
         total_items=len(items),
         total_subjects=total_subjects,

@@ -147,20 +147,16 @@ def _course_from_fields(
     )
 
 
-def parse_catalog(path: str, format: str | None = None) -> list[Course]:
+def parse_catalog(path: str) -> list[Course]:
     """Parse a CSV or JSONL catalog into Course records.
 
-    Duplicate (subject, course_title) pairs are rejected.  When ``format``
-    is omitted it is inferred from the file extension.
+    A ``.jsonl`` or ``.json`` path is read as JSONL, any other as CSV.
+    Duplicate (subject, course_title) pairs are rejected.
     """
-    if format is None:
-        format = "jsonl" if path.endswith((".jsonl", ".json")) else "csv"
-    if format == "csv":
-        courses = _parse_csv(path)
-    elif format == "jsonl":
+    if path.endswith((".jsonl", ".json")):
         courses = _parse_jsonl(path)
     else:
-        raise CatalogError(f"unknown catalog format: {format!r}")
+        courses = _parse_csv(path)
 
     seen: dict[tuple[str, str], int] = {}
     for i, course in enumerate(courses):

@@ -93,8 +93,9 @@ def _scripted_backend(script: str | None = None) -> MockTeacherBackend:
 
 
 # Per section, the default backend, then per backend its constructor and the
-# type of each key it reads besides "backend".  ``load_config`` rejects any
-# other key; a key left out or null takes the constructor's default.
+# JSON type of each key it reads besides "backend".  ``_backend`` rejects any
+# other key and a value of another type; a key left out or null takes the
+# constructor's default.
 # "temperature" goes to the teacher client, not to the backend.
 BACKENDS = {
     "teacher": ("simulated", {
@@ -165,20 +166,10 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         if not raw.get(required):
             raise CliError(f"{path}: config is missing {required!r}")
 
-    for section, (default, backends) in BACKENDS.items():
-        spec = raw.get(section) or {}
-        if not isinstance(spec, dict):
-            raise CliError(f"{path}: {section} must be a JSON object")
-        raw[section] = dict(spec)
-        kind = spec.get("backend", default)
-        if kind not in backends:
-            raise CliError(f"{path}: unknown {section} backend: {kind!r}")
-        unknown = sorted(set(spec) - {"backend", *backends[kind][1]})
-        if unknown:
-            raise CliError(
-                f"{path}: {section} backend {kind!r} does not read key(s): "
-                f"{', '.join(unknown)}"
-            )
+    for section in BACKENDS:
+        if raw.get(section) is None:
+            raw[section] = {}
+        _backend(section, raw[section], path)
 
     cfg = RunConfig(**raw)
     if overrides:
@@ -206,8 +197,6 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 
     base_dir = os.path.dirname(os.path.abspath(path))
     script = cfg.teacher.get("script")
-    if script is not None and type(script) is not str:
-        raise CliError(f"{path}: teacher.script must be a string, got {script!r}")
     if script:
         cfg.teacher["script"] = _resolve(base_dir, script)
     return replace(
@@ -219,18 +208,21 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 
 
 _JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number",
-                    dict: "an object", type(None): "null"}
+                    dict: "a JSON object", type(None): "null"}
+
+
+def _check_type(path: str, name: str, value, kinds: tuple) -> None:
+    """``value`` has one of the JSON types ``kinds``; an int is also a
+    float, and a bool is never a number."""
+    if type(value) not in kinds and not (float in kinds and type(value) is int):
+        expected = " or ".join(_JSON_TYPE_NAMES[k] for k in kinds)
+        raise CliError(f"{path}: {name} must be {expected}, got {value!r}")
 
 
 def _check_types(path: str, cfg: RunConfig) -> None:
-    """Every config value has its field's JSON type; an int is also a
-    float, and a bool is never a number."""
+    """Every config value has its field's JSON type."""
     for name, kind in get_type_hints(RunConfig).items():
-        value = getattr(cfg, name)
-        kinds = get_args(kind) or (kind,)
-        if type(value) not in kinds and not (float in kinds and type(value) is int):
-            expected = " or ".join(_JSON_TYPE_NAMES[k] for k in kinds)
-            raise CliError(f"{path}: {name} must be {expected}, got {value!r}")
+        _check_type(path, name, getattr(cfg, name), get_args(kind) or (kind,))
 
 
 def _teacher_params(cfg: RunConfig) -> dict:
@@ -246,15 +238,30 @@ def _teacher_params(cfg: RunConfig) -> dict:
     return {"teacher": teacher}
 
 
-def _backend(section: str, spec: dict) -> tuple[Callable, dict]:
-    """The constructor ``spec`` names and its arguments, typed by ``BACKENDS``."""
+def _backend(section: str, spec, path: str = "config") -> tuple[Callable, dict]:
+    """The constructor ``spec`` names and its arguments.
+
+    ``spec`` and its values are type-checked as top-level keys are; an int
+    given for a float is handed over as a float.
+    """
     default, backends = BACKENDS[section]
+    _check_type(path, section, spec, (dict,))
     kind = spec.get("backend", default)
+    _check_type(path, f"{section}.backend", kind, (str,))
     if kind not in backends:
-        raise CliError(f"unknown {section} backend: {kind!r}")
+        raise CliError(f"{path}: unknown {section} backend: {kind!r}")
     make, types = backends[kind]
-    args = {key: to_type(spec[key])
-            for key, to_type in types.items() if spec.get(key) is not None}
+    unknown = sorted(set(spec) - {"backend", *types})
+    if unknown:
+        raise CliError(
+            f"{path}: {section} backend {kind!r} does not read key(s): "
+            f"{', '.join(unknown)}"
+        )
+    args = {}
+    for key, json_type in types.items():
+        if spec.get(key) is not None:
+            _check_type(path, f"{section}.{key}", spec[key], (json_type,))
+            args[key] = float(spec[key]) if json_type is float else spec[key]
     return make, args
 
 

@@ -17,7 +17,8 @@ Strategies are permutations; none of them drops or duplicates items.
   reproducible across implementations and platforms.  The draw rule is
   pinned: iterate i from n-1 down to 1 and swap with j = next() mod (i+1).
 
-Subject and concept orders default to first appearance in the input.
+Subject and concept orders are those of first appearance in the input; for
+another subject order, stably pre-sort the items by subject rank.
 Every strategy but random is one stable sort of the items by a key
 (``_order_group``), so items whose keys are equal keep their input order.
 """
@@ -80,7 +81,6 @@ class OrderingConfig:
 
     strategy: str
     seed: int | None = None
-    subject_order: tuple[str, ...] | None = None
     interleave_granularity: str = GRANULARITY_PER_INDEX
     stage_outermost: bool = False
 
@@ -131,31 +131,17 @@ def dataset_digest(items: Iterable[InstructionInstance]) -> str:
     return h.hexdigest()
 
 
-def canonical_orders(
-    d: Dataset, cfg: OrderingConfig
-) -> tuple[list[str], dict[str, list[str]]]:
-    """Subject order and per-subject concept order (first appearance).
-
-    An explicit ``cfg.subject_order`` must cover every subject present.
-    """
-    seen_subjects: list[str] = []
+def canonical_orders(d: Dataset) -> tuple[list[str], dict[str, list[str]]]:
+    """Subject order and per-subject concept order (first appearance)."""
+    subjects: list[str] = []
     concept_orders: dict[str, list[str]] = {}
     for item in d.items:
         if item.subject not in concept_orders:
             concept_orders[item.subject] = []
-            seen_subjects.append(item.subject)
+            subjects.append(item.subject)
         per_subject = concept_orders[item.subject]
         if item.concept_id not in per_subject:
             per_subject.append(item.concept_id)
-    if cfg.subject_order is not None:
-        missing = [s for s in seen_subjects if s not in cfg.subject_order]
-        if missing:
-            raise SchedulerError(
-                f"explicit subject_order is missing subject(s): {missing}"
-            )
-        subjects = [s for s in cfg.subject_order if s in concept_orders]
-    else:
-        subjects = seen_subjects
     return subjects, concept_orders
 
 
@@ -170,7 +156,7 @@ def order(d: Dataset, cfg: OrderingConfig) -> Dataset:
     if not report.ok:
         raise SchedulerError(f"dataset failed validation:\n{report.summary()}")
 
-    subjects, concept_orders = canonical_orders(d, cfg)
+    subjects, concept_orders = canonical_orders(d)
     subject_rank = {s: i for i, s in enumerate(subjects)}
     concept_rank = {
         (subject, cid): i

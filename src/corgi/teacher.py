@@ -66,7 +66,6 @@ class CompletionRequest:
 @dataclass(frozen=True)
 class EmbeddingRequest:
     text: str
-    model: str = ""
 
 
 def prompt_digest(prompt: str) -> str:
@@ -534,9 +533,7 @@ class HttpEmbeddingBackend(_HttpBackend):
 
         if not req.text:
             raise TeacherError("cannot embed empty text")
-        body = self._request(
-            "embeddings", {"model": req.model or self.model_name, "input": req.text}
-        )
+        body = self._request("embeddings", {"model": self.model_name, "input": req.text})
         try:
             values = body["data"][0]["embedding"]
         except (KeyError, IndexError, TypeError) as exc:

@@ -1,7 +1,5 @@
 """Batch composition analysis tests."""
 
-import csv
-import io
 import json
 import random
 
@@ -10,6 +8,7 @@ import pytest
 from conftest import make_instance, nine_item_fixture, random_dataset
 from corgi.batching import BatchingError, analyze, compare, render_comparison
 from corgi.dataset_io import write_json
+from corgi.model import make_dataset
 from corgi.scheduler import OrderingConfig, order
 
 APPROX = 1e-9
@@ -74,7 +73,7 @@ class TestValidation:
 
     def test_rejects_empty_input(self):
         with pytest.raises(BatchingError):
-            analyze([], 4)
+            analyze(make_dataset([], run_id="empty"), 4)
 
 
 def test_batch_sizes_partition_the_sequence():
@@ -98,12 +97,14 @@ def test_analyze_is_pure():
     assert analyze(od, 4).to_dict() == analyze(od, 4).to_dict()
 
 
-def test_analyze_plain_sequence_uses_explicit_label():
-    items = [make_instance("Alpha", "c1", i) for i in (1, 2, 3)]
-    report = analyze(items, 2, strategy="manual")
-    assert report.strategy == "manual"
-    assert report.total_items == 3
-    assert len(report.batches) == 2
+def test_report_is_labelled_by_the_manifest():
+    d = nine_item_fixture()
+    for granularity in ("per_index", "per_load_tier"):
+        cfg = OrderingConfig(strategy="interleave", interleave_granularity=granularity)
+        summary = analyze(order(d, cfg), 3).summary()
+        assert (summary["strategy"], summary["granularity"]) == ("interleave", granularity)
+    unordered = analyze(d, 3).summary()
+    assert (unordered["strategy"], unordered["granularity"]) == ("", "")
 
 
 def test_violation_counting():
@@ -111,7 +112,7 @@ def test_violation_counting():
         make_instance("Alpha", f"c{pos}", index)
         for pos, index in enumerate((5, 5, 1, 1, 18, 18, 2, 2), start=1)
     ]
-    report = analyze(items, 2, strategy="manual")
+    report = analyze(make_dataset(items, run_id="manual"), 2)
     means = [b.mean_cognitive_index for b in report.batches]
     assert means == [5.0, 1.0, 18.0, 2.0]
     assert report.mean_index_monotonicity_violations == 2
@@ -173,21 +174,3 @@ class TestSerialization:
         assert payload["summary"]["batch_count"] == 3
         assert len(payload["batches"]) == 3
         assert payload["batches"][0]["load_histogram"]["easy"] == 3
-
-    def test_to_csv_rows(self):
-        report = analyze(_ordered_fixture("block"), 3)
-        rows = list(csv.reader(io.StringIO(report.to_csv())))
-        assert rows[0] == [
-            "batch_index",
-            "size",
-            "unique_subjects",
-            "subject_coverage",
-            "mean_cognitive_index",
-            "easy",
-            "medium",
-            "hard",
-        ]
-        assert len(rows) == 4
-        assert rows[1][0] == "0"
-        assert rows[1][3] == "0.500000"
-        assert float(rows[2][4]) == pytest.approx(41 / 3, abs=1e-6)

@@ -196,8 +196,6 @@ class TestParseCatalog:
             + "\n"
         )
         assert len(parse_catalog(str(jsonl_path))) == 1
-        with pytest.raises(CatalogError):
-            parse_catalog(str(jsonl_path), format="parquet")
 
     @pytest.mark.parametrize(
         "bad_line, message",

@@ -260,7 +260,51 @@ class TestLoadConfig:
         http = {"backend": "http", "base_url": "https://t.test", "model": "m",
                 "timeout": 5, "temperature": 0.2}
         cfg = load_config(write_config(tmp_path, teacher=http))
-        assert build_teacher(cfg).backend.model_name == "m"
+        client = build_teacher(cfg)
+        assert client.backend.model_name == "m"
+        # An int given for a number reaches the backend as a float.
+        assert type(client.backend.timeout) is float
+        assert client.backend.timeout == 5.0
+
+    @pytest.mark.parametrize(
+        "section, spec, message",
+        [
+            ("teacher", {"seed": "7"}, "teacher.seed must be an integer, got '7'"),
+            ("teacher", {"seed": True}, "teacher.seed must be an integer, got True"),
+            ("teacher", {"seed": 7.0}, "teacher.seed must be an integer, got 7.0"),
+            ("teacher", {"temperature": "0.3"},
+             "teacher.temperature must be a number, got '0.3'"),
+            ("teacher", {"backend": "http", "timeout": False},
+             "teacher.timeout must be a number, got False"),
+            ("teacher", {"backend": "http", "model": 3}, "teacher.model must be a string, got 3"),
+            ("embedder", {"backend": "http", "dimension": 2.5},
+             "embedder.dimension must be an integer, got 2.5"),
+            ("teacher", {"backend": ["x"]}, "teacher.backend must be a string, got ['x']"),
+            ("embedder", {"backend": 1}, "embedder.backend must be a string, got 1"),
+            ("teacher", [], "teacher must be a JSON object, got []"),
+            ("teacher", 0, "teacher must be a JSON object, got 0"),
+            ("embedder", False, "embedder must be a JSON object, got False"),
+        ],
+    )
+    def test_backend_values_are_type_checked(self, tmp_path, section, spec, message):
+        path = write_config(tmp_path, **{section: spec})
+        with pytest.raises(CliError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_a_null_section_takes_the_default_backend(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, teacher=None, embedder=None))
+        assert isinstance(build_teacher(cfg).backend, SimulatedTeacherBackend)
+        assert isinstance(build_embedder(cfg), ReferenceEmbeddingBackend)
+
+    def test_a_wrongly_typed_backend_value_is_one_json_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, teacher={"seed": "7"})
+        assert main(["run", "--config", path]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "CliError"
+        assert "teacher.seed" in error["message"]
 
     def test_overrides_win(self, tmp_path):
         path = write_config(tmp_path, strategy="interleave", seed=5)
@@ -919,27 +963,27 @@ class TestResume:
 TRAINING_PINS = {
     ("block", "per_index"): (
         "90af538c2dc326b8483c9a21771c22e7d72697d5967819c5b36b7477e4168743",
-        "603eb7dd67d17a69835643c354e037133d57de9ec1a3ed52efb988e3480d61c1",
+        "674be41e305e72822987e84046a9b2a4b4ad27c4922fac8d96b1bc5e9fa9d56f",
     ),
     ("cluster", "per_index"): (
         "163cd0d74e8ca5675f2c9f56cb846c47bf18c173515104192c4513fc97bc22c8",
-        "bbecc95e819ae6873e655653510ae332ad8689bd8a2afa9b46ed414a53308d50",
+        "a8745303078f0ea606b2d76aaaa49d3062cd480c010c12d12b40557eff924d52",
     ),
     ("interleave", "per_index"): (
         "cae44999d37267bb03c38bf5b74ac93388fa6923ebd107d93b2cbd41144992ea",
-        "bef593ec707768e18d7c80fc593f711e600c84feb9abd8c23dcb2453b825601c",
+        "5b4b0db05e992556dac7d4cfed0094fb8f0bdd817a0e965c39ada24d46b231e4",
     ),
     ("spiral", "per_index"): (
         "df705704e6169b08c1690ee454a8dec0d28d24f88d4dc2ed801e36dead03e655",
-        "e22c73b34dd9e68bbd1ce4d329a0100c8e76222aa7428f023ee96cfe7c401611",
+        "f21ebc8b1fadc008e641da8da288c48890adfcb3f861c0072fe8be784298cb6f",
     ),
     ("random", "per_index"): (
         "da20ddee13226f72ce74b03bc4270404c1824fe34fefd643af7f56ecb1c3e61e",
-        "926a740605b57fb4fc232422fa23f99fee65c0fbd6434495307b5d6ca1034aed",
+        "049b4e9e70a93143367c7858da4071b840218c98f7b8b81586ee92fe1883aab7",
     ),
     ("interleave", "per_load_tier"): (
         "d6a4b66335680a32a80cdf1fcf2a35c572afed958e8d01ec015b1586a0a2e95a",
-        "bef593ec707768e18d7c80fc593f711e600c84feb9abd8c23dcb2453b825601c",
+        "90254292974d605f6bc2a94b25fb5b2e19f54f2e810b48130845facf35bdc58b",
     ),
 }
 

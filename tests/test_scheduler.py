@@ -102,27 +102,13 @@ class TestCanonicalOrders:
             make_instance("C", "c1", 3),
         ]
         d = make_dataset(items, run_id="orders")
-        subjects, concepts = canonical_orders(d, OrderingConfig(strategy="block"))
+        subjects, concepts = canonical_orders(d)
         assert subjects == ["B", "A", "C"]
         assert concepts["B"] == ["b/course-1/c1", "b/course-1/c2"]
 
-    def test_explicit_order_missing_subject(self):
-        items = [make_instance("A", "c1", 1), make_instance("C", "c1", 1)]
-        d = make_dataset(items, run_id="orders")
-        cfg = OrderingConfig(strategy="block", subject_order=["A", "B"])
-        with pytest.raises(SchedulerError) as err:
-            canonical_orders(d, cfg)
-        assert "C" in str(err.value)
-
-    def test_explicit_order_reorders_subjects(self):
-        out = ordered_triples(
-            nine_item_fixture(), "block", subject_order=["Beta", "Alpha"]
-        )
-        assert [t[0] for t in out] == ["Beta"] * 3 + ["Alpha"] * 6
-
     def test_empty_dataset(self):
         d = make_dataset([], run_id="empty")
-        subjects, concepts = canonical_orders(d, OrderingConfig(strategy="block"))
+        subjects, concepts = canonical_orders(d)
         assert subjects == []
         assert concepts == {}
 
@@ -162,31 +148,17 @@ def test_oracle_equivalence_sample():
 
 
 def test_oracle_equivalence_with_options():
-    """Granularity, stage nesting, and explicit subject order also agree."""
+    """Per-load-tier granularity also agrees."""
     rng = random.Random(0xBEEF)
     for _ in range(60):
         d = random_dataset(rng)
-        subjects = []
-        for it in d.items:
-            if it.subject not in subjects:
-                subjects.append(it.subject)
-        rng.shuffle(subjects)
         for strategy in STRATEGIES:
             seed = rng.randrange(2**63) if strategy == "random" else None
             cfg = OrderingConfig(
-                strategy=strategy,
-                seed=seed,
-                subject_order=list(subjects),
-                interleave_granularity="per_load_tier",
+                strategy=strategy, seed=seed, interleave_granularity="per_load_tier"
             )
             got = order(d, cfg).items
-            want = ref_order(
-                d.items,
-                strategy,
-                seed=seed,
-                subject_order=subjects,
-                granularity="per_load_tier",
-            )
+            want = ref_order(d.items, strategy, seed=seed, granularity="per_load_tier")
             assert [it.id for it in got] == [it.id for it in want]
 
 
@@ -230,23 +202,18 @@ def uneven_dataset(rng):
 
 
 def test_oracle_equivalence_option_cross_product():
-    """Every combination of granularity, stage nesting and subject order
-    agrees with the reference for every strategy."""
+    """Every combination of granularity and stage nesting agrees with the
+    reference for every strategy."""
     rng = random.Random(0x5EED)
     for _ in range(12):
         d = uneven_dataset(rng)
-        subjects = list(dict.fromkeys(it.subject for it in d.items))
-        rng.shuffle(subjects)
-        options = itertools.product(
-            ("per_index", "per_load_tier"), (False, True), (None, tuple(subjects))
-        )
-        for granularity, stage_outermost, subject_order in options:
+        options = itertools.product(("per_index", "per_load_tier"), (False, True))
+        for granularity, stage_outermost in options:
             for strategy in STRATEGIES:
                 seed = rng.randrange(2**63) if strategy == "random" else None
                 cfg = OrderingConfig(
                     strategy=strategy,
                     seed=seed,
-                    subject_order=subject_order,
                     interleave_granularity=granularity,
                     stage_outermost=stage_outermost,
                 )
@@ -254,11 +221,47 @@ def test_oracle_equivalence_option_cross_product():
                     d.items,
                     strategy,
                     seed=seed,
-                    subject_order=subject_order,
                     granularity=granularity,
                     stage_outermost=stage_outermost,
                 )
                 assert ids_of(order(d, cfg).items) == ids_of(want), cfg
+
+
+def presorted(d, subjects):
+    """``d`` with its items stably sorted by the rank of their subject."""
+    rank = {subject: i for i, subject in enumerate(subjects)}
+    items = sorted(d.items, key=lambda it: rank[it.subject])
+    return make_dataset(items, run_id=d.manifest["run_id"])
+
+
+def test_a_presorted_input_orders_subjects_as_given():
+    """Stably pre-sorting the items by subject rank gives, for every keyed
+    strategy and option, the order the reference gives for an explicit
+    subject order."""
+    rng = random.Random(0x50B7)
+    for _ in range(40):
+        d = uneven_dataset(rng)
+        subjects = list(dict.fromkeys(it.subject for it in d.items))
+        rng.shuffle(subjects)
+        options = itertools.product(
+            ("block", "cluster", "interleave", "spiral"),
+            ("per_index", "per_load_tier"),
+            (False, True),
+        )
+        for strategy, granularity, stage_outermost in options:
+            cfg = OrderingConfig(
+                strategy=strategy,
+                interleave_granularity=granularity,
+                stage_outermost=stage_outermost,
+            )
+            want = ref_order(
+                d.items,
+                strategy,
+                subject_order=subjects,
+                granularity=granularity,
+                stage_outermost=stage_outermost,
+            )
+            assert ids_of(order(presorted(d, subjects), cfg).items) == ids_of(want), cfg
 
 
 def test_permutation_property():
