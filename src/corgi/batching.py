@@ -160,13 +160,13 @@ def render_comparison(reports: Sequence[BatchReport]) -> str:
     """Fixed-width text table of summary rows, one per report."""
     rows = compare(reports)
     header = (
-        f"{'strategy':<12} {'batches':>7} {'full_cov':>9} "
+        f"{'strategy':<12} {'granularity':<13} {'batches':>7} {'full_cov':>9} "
         f"{'mean_subj':>10} {'violations':>10}"
     )
     lines = [header]
     for row in rows:
         lines.append(
-            f"{row['strategy']:<12} {row['batch_count']:>7d} "
+            f"{row['strategy']:<12} {row['granularity']:<13} {row['batch_count']:>7d} "
             f"{row['fraction_full_coverage']:>9.3f} "
             f"{row['mean_unique_subjects']:>10.2f} "
             f"{row['mean_index_monotonicity_violations']:>10d}"

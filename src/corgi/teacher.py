@@ -63,11 +63,6 @@ class CompletionRequest:
     model: str = ""
 
 
-@dataclass(frozen=True)
-class EmbeddingRequest:
-    text: str
-
-
 def prompt_digest(prompt: str) -> str:
     """Digest used to key scripted mock replies."""
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
@@ -392,14 +387,9 @@ class TeacherClient:
     def ask(
         self, prompt: str, system_message: str = "", temperature: float | None = None
     ) -> str:
-        req = CompletionRequest(
-            prompt=prompt,
-            system_message=system_message,
-            temperature=(
-                self.generation_temperature if temperature is None else temperature
-            ),
-        )
-        return self.complete(req)
+        if temperature is None:
+            temperature = self.generation_temperature
+        return self.complete(CompletionRequest(prompt, system_message, temperature))
 
     def judge_relevance(self, question: str, passage_title: str, passage: str) -> bool:
         from .prompts import build_retrieval_check_prompt
@@ -409,15 +399,6 @@ class TeacherClient:
         return parse_relevance_reply(reply)
 
 
-def _unit(vector: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
-        raise TeacherError("embedding collapsed to the zero vector")
-    return vector / norm
-
-
 @lru_cache(maxsize=1 << 16)
 def _hash64(text: str) -> int:
     """64-bit BLAKE2 hash of a string; each trigram is hashed once per process."""
@@ -425,8 +406,7 @@ def _hash64(text: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-# Texts embedded per vectorised pass of ``ReferenceEmbeddingBackend.embed_many``;
-# it bounds the temporary gram arrays, not the result.
+# Texts per numpy pass of the reference embedder and per POST of the HTTP one.
 _EMBED_CHUNK = 64
 # A code point takes 21 bits, so three of them pack into one uint64 code.
 _CODE_BITS = 21
@@ -448,8 +428,9 @@ class ReferenceEmbeddingBackend:
     dimension = EMBEDDING_DIMENSION
     model_name = "trigram-reference"
 
-    def embed(self, req: EmbeddingRequest) -> np.ndarray:
-        return self.embed_many([req.text])[0]
+    def embed(self, text: str) -> np.ndarray:
+        """``embed_many([text])[0]``; ``bench/spans.py`` traces this name."""
+        return self.embed_many([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         """The unit vectors of ``texts`` as the rows of an (n, 256) array."""
@@ -512,7 +493,13 @@ class ReferenceEmbeddingBackend:
 
 
 class HttpEmbeddingBackend(_HttpBackend):
-    """Remote embedding endpoint; vectors are re-normalized to unit length."""
+    """Remote embedding endpoint, sent up to 64 texts per POST.
+
+    Reply rows are placed by their ``index``, which must run over 0 to n-1
+    once each.  Each row must be a non-empty list of finite numbers, not all
+    zero, of one width (``dimension`` where it is set), and is re-normalized
+    to unit length.  Each error names the position of the text concerned.
+    """
 
     service, base_env, key_env = "embedding", EMBED_API_BASE_ENV, EMBED_API_KEY_ENV
 
@@ -528,38 +515,48 @@ class HttpEmbeddingBackend(_HttpBackend):
         super().__init__(base_url, model, api_key, EMBED_TIMEOUT, post, sleep)
         self.dimension = dimension
 
-    def embed(self, req: EmbeddingRequest) -> np.ndarray:
-        import numpy as np
-
-        if not req.text:
-            raise TeacherError("cannot embed empty text")
-        body = self._request("embeddings", {"model": self.model_name, "input": req.text})
-        try:
-            values = body["data"][0]["embedding"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise TeacherError(f"malformed embedding response: {body!r}") from exc
-        # A null would become NaN, and a NaN vector is never a duplicate.
-        if not (
-            isinstance(values, list) and values
-            and all(type(v) is float and math.isfinite(v) or type(v) is int for v in values)
-        ):
-            raise TeacherError(f"malformed embedding response: {body!r}")
-        vector = _unit(np.asarray(values, dtype=np.float64))
-        if self.dimension is not None and vector.shape[0] != self.dimension:
-            raise TeacherError(
-                f"embedding dimension {vector.shape[0]} != expected {self.dimension}"
-            )
-        return vector
-
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
-        """The vectors of ``texts`` as rows, one POST per text, in order."""
+        """The unit vectors of ``texts`` as the rows of an (n, d) array."""
         import numpy as np
 
-        vectors = [self.embed(EmbeddingRequest(text=text)) for text in texts]
-        if not vectors:
-            return np.empty((0, self.dimension or 0))
-        width = vectors[0].shape[0]
-        for vector in vectors:
-            if vector.shape[0] != width:
-                raise TeacherError(f"embedding dimension {vector.shape[0]} != {width}")
-        return np.stack(vectors)
+        if "" in texts:
+            raise TeacherError(f"cannot embed the empty text at position {texts.index('')}")
+        width, vectors = self.dimension, []
+        for start in range(0, len(texts), _EMBED_CHUNK):
+            batch = list(texts[start : start + _EMBED_CHUNK])
+            body = self._request("embeddings", {"model": self.model_name, "input": batch})
+            for position, values in enumerate(_rows_by_index(body, start, len(batch)), start):
+                at = f"for the text at position {position}"
+                # A null would become NaN, and a NaN vector is never a duplicate.
+                if not (isinstance(values, list) and values and all(
+                    type(v) is float and math.isfinite(v) or type(v) is int for v in values
+                )):
+                    raise TeacherError(f"malformed embedding response {at}: {values!r:.200}")
+                width = width or len(values)
+                if len(values) != width:
+                    raise TeacherError(f"embedding dimension {len(values)} != {width} {at}")
+                vector = np.asarray(values, dtype=np.float64)
+                norm = float(np.linalg.norm(vector))
+                if norm == 0.0:
+                    raise TeacherError(f"zero embedding vector {at}")
+                vectors.append(vector / norm)
+        return np.stack(vectors) if vectors else np.empty((0, self.dimension or 0))
+
+
+def _rows_by_index(body, start: int, count: int) -> list:
+    """A reply's rows for the ``count`` texts from position ``start``, by index."""
+    span = f"the texts at positions {start}-{start + count - 1}"
+    try:
+        rows = [(row["index"], row["embedding"]) for row in body["data"]]
+    except (KeyError, TypeError) as exc:
+        raise TeacherError(f"malformed embedding response for {span}: {body!r:.200}") from exc
+    if len(rows) != count:
+        raise TeacherError(f"embedding reply holds {len(rows)} rows for {span}")
+    # As many rows as texts and every index present: each index occurs once.
+    placed = {index: values for index, values in rows if type(index) is int}
+    missing = [index for index in range(count) if index not in placed]
+    if missing:
+        raise TeacherError(
+            f"embedding reply has no row for the text at position {start + missing[0]}"
+        )
+    return [placed[index] for index in range(count)]

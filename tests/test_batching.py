@@ -162,6 +162,24 @@ class TestCompare:
         assert "1.000" in lines[1]
         assert "0.000" in lines[2]
 
+    def test_render_tells_interleave_granularities_apart(self):
+        reports = [
+            analyze(
+                order(
+                    nine_item_fixture(),
+                    OrderingConfig(strategy="interleave", interleave_granularity=granularity),
+                ),
+                3,
+            )
+            for granularity in ("per_index", "per_load_tier")
+        ]
+        lines = render_comparison(reports).splitlines()
+        assert lines[0].split()[:2] == ["strategy", "granularity"]
+        assert [line.split()[:2] for line in lines[1:]] == [
+            ["interleave", "per_index"], ["interleave", "per_load_tier"]
+        ]
+        assert lines[1] != lines[2]
+
 
 class TestSerialization:
     def test_to_json_round_trip(self, tmp_path):

@@ -18,12 +18,7 @@ from corgi.concepts import (
 )
 from corgi.model import Concept, Course, EducationalStage
 from corgi.prompts import build_concept_prompt, build_refinement_prompt
-from corgi.teacher import (
-    EmbeddingRequest,
-    MockTeacherBackend,
-    ReferenceEmbeddingBackend,
-    TeacherClient,
-)
+from corgi.teacher import MockTeacherBackend, ReferenceEmbeddingBackend, TeacherClient
 
 HIGHER = EducationalStage("higher")
 
@@ -56,12 +51,6 @@ def make_concept(name, subject="Physics", course="physics/mechanics"):
     )
 
 
-def stacked(embed, texts):
-    """``embed_many`` from a per-text ``embed``: the vectors as rows, in order."""
-    rows = [embed(EmbeddingRequest(text=text)) for text in texts]
-    return np.stack(rows) if rows else np.empty((0, 0))
-
-
 class PlantedEmbedder:
     """Embedder returning pre-seeded unit vectors keyed by concept name."""
 
@@ -71,12 +60,8 @@ class PlantedEmbedder:
             vector = np.asarray(values, dtype=np.float64)
             self.by_name[name] = vector / np.linalg.norm(vector)
 
-    def embed(self, req):
-        name = req.text.split(":", 1)[0]
-        return self.by_name[name]
-
     def embed_many(self, texts):
-        return stacked(self.embed, texts)
+        return np.array([self.by_name[text.split(":", 1)[0]] for text in texts])
 
 
 class CountingEmbedder:
@@ -302,7 +287,7 @@ class TestDedup:
         below 1.0; its second copy is still an exact duplicate."""
         embedder = ReferenceEmbeddingBackend()
         concepts = [make_concept("Gravity"), make_concept("Gravity", course="physics/orbits")]
-        vector = embedder.embed(EmbeddingRequest(text=concepts[0].embedding_text()))
+        vector = embedder.embed_many([concepts[0].embedding_text()])[0]
         assert float(np.dot(vector, vector)) < 1.0
         for scope in SCOPES:
             kept, report = dedup_concepts(concepts, embedder, threshold=1.0, scope=scope)
@@ -426,21 +411,16 @@ class ExactEmbedder:
     def __init__(self, by_name):
         self.by_name = by_name
 
-    def embed(self, req):
-        return self.by_name[req.text.split(":", 1)[0]]
-
     def embed_many(self, texts):
-        return stacked(self.embed, texts)
+        return np.array([self.by_name[text.split(":", 1)[0]] for text in texts])
 
 
 def oracle_dedup(concepts, embedder, threshold, scope):
     """The per-anchor loop: one ``np.dot`` per kept concept, in keep order; an
     equal vector matches with similarity 1.0 where its dot falls short."""
     texts = [concept.embedding_text() for concept in concepts]
-    vectors = {}
-    for text in texts:
-        if text not in vectors:
-            vectors[text] = embedder.embed(EmbeddingRequest(text=text))
+    distinct = list(dict.fromkeys(texts))
+    vectors = dict(zip(distinct, embedder.embed_many(distinct)))
     kept_by_group = {}
     kept, dropped = [], []
     for concept, text in zip(concepts, texts):
@@ -611,7 +591,7 @@ class TestRepeatedTexts:
             make_concept("Gravity", course="physics/b"),
             make_concept("Gravity", course="physics/c"),
         ]
-        vector = embedder.embed(EmbeddingRequest(text=concepts[0].embedding_text()))
+        vector = embedder.embed_many([concepts[0].embedding_text()])[0]
         own = float(np.dot(vector, vector))
         assert own < 1.0
         for threshold, sim in (

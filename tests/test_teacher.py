@@ -26,7 +26,6 @@ from corgi.teacher import (
     EMBEDDING_DIMENSION,
     REFUSAL_TEXT,
     CompletionRequest,
-    EmbeddingRequest,
     HttpEmbeddingBackend,
     HttpTeacherBackend,
     MockScriptError,
@@ -632,19 +631,19 @@ class TestSimulatedBackend:
 class TestReferenceEmbedder:
     def test_identical_texts_have_cosine_one(self):
         backend = ReferenceEmbeddingBackend()
-        a = backend.embed(EmbeddingRequest(text="The moons of Jupiter."))
-        b = backend.embed(EmbeddingRequest(text="The moons of Jupiter."))
+        a = backend.embed_many(["The moons of Jupiter."])[0]
+        b = backend.embed_many(["The moons of Jupiter."])[0]
         assert math.isclose(float(np.dot(a, b)), 1.0, abs_tol=1e-9)
 
     def test_disjoint_texts_are_dissimilar(self):
         backend = ReferenceEmbeddingBackend()
-        a = backend.embed(EmbeddingRequest(text="aaaa"))
-        b = backend.embed(EmbeddingRequest(text="zzzz"))
+        a = backend.embed_many(["aaaa"])[0]
+        b = backend.embed_many(["zzzz"])[0]
         assert float(np.dot(a, b)) < 0.5
 
     def test_dimension_and_shape(self):
         backend = ReferenceEmbeddingBackend()
-        vector = backend.embed(EmbeddingRequest(text="tides"))
+        vector = backend.embed_many(["tides"])[0]
         assert backend.dimension == EMBEDDING_DIMENSION == 256
         assert vector.shape == (256,)
 
@@ -657,25 +656,25 @@ class TestReferenceEmbedder:
             text = "".join(rng.choice(alphabet) for _ in range(length))
             if not text.strip():
                 text = "x"
-            vector = backend.embed(EmbeddingRequest(text=text))
+            vector = backend.embed_many([text])[0]
             assert abs(float(np.linalg.norm(vector)) - 1.0) < 1e-6
 
     def test_short_text_embeds(self):
         backend = ReferenceEmbeddingBackend()
-        vector = backend.embed(EmbeddingRequest(text="ab"))
+        vector = backend.embed_many(["ab"])[0]
         assert abs(float(np.linalg.norm(vector)) - 1.0) < 1e-6
 
     def test_empty_text_is_an_error(self):
         backend = ReferenceEmbeddingBackend()
         with pytest.raises(TeacherError):
-            backend.embed(EmbeddingRequest(text=""))
+            backend.embed_many([""])
 
     def test_instances_agree(self):
-        a = ReferenceEmbeddingBackend().embed(EmbeddingRequest(text="magnetism"))
-        b = ReferenceEmbeddingBackend().embed(EmbeddingRequest(text="magnetism"))
+        a = ReferenceEmbeddingBackend().embed_many(["magnetism"])[0]
+        b = ReferenceEmbeddingBackend().embed_many(["magnetism"])[0]
         assert np.array_equal(a, b)
 
-    # sha256 of ``embed(text).tobytes()``, recorded from the per-trigram
+    # sha256 of ``embed_many([text])[0].tobytes()``, recorded from the per-trigram
     # BLAKE2 loop this embedder replaced; the bits must never change.
     PINNED_DIGESTS = {
         "a": "524a8b4486c06fc0ea1bcf543673f3efb00fc3546706f4debcebc7f48bf72f9f",
@@ -693,12 +692,12 @@ class TestReferenceEmbedder:
 
     @pytest.mark.parametrize("text", sorted(PINNED_DIGESTS), ids=range(6))
     def test_pinned_bits(self, text):
-        vector = ReferenceEmbeddingBackend().embed(EmbeddingRequest(text=text))
+        vector = ReferenceEmbeddingBackend().embed_many([text])[0]
         assert vector.dtype == np.float64
         assert hashlib.sha256(vector.tobytes()).hexdigest() == self.PINNED_DIGESTS[text]
 
     def test_all_cancel_fallback_is_one_hot(self):
-        vector = ReferenceEmbeddingBackend().embed(EmbeddingRequest(text="aavy"))
+        vector = ReferenceEmbeddingBackend().embed_many(["aavy"])[0]
         assert np.count_nonzero(vector) == 1 and vector.max() == 1.0
 
     @staticmethod
@@ -716,8 +715,9 @@ class TestReferenceEmbedder:
         return vector / float(np.linalg.norm(vector))
 
     def test_embed_many_is_the_stacked_embed(self):
-        """Bit for bit, over several chunks of short texts whose grams mix
-        astral-plane, NUL and other non-ASCII code points."""
+        """Bit for bit one text at a time and the per-trigram oracle, over
+        several chunks of short texts whose grams mix astral-plane, NUL and
+        other non-ASCII code points."""
         rng = random.Random(13)
         alphabet = "ab \x00\x7fé—量\U0001F600\U0010FFFF"
         texts = ["aavy", "a", "\U0001F600", "\x00\x00\x00"] + [
@@ -727,10 +727,17 @@ class TestReferenceEmbedder:
         backend = ReferenceEmbeddingBackend()
         many = backend.embed_many(texts)
         assert many.shape == (len(texts), EMBEDDING_DIMENSION) and many.dtype == np.float64
-        one_by_one = np.stack([backend.embed(EmbeddingRequest(text=t)) for t in texts])
+        one_by_one = np.stack([backend.embed_many([t])[0] for t in texts])
         assert many.tobytes() == one_by_one.tobytes()
         oracle = np.stack([self.per_trigram(t) for t in texts])
         assert many.tobytes() == oracle.tobytes()
+
+    def test_embed_is_embed_many_of_one_text(self):
+        """``embed`` survives only as a tracing hook; it must stay the same
+        vector as a one-text ``embed_many``."""
+        backend = ReferenceEmbeddingBackend()
+        for text in ("a", "aavy", "The moons of Jupiter."):
+            assert backend.embed(text).tobytes() == backend.embed_many([text])[0].tobytes()
 
     def test_embed_many_of_nothing(self):
         many = ReferenceEmbeddingBackend().embed_many([])
@@ -744,20 +751,44 @@ class TestReferenceEmbedder:
             ReferenceEmbeddingBackend().embed_many(texts)
 
 
-class TestHttpEmbeddingBackend:
-    @staticmethod
-    def embedding_body(values):
-        return {"data": [{"embedding": values}]}
+def embedding_body(rows, indices=None):
+    """An embeddings reply: one ``data`` entry per row, indexed in order
+    unless ``indices`` says otherwise."""
+    indices = range(len(rows)) if indices is None else indices
+    return {"data": [{"index": i, "embedding": row} for i, row in zip(indices, rows)]}
 
+
+def planted_values(text):
+    """The row a fake endpoint returns for ``text``: a function of the text."""
+    return [float(len(text)), float(sum(map(ord, text)) % 97), 1.0]
+
+
+class EmbeddingEndpoint:
+    """Fake embeddings POST that answers every batch with ``planted_values``."""
+
+    def __init__(self):
+        self.inputs = []
+
+    def post(self, url, headers, payload, timeout):
+        self.inputs.append(payload["input"])
+        return 200, embedding_body([planted_values(text) for text in payload["input"]])
+
+
+def http_embedder(post, **kwargs):
+    kwargs.setdefault("sleep", lambda _: None)
+    return HttpEmbeddingBackend(base_url="https://embed.test", api_key="k", post=post, **kwargs)
+
+
+def texts_of(n):
+    return [f"text {i}" for i in range(n)]
+
+
+class TestHttpEmbeddingBackend:
     def test_normalizes_and_caches(self):
-        """Dedup asks the endpoint once per distinct text; vectors are unit length."""
-        fake = FakeTransport(
-            [(200, self.embedding_body([3.0, 4.0])), (200, self.embedding_body([4.0, -3.0]))]
-        )
-        backend = HttpEmbeddingBackend(
-            base_url="https://embed.test", api_key="k", post=fake.post,
-            sleep=lambda _: None,
-        )
+        """Dedup asks the endpoint once per distinct text, in one POST, and
+        vectors are unit length."""
+        fake = FakeTransport([(200, embedding_body([[3.0, 4.0], [4.0, -3.0]]))])
+        backend = http_embedder(fake.post)
         stage = EducationalStage("higher")
         concepts = [
             Concept(id=f"s/{course}/{name.lower()}", course_id=f"s/{course}",
@@ -765,8 +796,8 @@ class TestHttpEmbeddingBackend:
             for course, name in (("a", "Tides"), ("b", "Tides"), ("b", "Waves"))
         ]
         kept, report = dedup_concepts(concepts, backend)
-        assert [call["payload"]["input"] for call in fake.calls] == [
-            "Tides: Sea levels.", "Waves: Sea levels."
+        assert [call["payload"] for call in fake.calls] == [
+            {"model": "embedder", "input": ["Tides: Sea levels.", "Waves: Sea levels."]}
         ]
         assert fake.calls[0]["url"] == "https://embed.test/embeddings"
         assert [c.id for c in kept] == ["s/a/tides", "s/b/waves"]
@@ -774,70 +805,123 @@ class TestHttpEmbeddingBackend:
         # [3, 4] with itself: 25 unless normalized to [0.6, 0.8].
         assert math.isclose(report.dropped[0].similarity, 1.0, abs_tol=1e-12)
 
-    def test_embed_many_stacks_one_post_per_text(self):
-        fake = FakeTransport(
-            [(200, self.embedding_body([3.0, 4.0])), (200, self.embedding_body([0.0, 2.0]))]
-        )
-        backend = HttpEmbeddingBackend(
-            base_url="https://embed.test", api_key="k", post=fake.post,
-            sleep=lambda _: None,
-        )
-        assert backend.embed_many(["tides", "waves"]).tolist() == [[0.6, 0.8], [0.0, 1.0]]
-        assert [call["payload"]["input"] for call in fake.calls] == ["tides", "waves"]
-        assert backend.embed_many([]).shape == (0, 0)
-        backend.dimension = 2
-        assert backend.embed_many([]).shape == (0, 2)
+    def test_embed_many_sends_64_texts_per_post(self):
+        fake = EmbeddingEndpoint()
+        texts = texts_of(130)
+        vectors = http_embedder(fake.post).embed_many(texts)
+        assert [len(batch) for batch in fake.inputs] == [64, 64, 2]
+        assert [text for batch in fake.inputs for text in batch] == texts
+        expected = [np.asarray(planted_values(text)) for text in texts]
+        assert vectors.tolist() == [(v / np.linalg.norm(v)).tolist() for v in expected]
+        assert http_embedder(fake.post).embed_many([]).shape == (0, 0)
+        assert http_embedder(fake.post, dimension=3).embed_many([]).shape == (0, 3)
+        assert len(fake.inputs) == 3
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 1791])
+    def test_n_texts_cost_one_post_per_64_with_per_text_vectors(self, n):
+        """1,791 distinct texts, the retune-shaped catalog's count, cost 28
+        POSTs; each vector is bit for bit that of a one-text reply with the
+        same values."""
+        fake = EmbeddingEndpoint()
+        texts = texts_of(n)
+        vectors = http_embedder(fake.post).embed_many(texts)
+        assert len(fake.inputs) == math.ceil(n / 64)
+        one_by_one = np.stack([http_embedder(fake.post).embed_many([t])[0] for t in texts])
+        assert vectors.tobytes() == one_by_one.tobytes()
+
+    def test_rows_are_placed_by_index(self):
+        order = list(range(10))
+        random.Random(3).shuffle(order)
+        rows = [[float(i + 1), 1.0] for i in order]
+        fake = FakeTransport([(200, embedding_body(rows, indices=order))])
+        vectors = http_embedder(fake.post).embed_many(texts_of(10))
+        by_index = [[float(i + 1), 1.0] for i in range(10)]
+        assert vectors.tolist() == [(np.asarray(v) / np.linalg.norm(v)).tolist() for v in by_index]
 
     def test_embed_many_rejects_mixed_dimensions(self):
+        fake = FakeTransport([(200, embedding_body([[3.0, 4.0], [1.0, 0.0, 0.0]]))])
+        with pytest.raises(TeacherError) as err:
+            http_embedder(fake.post).embed_many(["tides", "waves"])
+        assert "dimension 3 != 2 for the text at position 1" in str(err.value)
+
+    # Faults planted in the reply to the second POST, which carries the
+    # texts at positions 64-69: each error names the absolute position.
+    BAD_REPLIES = {
+        "one_row_too_few": (lambda rows: embedding_body(rows[:5]), "positions 64-69"),
+        "one_row_too_many": (
+            lambda rows: embedding_body(rows + [[1.0, 1.0]]), "positions 64-69"
+        ),
+        "repeated_index": (
+            lambda rows: embedding_body(rows, indices=[0, 1, 2, 3, 4, 4]), "position 69"
+        ),
+        "missing_index": (
+            lambda rows: embedding_body(rows, indices=[0, 1, 3, 4, 5, 6]), "position 66"
+        ),
+        "index_absent": (
+            lambda rows: {"data": [{"embedding": row} for row in rows]}, "positions 64-69"
+        ),
+        "nan_value": (
+            lambda rows: embedding_body(rows[:2] + [[float("nan"), 1.0]] + rows[3:]),
+            "position 66",
+        ),
+        "null_value": (
+            lambda rows: embedding_body(rows[:2] + [[None, 1.0]] + rows[3:]), "position 66"
+        ),
+        "zero_vector": (
+            lambda rows: embedding_body(rows[:3] + [[0.0, 0.0]] + rows[4:]), "position 67"
+        ),
+        "other_width": (
+            lambda rows: embedding_body(rows[:1] + [[1.0, 2.0, 3.0]] + rows[2:]),
+            "position 65",
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(BAD_REPLIES))
+    def test_a_bad_reply_names_the_text_position(self, fault):
+        make_reply, where = self.BAD_REPLIES[fault]
+        good = [[1.0, float(i)] for i in range(64)]
         fake = FakeTransport(
-            [(200, self.embedding_body([3.0, 4.0])), (200, self.embedding_body([1.0, 0.0, 0.0]))]
-        )
-        backend = HttpEmbeddingBackend(
-            base_url="https://embed.test", api_key="k", post=fake.post,
-            sleep=lambda _: None,
+            [(200, embedding_body(good)), (200, make_reply([[2.0, float(i)] for i in range(6)]))]
         )
         with pytest.raises(TeacherError) as err:
-            backend.embed_many(["tides", "waves"])
-        assert "dimension 3 != 2" in str(err.value)
+            http_embedder(fake.post).embed_many(texts_of(70))
+        assert where in str(err.value)
+        assert len(fake.calls) == 2
 
     def test_dimension_mismatch(self):
-        fake = FakeTransport([(200, self.embedding_body([1.0, 0.0]))])
-        backend = HttpEmbeddingBackend(
-            base_url="https://embed.test", api_key="k", dimension=3,
-            post=fake.post, sleep=lambda _: None,
-        )
+        fake = FakeTransport([(200, embedding_body([[1.0, 0.0], [0.0, 1.0]]))])
         with pytest.raises(TeacherError) as err:
-            backend.embed(EmbeddingRequest(text="tides"))
-        assert "dimension" in str(err.value)
+            http_embedder(fake.post, dimension=3).embed_many(["tides", "waves"])
+        assert "dimension 2 != 3 for the text at position 0" in str(err.value)
 
     def test_empty_text_never_hits_the_wire(self):
-        fake = FakeTransport([])
-        backend = HttpEmbeddingBackend(
-            base_url="https://embed.test", api_key="k", post=fake.post,
-            sleep=lambda _: None,
-        )
-        with pytest.raises(TeacherError):
-            backend.embed(EmbeddingRequest(text=""))
-        assert fake.calls == []
+        for where in (0, 1, 70):
+            texts = texts_of(100)
+            texts[where] = ""
+            fake = FakeTransport([])
+            with pytest.raises(TeacherError) as err:
+                http_embedder(fake.post).embed_many(texts)
+            assert f"empty text at position {where}" in str(err.value)
+            assert fake.calls == []
 
     def test_zero_vector_is_an_error(self):
-        fake = FakeTransport([(200, self.embedding_body([0.0, 0.0]))])
-        backend = HttpEmbeddingBackend(
-            base_url="https://embed.test", api_key="k", post=fake.post,
-            sleep=lambda _: None,
-        )
-        with pytest.raises(TeacherError):
-            backend.embed(EmbeddingRequest(text="tides"))
+        fake = FakeTransport([(200, embedding_body([[0.0, 0.0]]))])
+        with pytest.raises(TeacherError) as err:
+            http_embedder(fake.post).embed_many(["tides"])
+        assert "zero embedding vector for the text at position 0" in str(err.value)
 
     def test_malformed_body(self):
         fake = FakeTransport([(200, {"data": []})])
-        backend = HttpEmbeddingBackend(
-            base_url="https://embed.test", api_key="k", post=fake.post,
-            sleep=lambda _: None,
-        )
         with pytest.raises(TeacherError) as err:
-            backend.embed(EmbeddingRequest(text="tides"))
-        assert "malformed" in str(err.value)
+            http_embedder(fake.post).embed_many(["tides"])
+        assert "holds 0 rows for the texts at positions 0-0" in str(err.value)
+
+    @pytest.mark.parametrize("body", [{}, {"data": None}, {"data": [7]}, {"data": "x"}, []])
+    def test_body_without_indexed_rows_is_malformed(self, body):
+        fake = FakeTransport([(200, body)])
+        with pytest.raises(TeacherError) as err:
+            http_embedder(fake.post).embed_many(["tides"])
+        assert "malformed embedding response for the texts at positions 0-0" in str(err.value)
 
     @pytest.mark.parametrize(
         "values",
@@ -846,14 +930,10 @@ class TestHttpEmbeddingBackend:
     )
     def test_embedding_that_is_not_finite_numbers_raises(self, values):
         """A null or NaN would give a NaN vector that dedups against nothing."""
-        fake = FakeTransport([(200, self.embedding_body(values))])
-        backend = HttpEmbeddingBackend(
-            base_url="https://embed.test", api_key="k", post=fake.post,
-            sleep=lambda _: None,
-        )
+        fake = FakeTransport([(200, embedding_body([[1.0, 0.0], values]))])
         with pytest.raises(TeacherError) as err:
-            backend.embed(EmbeddingRequest(text="tides"))
-        assert "malformed embedding response" in str(err.value)
+            http_embedder(fake.post).embed_many(["tides", "waves"])
+        assert "malformed embedding response for the text at position 1" in str(err.value)
 
     def test_missing_endpoint_is_an_error(self, monkeypatch):
         monkeypatch.delenv("EMBED_API_BASE", raising=False)
@@ -862,38 +942,30 @@ class TestHttpEmbeddingBackend:
         assert "EMBED_API_BASE" in str(err.value)
 
     def test_unavailable_then_succeeds(self):
-        fake = FakeTransport([(503, {}), (200, self.embedding_body([3.0, 4.0]))])
+        """A 503 re-sends the identical batch once, after the first wait."""
+        fake = FakeTransport([(503, {}), (200, embedding_body([[3.0, 4.0], [0.0, 2.0]]))])
         waits = []
-        backend = HttpEmbeddingBackend(
-            base_url="https://embed.test", api_key="k", post=fake.post,
-            sleep=waits.append,
-        )
-        vector = backend.embed(EmbeddingRequest(text="tides"))
-        assert vector.tolist() == [0.6, 0.8]
+        vectors = http_embedder(fake.post, sleep=waits.append).embed_many(["tides", "waves"])
+        assert vectors.tolist() == [[0.6, 0.8], [0.0, 1.0]]
         assert len(fake.calls) == 2
+        assert fake.calls[0]["payload"] == fake.calls[1]["payload"] == {
+            "model": "embedder", "input": ["tides", "waves"]
+        }
         assert waits == [0.5]
 
     def test_auth_failure_does_not_retry(self):
         fake = FakeTransport([(401, {"error": "bad key"})])
         waits = []
-        backend = HttpEmbeddingBackend(
-            base_url="https://embed.test", api_key="k", post=fake.post,
-            sleep=waits.append,
-        )
         with pytest.raises(TeacherAuthError):
-            backend.embed(EmbeddingRequest(text="tides"))
+            http_embedder(fake.post, sleep=waits.append).embed_many(["tides", "waves"])
         assert len(fake.calls) == 1
         assert waits == []
 
     def test_retry_budget_exhausted(self):
         fake = FakeTransport([(500, {})] * 5)
         waits = []
-        backend = HttpEmbeddingBackend(
-            base_url="https://embed.test", api_key="k", post=fake.post,
-            sleep=waits.append,
-        )
         with pytest.raises(TeacherRetryError) as err:
-            backend.embed(EmbeddingRequest(text="tides"))
+            http_embedder(fake.post, sleep=waits.append).embed_many(["tides"])
         assert "5 attempt(s)" in str(err.value)
         assert len(fake.calls) == 5
         assert waits == [0.5, 1.0, 2.0, 4.0]
@@ -901,14 +973,13 @@ class TestHttpEmbeddingBackend:
     def test_credentials_come_from_environment(self, monkeypatch):
         monkeypatch.setenv("EMBED_API_BASE", "https://env.test/api/")
         monkeypatch.setenv("EMBED_API_KEY", "env-key")
-        fake = FakeTransport([(200, self.embedding_body([1.0, 0.0]))])
-        HttpEmbeddingBackend(post=fake.post).embed(EmbeddingRequest(text="tides"))
+        fake = FakeTransport([(200, embedding_body([[1.0, 0.0]]))])
+        HttpEmbeddingBackend(post=fake.post).embed_many(["tides"])
         call = fake.calls[0]
         assert call["url"] == "https://env.test/api/embeddings"
         assert call["headers"]["Authorization"] == "Bearer env-key"
 
     def test_timeout_reaches_the_transport(self):
-        fake = FakeTransport([(200, self.embedding_body([1.0, 0.0]))])
-        backend = HttpEmbeddingBackend(base_url="https://embed.test", post=fake.post)
-        backend.embed(EmbeddingRequest(text="tides"))
+        fake = FakeTransport([(200, embedding_body([[1.0, 0.0]]))])
+        HttpEmbeddingBackend(base_url="https://embed.test", post=fake.post).embed_many(["tides"])
         assert fake.calls[0]["timeout"] == 60
