@@ -15,7 +15,7 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,6 +54,12 @@ DEFAULT_PASSAGES_PER_QUESTION = 3
 DEFAULT_REQUIRED_YES = 1
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+# The batched BM25 scorer's score block and term-row block each hold at most
+# this many float64 cells (256 KiB), and a chunk at most _CHUNK_QUESTIONS
+# questions, whatever the number of questions scored.
+_BLOCK_CELLS = 1 << 15
+_CHUNK_QUESTIONS = 512
 
 
 class FilterError(RuntimeError):
@@ -140,9 +146,9 @@ class Bm25Retriever:
     Ties break by document order then window index.
 
     The index keeps one posting per term: the ids of the windows holding it
-    and, for each, the term's full BM25 contribution to that window.  A
-    query adds the postings of its tokens in query order, which is the same
-    float summation order as scoring each window token by token.
+    and, for each, the term's full BM25 contribution to that window.
+    ``top_windows`` scores many questions at once; ``retrieve`` is its
+    one-question case.
     """
 
     def __init__(
@@ -186,38 +192,138 @@ class Bm25Retriever:
         avgdl = sum(window_lengths) / self._count
         lengths = np.array(window_lengths, dtype=np.float64)
         norms = BM25_K1 * (1.0 - BM25_B + BM25_B * lengths / avgdl)
-        self._postings: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._term_ids: dict[str, int] = {}
+        self._postings: list[tuple[np.ndarray, np.ndarray]] = []
         for term, (ids, tfs) in grouped.items():
             n = len(ids)
             idf = math.log(1.0 + (self._count - n + 0.5) / (n + 0.5))
             window_ids = np.array(ids, dtype=np.intp)
             tf = np.array(tfs, dtype=np.float64)
             contrib = idf * tf * (BM25_K1 + 1.0) / (tf + norms[window_ids])
-            self._postings[term] = (window_ids, contrib)
+            self._term_ids[term] = len(self._postings)
+            self._postings.append((window_ids, contrib))
 
     def retrieve(self, question: str, k: int = DEFAULT_PASSAGES_PER_QUESTION) -> list[Passage]:
         """Top-k windows by BM25 score, deterministic under ties."""
+        ids, scores = self.top_windows([question], k)
+        return [
+            replace(self.windows[i], score=score)
+            for i, score in zip(ids[0].tolist(), scores[0].tolist())
+        ]
+
+    def top_windows(
+        self, questions: Sequence[str], k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each question's top-k windows: ``(ids, scores)``, both (n, min(k, windows)).
+
+        Row i of ``ids`` indexes ``windows`` best first, ties in window
+        order.  A question's score row is the sum, in token order, of the
+        posting rows of its tokens, each holding 0.0 at the windows without
+        the term; adding 0.0 to a non-negative float changes nothing, so
+        every score is the one the term-at-a-time sum over postings gives.
+        Questions go in chunks whose score block and term-row block each
+        hold at most ``_BLOCK_CELLS`` floats (a row or two each when there
+        are more windows than that), so the memory this takes does not grow
+        with the number of questions.
+        """
         import numpy as np
 
         if k < 1:
             raise FilterError(f"k must be at least 1, got {k}")
-        scores = np.zeros(self._count)
-        for token in tokenize(question):
-            posting = self._postings.get(token)
-            if posting is not None:
-                window_ids, contrib = posting
-                scores[window_ids] += contrib
-        top = np.argsort(-scores, kind="stable")[:k]
-        return [
-            Passage(
-                title=self.windows[i].title,
-                text=self.windows[i].text,
-                doc_id=self.windows[i].doc_id,
-                window_index=self.windows[i].window_index,
-                score=float(scores[i]),
-            )
-            for i in top.tolist()
+        k = min(k, self._count)
+        ids = np.empty((len(questions), k), dtype=np.intp)
+        top = np.empty((len(questions), k))
+        for start, pieces in self._chunks(questions):
+            rows = len(pieces[0])
+            scores = np.zeros((rows, self._count))
+            for piece in pieces:
+                self._add_postings(scores, piece)
+            every = np.arange(rows)
+            for j in range(k):
+                best = scores.argmax(axis=1)
+                ids[start : start + rows, j] = best
+                top[start : start + rows, j] = scores[every, best]
+                scores[every, best] = -np.inf
+        return ids, top
+
+    def _chunks(self, questions: Sequence[str]):
+        """Yield ``(start, pieces)`` per chunk of consecutive questions.
+
+        A piece holds one list of term ids per question of the chunk, for
+        its tokens in order, leaving out the tokens that no window holds;
+        the chunk's scores are its pieces added in order.  A chunk is one
+        piece of at most ``max_rows`` questions and ``max_terms`` distinct
+        terms, except a lone question with more terms, which is cut into
+        consecutive runs of tokens that each fit.
+        """
+        max_terms = max(1, _BLOCK_CELLS // self._count - 1)
+        max_rows = min(_CHUNK_QUESTIONS, max(1, _BLOCK_CELLS // self._count))
+        find = self._term_ids.get
+        start, rows, terms = 0, [], set()
+        for question in questions:
+            ids = [i for i in map(find, tokenize(question)) if i is not None]
+            terms.update(ids)
+            if rows and (len(rows) == max_rows or len(terms) > max_terms):
+                yield start, [rows]
+                start, rows, terms = start + len(rows), [], set(ids)
+            if len(terms) > max_terms:
+                yield start, [[run] for run in _runs(ids, max_terms)]
+                start, terms = start + 1, set()
+            else:
+                rows.append(ids)
+        if rows:
+            yield start, [rows]
+
+    def _add_postings(self, scores: np.ndarray, id_lists: list[list[int]]) -> None:
+        """Add to ``scores[i]``, token by token, the posting rows of ``id_lists[i]``."""
+        import numpy as np
+
+        width = max(map(len, id_lists))
+        # -1 pads the shorter lists; np.unique sorts it first, to row 0,
+        # which stays all zeros.
+        padded = np.array([ids + [-1] * (width - len(ids)) for ids in id_lists], dtype=np.intp)
+        terms, index = np.unique(padded.ravel(), return_inverse=True)
+        block = np.zeros((len(terms), self._count))
+        for row, term in enumerate(terms.tolist()):
+            if term >= 0:
+                window_ids, contrib = self._postings[term]
+                block[row, window_ids] = contrib
+        for rows in index.reshape(padded.shape).T:
+            scores += block.take(rows, axis=0)
+
+
+def _runs(ids: list[int], max_terms: int) -> list[list[int]]:
+    """Cut ``ids`` into consecutive runs of at most ``max_terms`` distinct terms."""
+    runs, run, terms = [], [], set()
+    for term in ids:
+        if term not in terms and len(terms) == max_terms:
+            runs.append(run)
+            run, terms = [], set()
+        run.append(term)
+        terms.add(term)
+    return runs + [run]
+
+
+def _judge(
+    instance: InstructionInstance,
+    passages: Sequence[Passage],
+    client: TeacherClient,
+    required_yes: int,
+) -> InstructionInstance | None:
+    """Judge ``passages`` for one instance; return it kept, unfiltered or None."""
+    try:
+        votes = [
+            client.judge_relevance(instance.question, p.title, p.text)
+            for p in passages
         ]
+    except TeacherAuthError:
+        raise
+    except TeacherError as exc:
+        log.warning("retrieval filtering failed for %s: %s", instance.id, exc)
+        return replace(instance, filter_status=FILTER_UNFILTERED, relevance_votes=None)
+    if sum(votes) < required_yes:
+        return None
+    return replace(instance, filter_status=FILTER_KEPT, relevance_votes=tuple(votes))
 
 
 def retrieval_filter(
@@ -230,24 +336,13 @@ def retrieval_filter(
     """Judge retrieved passages; return the kept instance, or None to drop it.
 
     All passages are judged (no early exit) so the full vote vector lands
-    on a kept instance.  A retrieval or judging failure leaves the instance
-    unfiltered rather than dropping it; a TeacherAuthError propagates, since
-    every later judge call would be rejected too.
+    on a kept instance.  A judging failure leaves the instance unfiltered
+    rather than dropping it; a TeacherAuthError propagates, since every
+    later judge call would be rejected too.  A ``passages_per_question``
+    below 1 raises FilterError before any judge call.
     """
-    try:
-        passages = retriever.retrieve(instance.question, k=passages_per_question)
-        votes = [
-            client.judge_relevance(instance.question, p.title, p.text)
-            for p in passages
-        ]
-    except TeacherAuthError:
-        raise
-    except (TeacherError, FilterError) as exc:
-        log.warning("retrieval filtering failed for %s: %s", instance.id, exc)
-        return replace(instance, filter_status=FILTER_UNFILTERED, relevance_votes=None)
-    if sum(votes) < required_yes:
-        return None
-    return replace(instance, filter_status=FILTER_KEPT, relevance_votes=tuple(votes))
+    passages = retriever.retrieve(instance.question, k=passages_per_question)
+    return _judge(instance, passages, client, required_yes)
 
 
 @dataclass(frozen=True)
@@ -291,9 +386,10 @@ def run_filters(
 ) -> tuple[Dataset, FilterStats]:
     """Rule filter, then retrieval filter on survivors; order-preserving.
 
+    One ``top_windows`` pass scores every survivor before any judge call,
+    so a ``passages_per_question`` below 1 raises FilterError at once.
     Aborts at once on a TeacherAuthError, and otherwise only when the
-    fraction of retrieval/judging failures exceeds
-    ``config.max_failure_fraction``.
+    fraction of judging failures exceeds ``config.max_failure_fraction``.
     """
     reasons: Counter = Counter()
     survivors: list[InstructionInstance] = []
@@ -306,14 +402,16 @@ def run_filters(
             rule_dropped += 1
             reasons[reason] += 1
 
-    def judge(item: InstructionInstance) -> InstructionInstance:
-        return retrieval_filter(
-            item, retriever, client,
-            required_yes=config.required_yes,
-            passages_per_question=config.passages_per_question,
-        )
+    top, _ = retriever.top_windows(
+        [item.question for item in survivors], config.passages_per_question
+    )
+    windows = retriever.windows
 
-    judged = fan_out(judge, survivors, client.max_concurrency)
+    def judge(row: int) -> InstructionInstance | None:
+        passages = [windows[i] for i in top[row].tolist()]
+        return _judge(survivors[row], passages, client, config.required_yes)
+
+    judged = fan_out(judge, range(len(survivors)), client.max_concurrency)
 
     output = [item for item in judged if item is not None]
     failures = sum(1 for item in output if item.filter_status == FILTER_UNFILTERED)

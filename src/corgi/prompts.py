@@ -77,8 +77,14 @@ def load_template(name: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def _slots_of(template: str) -> frozenset[str]:
-    return frozenset(_SLOT_RE.findall(template))
+def _compiled(template: str) -> tuple[tuple[str, ...], frozenset[str]]:
+    """``_SLOT_RE.split`` of a template and its slot names.
+
+    The split alternates literal text and slot names, so filling the odd
+    places with slot values and joining equals substituting each marker.
+    """
+    parts = tuple(_SLOT_RE.split(template))
+    return parts, frozenset(parts[1::2])
 
 
 @dataclass(frozen=True)
@@ -89,18 +95,19 @@ class PromptFill:
     slots: dict[str, str]
 
     def render(self) -> str:
-        template = load_template(self.template_name)
-        wanted = _slots_of(template)
-        given = set(self.slots)
-        if wanted - given:
-            raise PromptError(
-                f"{self.template_name}: unfilled slot(s) {sorted(wanted - given)}"
-            )
-        if given - wanted:
+        parts, wanted = _compiled(load_template(self.template_name))
+        if self.slots.keys() != wanted:
+            given = set(self.slots)
+            if wanted - given:
+                raise PromptError(
+                    f"{self.template_name}: unfilled slot(s) {sorted(wanted - given)}"
+                )
             raise PromptError(
                 f"{self.template_name}: unknown slot(s) {sorted(given - wanted)}"
             )
-        return _SLOT_RE.sub(lambda m: self.slots[m.group(1)], template)
+        pieces = list(parts)
+        pieces[1::2] = map(self.slots.__getitem__, parts[1::2])
+        return "".join(pieces)
 
 
 def _require_nonempty(value: str, slot: str) -> str:

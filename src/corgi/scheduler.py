@@ -151,6 +151,8 @@ def order(d: Dataset, cfg: OrderingConfig) -> Dataset:
     The manifest keeps the input's ``run_id`` and records the ordering keys
     ``strategy``, ``seed``, ``granularity`` and the input's digest, which is
     ``d.digest`` when set and ``dataset_digest(d.items)`` otherwise.
+    ``granularity`` is None for every strategy but interleave, the one it
+    shapes.
     """
     report = validate(d)
     if not report.ok:
@@ -180,7 +182,8 @@ def order(d: Dataset, cfg: OrderingConfig) -> Dataset:
         run_id=d.manifest.get("run_id", ""),
         strategy=cfg.strategy,
         seed=cfg.seed,
-        extra={"granularity": cfg.interleave_granularity,
+        extra={"granularity": cfg.interleave_granularity
+               if cfg.strategy == STRATEGY_INTERLEAVE else None,
                "input_digest": d.digest or dataset_digest(d.items)},
     )
 

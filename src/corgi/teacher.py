@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from .prompts import build_retrieval_check_prompt
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -392,8 +394,6 @@ class TeacherClient:
         return self.complete(CompletionRequest(prompt, system_message, temperature))
 
     def judge_relevance(self, question: str, passage_title: str, passage: str) -> bool:
-        from .prompts import build_retrieval_check_prompt
-
         prompt = build_retrieval_check_prompt(question, passage_title, passage)
         reply = self.ask(prompt, temperature=DEFAULT_JUDGE_TEMPERATURE)
         return parse_relevance_reply(reply)
@@ -497,8 +497,9 @@ class HttpEmbeddingBackend(_HttpBackend):
 
     Reply rows are placed by their ``index``, which must run over 0 to n-1
     once each.  Each row must be a non-empty list of finite numbers, not all
-    zero, of one width (``dimension`` where it is set), and is re-normalized
-    to unit length.  Each error names the position of the text concerned.
+    zero, of one width (``dimension`` where it is set), with a norm that a
+    float holds, and is re-normalized to unit length.  Each error names the
+    position of the text concerned.
     """
 
     service, base_env, key_env = "embedding", EMBED_API_BASE_ENV, EMBED_API_KEY_ENV
@@ -535,8 +536,14 @@ class HttpEmbeddingBackend(_HttpBackend):
                 width = width or len(values)
                 if len(values) != width:
                     raise TeacherError(f"embedding dimension {len(values)} != {width} {at}")
-                vector = np.asarray(values, dtype=np.float64)
-                norm = float(np.linalg.norm(vector))
+                try:
+                    vector = np.asarray(values, dtype=np.float64)
+                except OverflowError:
+                    raise TeacherError(f"embedding value beyond float range {at}") from None
+                with np.errstate(over="ignore"):
+                    norm = float(np.linalg.norm(vector))
+                if not math.isfinite(norm):
+                    raise TeacherError(f"embedding vector norm overflows {at}")
                 if norm == 0.0:
                     raise TeacherError(f"zero embedding vector {at}")
                 vectors.append(vector / norm)

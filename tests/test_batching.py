@@ -103,6 +103,11 @@ def test_report_is_labelled_by_the_manifest():
         cfg = OrderingConfig(strategy="interleave", interleave_granularity=granularity)
         summary = analyze(order(d, cfg), 3).summary()
         assert (summary["strategy"], summary["granularity"]) == ("interleave", granularity)
+    # Granularity shapes interleave only; other strategies leave it empty.
+    for strategy in ("block", "cluster", "spiral", "random"):
+        cfg = OrderingConfig(strategy=strategy, seed=1, interleave_granularity="per_load_tier")
+        summary = analyze(order(d, cfg), 3).summary()
+        assert (summary["strategy"], summary["granularity"]) == (strategy, "")
     unordered = analyze(d, 3).summary()
     assert (unordered["strategy"], unordered["granularity"]) == ("", "")
 

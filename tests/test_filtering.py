@@ -5,6 +5,7 @@ import math
 import random
 import re
 import threading
+import tracemalloc
 
 import pytest
 
@@ -346,6 +347,130 @@ class TestBm25:
         assert DEFAULT_REQUIRED_YES == 1
 
 
+def window_rows(retriever, ids, scores):
+    """``top_windows`` output as ``(doc_id, window_index, score)`` rows."""
+    return [
+        [(retriever.windows[i].doc_id, retriever.windows[i].window_index, score)
+         for i, score in zip(row_ids, row_scores)]
+        for row_ids, row_scores in zip(ids.tolist(), scores.tolist())
+    ]
+
+
+def one_word_window_corpus(rng, vocab, windows):
+    """Documents cut into one-word windows: ``windows`` in all, heavily tied."""
+    words = [rng.choice(vocab) for _ in range(windows)]
+    return [
+        CorpusDocument(f"doc{d}.txt", f"Doc {d}", " ".join(words[d::7]))
+        for d in range(7)
+    ]
+
+
+class TestTopWindows:
+    """The batched scorer against ``retrieve`` and the exhaustive oracle."""
+
+    def assert_rows_match(self, documents, questions, k, window_words):
+        retriever = Bm25Retriever(documents, window_words=window_words)
+        ids, scores = retriever.top_windows(questions, k)
+        assert ids.shape == scores.shape == (len(questions), min(k, len(retriever.windows)))
+        rows = window_rows(retriever, ids, scores)
+        for question, row in zip(questions, rows):
+            single = retriever.retrieve(question, k=k)
+            assert row == [(p.doc_id, p.window_index, p.score) for p in single], question
+            want = naive_top_windows(documents, question, k, window_words)
+            assert row == [(doc_id, number, score) for score, _, doc_id, number in want], question
+        return retriever
+
+    def test_matches_on_random_corpora(self):
+        vocab = ["sun", "moon", "star", "comet", "orbit", "dust", "gas", "ring"]
+        rng = random.Random(0x70B)
+        for round_no in range(20):
+            documents = [
+                CorpusDocument(
+                    f"doc{d}.txt", f"Doc {d}",
+                    " ".join(rng.choice(vocab) for _ in range(rng.randrange(1, 40))),
+                )
+                for d in range(rng.randrange(1, 5))
+            ]
+            questions = [
+                " ".join(rng.choice(vocab + ["absent"]) for _ in range(rng.randrange(0, 9)))
+                for _ in range(rng.randrange(1, 30))
+            ]
+            self.assert_rows_match(
+                documents, questions, rng.randrange(1, 8), rng.randrange(1, 8)
+            )
+
+    def test_edge_questions(self):
+        documents = [
+            CorpusDocument("a.txt", "A", "sun moon sun star comet sun orbit dust"),
+            CorpusDocument("b.txt", "B", "moon moon gas ring sun"),
+            CorpusDocument("c.txt", "C", "dust gas gas comet"),
+        ]
+        questions = [
+            "sun sun sun",
+            "xylophone zzyzx",
+            "",
+            "moon gas moon gas moon",
+            "xylophone sun zzyzx sun",
+            "dust",
+        ]
+        retriever = self.assert_rows_match(documents, questions, 50, 3)
+        ids, scores = retriever.top_windows(questions, 50)
+        # No indexed token: every window ties at 0.0 and comes in window order.
+        assert ids[1].tolist() == ids[2].tolist() == list(range(len(retriever.windows)))
+        assert scores[1].tolist() == [0.0] * len(retriever.windows)
+
+    def test_chunks_of_a_two_thousand_window_corpus(self):
+        """With 2,000 windows a chunk holds 16 questions and 15 terms, so the
+        questions span many chunks, and the 45-term questions are cut into
+        runs of tokens."""
+        rng = random.Random(0x2000)
+        vocab = [f"w{i}" for i in range(60)]
+        documents = one_word_window_corpus(rng, vocab, 2000)
+        questions = []
+        for n in range(90):
+            if n % 15 == 0:
+                terms = rng.sample(vocab, 45) + ["w0", "w1", "absent"]
+            else:
+                terms = [rng.choice(vocab + ["absent"]) for _ in range(rng.randrange(0, 8))]
+            questions.append(" ".join(terms))
+        retriever = self.assert_rows_match(documents, questions, 5, 1)
+        assert len(retriever.windows) == 2000
+        # Each window holds one word, so the best windows tie in score.
+        _, scores = retriever.top_windows(questions[1:2], 5)
+        assert len(set(scores[0].tolist())) < 5
+
+    def test_empty_question_list(self):
+        ids, scores = Bm25Retriever(one_window_corpus()).top_windows([], 3)
+        assert ids.shape == scores.shape == (0, 3)
+
+    def test_k_below_one_is_an_error(self):
+        with pytest.raises(FilterError):
+            Bm25Retriever(one_window_corpus()).top_windows(["comet"], 0)
+
+    def test_memory_does_not_grow_with_the_questions(self):
+        """4,000 questions over 2,000 windows: scoring them all in one block
+        would take 64 MB, and their token strings 3 MB more.  The term rows
+        of one 250-term question would take 4 MB."""
+        rng = random.Random(0x3000)
+        vocab = [f"w{i}" for i in range(300)]
+        retriever = Bm25Retriever(one_word_window_corpus(rng, vocab, 2000), window_words=1)
+        # Questions on a few words fill chunks by rows, the others by terms.
+        questions = [
+            " ".join(rng.choice(vocab[:5] if n < 2000 else vocab) for _ in range(12)) + f" q{n}"
+            for n in range(4000)
+        ]
+        questions[1000] = " ".join(rng.sample(vocab, 250))
+        tracemalloc.start()
+        try:
+            ids, scores = retriever.top_windows(questions, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Three 256 KiB blocks (scores, term rows, one gathered row set), the
+        # two (4000, 3) results, and 256 KiB for everything else.
+        assert peak <= 4 * 256 * 1024 + ids.nbytes + scores.nbytes, peak
+
+
 class TestLoadCorpus:
     def test_directory_of_text_files(self, tmp_path):
         (tmp_path / "b.txt").write_text("second doc", encoding="utf-8")
@@ -575,6 +700,31 @@ class TestRunFilters:
         threaded, _ = run_filters(dataset, retriever, RuleJudgeClient(max_concurrency=4))
         assert serial.items == threaded.items
         assert serial.manifest == threaded.manifest
+
+    def test_judges_see_each_survivors_retrieved_passages(self):
+        dataset = self.build_dataset()
+        retriever = Bm25Retriever(one_window_corpus())
+        client = SequenceJudgeClient([True] * 9)
+        run_filters(dataset, retriever, client)
+        survivors = [item.question for item in dataset.items if rule_filter(item) is None]
+        assert client.calls == [
+            (question, p.title, p.text)
+            for question in survivors
+            for p in retriever.retrieve(question, k=3)
+        ]
+
+    def test_k_below_one_raises_before_any_judge_call(self):
+        """It used to leave every item unfiltered, one failure per item."""
+        client = RuleJudgeClient()
+        with pytest.raises(FilterError) as err:
+            run_filters(
+                self.build_dataset(),
+                Bm25Retriever(one_window_corpus()),
+                client,
+                FilterConfig(passages_per_question=0, max_failure_fraction=1.0),
+            )
+        assert "k must be at least 1" in str(err.value)
+        assert client.calls == []
 
     @staticmethod
     def judgeable_dataset(count):

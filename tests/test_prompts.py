@@ -2,6 +2,7 @@
 
 import os
 import random
+from importlib import resources
 
 import pytest
 
@@ -144,6 +145,42 @@ class TestTemplateCache:
             )
             assert prompt == golden("retrieval_check.txt")
         assert reads == ["corgi"]
+
+
+BUNDLED_TEMPLATES = sorted(
+    entry.name[: -len(".txt")]
+    for entry in resources.files("corgi").joinpath("templates").iterdir()
+    if entry.name.endswith(".txt")
+)
+
+# Slot values that a regex replacement string, or a second pass over the
+# rendered text, would mangle.
+AWKWARD_VALUES = (
+    "{question}",
+    "\\1 and \\g<0>",
+    "line\u2028separated",
+    "astral \U0001F52D",
+    "{retrieved_passage} \\g<1>",
+)
+
+
+class TestCompiledTemplates:
+    @pytest.mark.parametrize("name", BUNDLED_TEMPLATES)
+    def test_render_equals_slot_substitution(self, name):
+        template = prompts.load_template(name)
+        names = sorted(set(prompts._SLOT_RE.findall(template)))
+        for shift in range(len(AWKWARD_VALUES)):
+            slots = {
+                slot: AWKWARD_VALUES[(i + shift) % len(AWKWARD_VALUES)]
+                for i, slot in enumerate(names)
+            }
+            want = prompts._SLOT_RE.sub(lambda m: slots[m.group(1)], template)
+            assert PromptFill(name, slots).render() == want
+
+    def test_every_template_is_covered(self):
+        assert BUNDLED_TEMPLATES == [
+            "concept_generation", "question_generation", "refinement", "retrieval_check",
+        ]
 
 
 class TestQuestionPrompt:

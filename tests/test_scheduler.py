@@ -427,9 +427,12 @@ def test_order_returns_a_dataset_with_the_ordering_manifest():
         "counts": {"total": 9, "secondary": 0, "higher": 9},
         "strategy": "random",
         "seed": 3,
-        "granularity": "per_load_tier",
+        "granularity": None,
         "input_digest": dataset_digest(d.items),
     }
+    interleaved = order(d, OrderingConfig(strategy="interleave",
+                                          interleave_granularity="per_load_tier"))
+    assert interleaved.manifest["granularity"] == "per_load_tier"
 
 
 def test_per_load_tier_discriminates():

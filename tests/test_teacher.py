@@ -13,6 +13,7 @@ import sys
 import threading
 import time
 import urllib.error
+import warnings
 
 import numpy as np
 import pytest
@@ -874,6 +875,12 @@ class TestHttpEmbeddingBackend:
             lambda rows: embedding_body(rows[:1] + [[1.0, 2.0, 3.0]] + rows[2:]),
             "position 65",
         ),
+        "int_beyond_float": (
+            lambda rows: embedding_body(rows[:2] + [[10**400, 1.0]] + rows[3:]), "position 66"
+        ),
+        "norm_overflow": (
+            lambda rows: embedding_body(rows[:4] + [[1e308, 1e308]] + rows[5:]), "position 68"
+        ),
     }
 
     @pytest.mark.parametrize("fault", sorted(BAD_REPLIES))
@@ -934,6 +941,21 @@ class TestHttpEmbeddingBackend:
         with pytest.raises(TeacherError) as err:
             http_embedder(fake.post).embed_many(["tides", "waves"])
         assert "malformed embedding response for the text at position 1" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "values, why",
+        [([10**400, 1.0], "embedding value beyond float range"),
+         ([1e308, 1e308], "embedding vector norm overflows")],
+    )
+    def test_values_beyond_float_range_raise(self, values, why):
+        """An int too large for a float64 would escape as OverflowError, and a
+        norm that overflows to inf would turn the row into a zero vector."""
+        fake = FakeTransport([(200, embedding_body([[1.0, 0.0], values]))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TeacherError) as err:
+                http_embedder(fake.post).embed_many(["tides", "waves"])
+        assert f"{why} for the text at position 1" in str(err.value)
 
     def test_missing_endpoint_is_an_error(self, monkeypatch):
         monkeypatch.delenv("EMBED_API_BASE", raising=False)
