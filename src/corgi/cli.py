@@ -181,6 +181,8 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         raise CliError(f"unknown granularity: {cfg.interleave_granularity!r}")
     if cfg.batch_size < 1:
         raise CliError(f"batch_size must be positive, got {cfg.batch_size}")
+    if cfg.max_workers < 1:
+        raise CliError(f"max_workers must be at least 1, got {cfg.max_workers}")
     if not 1 <= cfg.required_yes <= cfg.passages_per_question:
         raise CliError(
             f"required_yes must be between 1 and passages_per_question "

@@ -27,6 +27,7 @@ from .model import (
     Dataset,
     InstructionInstance,
     make_dataset,
+    with_verdict,
 )
 from .teacher import TeacherAuthError, TeacherClient, TeacherError, fan_out
 
@@ -78,7 +79,8 @@ def rule_filter(instance: InstructionInstance) -> str | None:
         for keyword in EXCLUSION_KEYWORDS:
             if keyword in text:
                 return f"{field_name}_keyword:{keyword}"
-        if len(text.split()) < MIN_WORDS:
+        # Split at most MIN_WORDS - 1 times: fewer pieces iff fewer words.
+        if len(text.split(None, MIN_WORDS - 1)) < MIN_WORDS:
             return f"{field_name}_too_short"
     return None
 
@@ -100,7 +102,11 @@ class CorpusDocument:
 
 
 def load_corpus(path: str) -> list[CorpusDocument]:
-    """Load a reference corpus: a directory of .txt files or a JSONL file."""
+    """Load a reference corpus: a directory of .txt files or a JSONL file.
+
+    Each JSONL record needs a string ``title`` and a string ``text``; any
+    other value is a ``FilterError`` naming the line and the field.
+    """
     documents: list[CorpusDocument] = []
     if os.path.isdir(path):
         names = sorted(n for n in os.listdir(path) if n.endswith(".txt"))
@@ -117,11 +123,15 @@ def load_corpus(path: str) -> list[CorpusDocument]:
                     raise FilterError(
                         f"{path}:{line_no}: corpus records need title and text fields"
                     )
+                for name in ("title", "text"):
+                    if type(record[name]) is not str:
+                        raise DatasetFormatError(
+                            path, line_no, name,
+                            f"expected string, got {type(record[name]).__name__}",
+                        )
                 documents.append(
                     CorpusDocument(
-                        doc_id=f"{path}:{line_no}",
-                        title=str(record["title"]),
-                        text=str(record["text"]),
+                        doc_id=f"{path}:{line_no}", title=record["title"], text=record["text"]
                     )
                 )
         except DatasetFormatError as exc:
@@ -320,10 +330,10 @@ def _judge(
         raise
     except TeacherError as exc:
         log.warning("retrieval filtering failed for %s: %s", instance.id, exc)
-        return replace(instance, filter_status=FILTER_UNFILTERED, relevance_votes=None)
+        return with_verdict(instance, FILTER_UNFILTERED, None)
     if sum(votes) < required_yes:
         return None
-    return replace(instance, filter_status=FILTER_KEPT, relevance_votes=tuple(votes))
+    return with_verdict(instance, FILTER_KEPT, tuple(votes))
 
 
 def retrieval_filter(
@@ -405,10 +415,11 @@ def run_filters(
     top, _ = retriever.top_windows(
         [item.question for item in survivors], config.passages_per_question
     )
+    top = top.tolist()
     windows = retriever.windows
 
     def judge(row: int) -> InstructionInstance | None:
-        passages = [windows[i] for i in top[row].tolist()]
+        passages = [windows[i] for i in top[row]]
         return _judge(survivors[row], passages, client, config.required_yes)
 
     judged = fan_out(judge, range(len(survivors)), client.max_concurrency)

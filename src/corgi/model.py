@@ -1,13 +1,14 @@
 """Core domain types for catalog courses, concepts, and instruction instances.
 
 All types are plain frozen dataclasses; pipeline operations never mutate
-them in place and instead build new values with ``dataclasses.replace``.
+them in place and instead build new values with ``dataclasses.replace``
+(or ``with_verdict``, its one-step form for the filter's verdict).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from functools import lru_cache
 from typing import Any
 
@@ -28,6 +29,58 @@ _SLUG_RE = re.compile(r"^[a-z0-9]+(-[a-z0-9]+)*$")
 
 class ModelError(ValueError):
     """Raised when a core type is constructed from inconsistent values."""
+
+
+def frozen_record(cls: type) -> type:
+    """``dataclass(frozen=True, slots=True)`` whose instances are built in one step.
+
+    A frozen dataclass's ``__init__`` makes one ``object.__setattr__`` call
+    per field.  Here ``__new__`` fills an instance of a twin class that has
+    the same slots and plain attribute stores, then sets its ``__class__``
+    to ``cls``; the two layouts are the same, so Python allows that.
+    Equality, hashing, repr, ``fields`` and ``replace`` are the
+    dataclass's own.  Copies and pickles are rebuilt through ``__new__``.
+    A field with a ``default_factory`` is refused: only plain defaults.
+    """
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    env = {"_twin": type(f"_Writable{cls.__name__}", (), {"__slots__": cls.__slots__})}
+    params = []
+    for f in fields(cls):
+        if f.default_factory is not MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name}: frozen_record takes no default_factory")
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            env[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+    stores = "".join(f"    self.{f.name} = {f.name}\n" for f in fields(cls))
+    exec(
+        f"def __new__(cls, {', '.join(params)}):\n"
+        f"    self = object.__new__(_twin)\n{stores}"
+        "    self.__class__ = cls\n"
+        "    return self\n",
+        env,
+    )
+    cls.__new__ = staticmethod(env["__new__"])
+    cls.__reduce__ = _reduce_record
+    # The frozen __setattr__ and __delattr__ that dataclass gives a slotted
+    # class name the class it replaced, so for a name that is not a field
+    # they raise TypeError rather than FrozenInstanceError.
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_deletion
+    return cls
+
+
+def _reduce_record(self) -> tuple:
+    return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+def _refuse_assignment(self, name: str, value: Any) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +149,7 @@ class Provenance:
     run_id: str
 
 
-@dataclass(frozen=True)
+@frozen_record
 class InstructionInstance:
     """One question/answer pair tagged with its full curriculum metadata.
 
@@ -120,6 +173,18 @@ class InstructionInstance:
     relevance_votes: tuple[bool, ...] | None = None
     provenance: Provenance = field(
         default=Provenance(teacher_model="", created_at="", run_id="")
+    )
+
+
+def with_verdict(
+    item: InstructionInstance, filter_status: str, relevance_votes: tuple[bool, ...] | None
+) -> InstructionInstance:
+    """``replace(item, filter_status=..., relevance_votes=...)`` in one step."""
+    return InstructionInstance(
+        item.id, item.stage, item.subject, item.course_id, item.concept_id,
+        item.cognitive_index, item.cognitive_process, item.cognitive_subprocess,
+        item.cognitive_load, item.system_message, item.question, item.answer,
+        filter_status, relevance_votes, item.provenance,
     )
 
 

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from operator import itemgetter
+from typing import Callable
 
-from .model import Concept, Course
+from .model import Concept, Course, frozen_record
 from .taxonomy import LOAD_EASY, CognitiveTemplate
 
 NO_PREVIOUS_QUESTION = "None"
@@ -77,17 +78,26 @@ def load_template(name: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def _compiled(template: str) -> tuple[tuple[str, ...], frozenset[str]]:
-    """``_SLOT_RE.split`` of a template and its slot names.
+def _compiled(template: str) -> tuple[tuple[str, ...], frozenset[str], Callable]:
+    """``_SLOT_RE.split`` of a template, its slot names, and their getter.
 
     The split alternates literal text and slot names, so filling the odd
     places with slot values and joining equals substituting each marker.
+    The getter maps a slots dict to the tuple of those values.
     """
     parts = tuple(_SLOT_RE.split(template))
-    return parts, frozenset(parts[1::2])
+    names = parts[1::2]
+    # itemgetter returns a tuple for two or more keys only.
+    if len(names) > 1:
+        return parts, frozenset(names), itemgetter(*names)
+
+    def values(slots: dict[str, str]) -> tuple[str, ...]:
+        return tuple(map(slots.__getitem__, names))
+
+    return parts, frozenset(names), values
 
 
-@dataclass(frozen=True)
+@frozen_record
 class PromptFill:
     """A template name plus its slot values; ``render`` checks both ways."""
 
@@ -95,9 +105,10 @@ class PromptFill:
     slots: dict[str, str]
 
     def render(self) -> str:
-        parts, wanted = _compiled(load_template(self.template_name))
-        if self.slots.keys() != wanted:
-            given = set(self.slots)
+        parts, wanted, values = _compiled(load_template(self.template_name))
+        slots = self.slots
+        if slots.keys() != wanted:
+            given = set(slots)
             if wanted - given:
                 raise PromptError(
                     f"{self.template_name}: unfilled slot(s) {sorted(wanted - given)}"
@@ -106,7 +117,7 @@ class PromptFill:
                 f"{self.template_name}: unknown slot(s) {sorted(given - wanted)}"
             )
         pieces = list(parts)
-        pieces[1::2] = map(self.slots.__getitem__, parts[1::2])
+        pieces[1::2] = values(slots)
         return "".join(pieces)
 
 

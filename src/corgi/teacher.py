@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from .model import frozen_record
 from .prompts import build_retrieval_check_prompt
 
 if TYPE_CHECKING:
@@ -56,7 +57,7 @@ class MockScriptError(TeacherError):
     """A strict scripted mock saw a prompt it has no reply for."""
 
 
-@dataclass(frozen=True)
+@frozen_record
 class CompletionRequest:
     prompt: str
     system_message: str = ""
@@ -258,6 +259,9 @@ _WORD_BANK = (
     "buoyancy",
 )
 
+# The word each digest byte picks: _WORD_BANK[byte % len(_WORD_BANK)].
+_WORD_OF_BYTE = tuple(_WORD_BANK[b % len(_WORD_BANK)] for b in range(256))
+
 REFUSAL_TEXT = "As an AI language model, I cannot help with that request."
 
 _SHARED_CONCEPT_NAME = "Systematic Inquiry"
@@ -290,16 +294,29 @@ class SimulatedTeacherBackend:
         self.concepts_per_course = concepts_per_course
         self.relevance_yes_rate = relevance_yes_rate
         self.refusal_rate = refusal_rate
+        # One BLAKE2b state per (kind, digest size), fed the key's prefix.
+        self._states: dict = {}
 
-    def _uniform(self, *parts: str) -> float:
-        key = "\x1f".join((str(self.seed),) + parts).encode("utf-8")
-        h = hashlib.blake2b(key, digest_size=8).digest()
-        return int.from_bytes(h, "big") / 2**64
+    def _digest(self, size: int, kind: str, parts: tuple[str, ...]) -> bytes:
+        """BLAKE2b of ``seed, kind, *parts`` joined by U+001F, ``size`` bytes.
 
-    def _words(self, count: int, *parts: str) -> list[str]:
-        key = "\x1f".join((str(self.seed),) + parts).encode("utf-8")
-        h = hashlib.blake2b(key, digest_size=count).digest()
-        return [_WORD_BANK[b % len(_WORD_BANK)] for b in h]
+        BLAKE2 is a streaming hash, so continuing a copy of a state already
+        fed ``seed \x1f kind \x1f`` gives the one-shot digest; ``parts``
+        must not be empty.
+        """
+        state = self._states.get((kind, size))
+        if state is None:
+            prefix = "\x1f".join((str(self.seed), kind, "")).encode("utf-8")
+            state = self._states[kind, size] = hashlib.blake2b(prefix, digest_size=size)
+        state = state.copy()
+        state.update("\x1f".join(parts).encode("utf-8"))
+        return state.digest()
+
+    def _uniform(self, kind: str, *parts: str) -> float:
+        return int.from_bytes(self._digest(8, kind, parts), "big") / 2**64
+
+    def _words(self, count: int, kind: str, *parts: str) -> list[str]:
+        return [_WORD_OF_BYTE[b] for b in self._digest(count, kind, parts)]
 
     @staticmethod
     def _line_after(prompt: str, label: str) -> str:
@@ -309,7 +326,15 @@ class SimulatedTeacherBackend:
         return "the course"
 
     def complete(self, req: CompletionRequest) -> str:
+        """The reply to ``req.prompt``, by the kind of prompt it is.
+
+        A judge prompt is recognised first, by its start and end alone, so a
+        passage quoting another prompt's marker is still judged.
+        """
         prompt = req.prompt
+        if prompt.startswith("QUESTION:") and prompt.rstrip().endswith("B) No"):
+            yes = self._uniform("judge", prompt) < self.relevance_yes_rate
+            return "A) Yes" if yes else "B) No"
         if "Extend the course description" in prompt:
             title = self._line_after(prompt, "Course Title: ")
             w = self._words(4, "refine", prompt)
@@ -343,9 +368,6 @@ class SimulatedTeacherBackend:
                 f"Explain how {w[2]} interacts with {w[3]} and state the "
                 f"resulting effect on {w[4]}."
             )
-        if prompt.startswith("QUESTION:") and prompt.rstrip().endswith("B) No"):
-            yes = self._uniform("judge", prompt) < self.relevance_yes_rate
-            return "A) Yes" if yes else "B) No"
         if self.refusal_rate > 0 and self._uniform("refuse", prompt) < self.refusal_rate:
             return REFUSAL_TEXT
         w = self._words(6, "answer", prompt)

@@ -364,6 +364,8 @@ class TestLoadConfig:
             ("dedup_scope", "per_course"),
             ("max_failure_fraction", -1),
             ("max_failure_fraction", 1.5),
+            ("max_workers", 0),
+            ("max_workers", -2),
         ],
     )
     def test_out_of_range_value_is_rejected(self, tmp_path, key, value):

@@ -515,6 +515,20 @@ class TestLoadCorpus:
             load_corpus(str(path))
         assert "title and text" in str(err.value)
 
+    @pytest.mark.parametrize("field", ["title", "text"])
+    @pytest.mark.parametrize("value", [None, ["x"], 7, 2.5, True, {"a": "b"}])
+    def test_a_field_that_is_not_a_string_is_rejected(self, tmp_path, field, value):
+        path = tmp_path / "corpus.jsonl"
+        record = {"title": "Solar System", "text": "kepler orbit"}
+        record[field] = value
+        lines = [json.dumps({"title": "Cells", "text": "nucleus"}), json.dumps(record)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FilterError) as err:
+            load_corpus(str(path))
+        assert str(err.value) == (
+            f"{path}:2: field {field!r}: expected string, got {type(value).__name__}"
+        )
+
     def test_missing_path(self, tmp_path):
         with pytest.raises(FilterError):
             load_corpus(str(tmp_path / "absent"))

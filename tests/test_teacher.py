@@ -18,6 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
+import corgi.teacher as teacher_module
 from corgi.concepts import dedup_concepts
 from corgi.model import Concept, EducationalStage
 from corgi.prompts import build_retrieval_check_prompt
@@ -627,6 +628,122 @@ class TestSimulatedBackend:
             if parse_relevance_reply(backend.complete(CompletionRequest(prompt=prompt))):
                 yes_count += 1
         assert abs(yes_count / rounds - 0.5) < 0.05
+
+
+WORD_BANK = teacher_module._WORD_BANK
+
+# The markers by which the simulated teacher tells the pipeline's other
+# prompts apart.
+PROMPT_MARKERS = ("Extend the course description", "### List ###", "### Question ###")
+
+# Each (kind, digest size) the simulated teacher hashes with.
+HASH_KINDS = (
+    ("refine", 4), ("concept", 6), ("question", 5), ("answer", 6), ("judge", 8), ("refuse", 8),
+)
+
+
+def oracle_digest(seed, size, *parts):
+    """The one-shot keyed hash: BLAKE2b of the parts joined by U+001F."""
+    key = "\x1f".join((str(seed),) + parts).encode("utf-8")
+    return hashlib.blake2b(key, digest_size=size).digest()
+
+
+def oracle_uniform(seed, *parts):
+    return int.from_bytes(oracle_digest(seed, 8, *parts), "big") / 2**64
+
+
+def oracle_words(seed, count, *parts):
+    return [WORD_BANK[b % len(WORD_BANK)] for b in oracle_digest(seed, count, *parts)]
+
+
+def random_text(rng, length):
+    alphabet = "abc XYZ\n\t\x1f{}\u00e9\u2028\u4e2d\U0001F52D"
+    return "".join(rng.choice(alphabet) for _ in range(length))
+
+
+class TestSimulatedJudgeFirst:
+    """A judge prompt gets a verdict, whatever its passage or question quotes."""
+
+    @pytest.mark.parametrize("marker", PROMPT_MARKERS)
+    @pytest.mark.parametrize("where", ["question", "title", "passage"])
+    def test_a_quoted_marker_still_gets_a_verdict(self, marker, where):
+        backend = SimulatedTeacherBackend(seed=5, relevance_yes_rate=0.5)
+        verdicts = []
+        for i in range(40):
+            text = {
+                "question": f"What keeps comet {i} on its orbit?",
+                "title": "Solar System",
+                "passage": f"Comets orbit the Sun on ellipses ({i}).",
+            }
+            text[where] += f" {marker} notes follow."
+            prompt = build_retrieval_check_prompt(
+                text["question"], text["title"], text["passage"]
+            )
+            reply = backend.complete(CompletionRequest(prompt=prompt))
+            expected = "A) Yes" if oracle_uniform(5, "judge", prompt) < 0.5 else "B) No"
+            assert reply == expected
+            verdicts.append(reply)
+        assert set(verdicts) == {"A) Yes", "B) No"}
+
+    def test_verdicts_match_the_oracle_at_the_default_rate(self):
+        backend = SimulatedTeacherBackend(seed=9)
+        for i in range(200):
+            prompt = build_retrieval_check_prompt(f"Question {i}?", "T", "P.")
+            expected = "A) Yes" if oracle_uniform(9, "judge", prompt) < 0.9 else "B) No"
+            assert backend.complete(CompletionRequest(prompt=prompt)) == expected
+
+
+class TestKeyedDigests:
+    """The keyed prefix states give the one-shot digests, byte for byte."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 12345, -7])
+    def test_every_kind_matches_the_one_shot_hash(self, seed):
+        rng = random.Random(seed)
+        cases = [("",), ("", ""), ("Gravity", "2"), ("\u00e9t\u00e9 \u4e2d\U0001F52D",)]
+        cases += [(random_text(rng, rng.randint(0, 3000)),) for _ in range(20)]
+        cases += [
+            tuple(random_text(rng, rng.randint(0, 40)) for _ in range(rng.randint(1, 4)))
+            for _ in range(20)
+        ]
+        backend = SimulatedTeacherBackend(seed=seed)
+        # Twice over, so the second pass runs on states already used.
+        for _ in range(2):
+            for kind, size in HASH_KINDS:
+                for parts in cases:
+                    assert backend._words(size, kind, *parts) == oracle_words(
+                        seed, size, kind, *parts
+                    )
+                    assert backend._uniform(kind, *parts) == oracle_uniform(seed, kind, *parts)
+
+    def test_every_digest_size(self):
+        backend = SimulatedTeacherBackend(seed=4)
+        for size in range(1, 65):
+            for text in ("", "harbor", "\U0001F52D" * size):
+                assert backend._words(size, "answer", text) == oracle_words(
+                    4, size, "answer", text
+                )
+
+    def test_threads_sharing_one_backend_get_the_one_shot_hash(self):
+        backend = SimulatedTeacherBackend(seed=8)
+        prompts = [f"prompt {i} " + "x" * (i % 97) for i in range(300)]
+        expected = [oracle_uniform(8, "judge", p) for p in prompts]
+        results = {}
+
+        def work(worker):
+            results[worker] = [backend._uniform("judge", p) for p in prompts]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {w: expected for w in range(8)}
 
 
 class TestReferenceEmbedder:
