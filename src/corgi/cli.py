@@ -20,22 +20,28 @@ TEACHER_API_KEY / EMBED_API_KEY environment variables, and endpoint URLs
 fall back to TEACHER_API_BASE / EMBED_API_BASE when the config omits them.
 
 Errors print one machine-readable JSON object to stderr and exit 1.
+
+A command imports only the modules its stages run: the teacher-side ones
+(``concepts``, ``filtering``, ``instructions``, ``teacher``) load only for
+a command that runs a stage that uses them, so ``resume --strategy`` and
+the ``order``, ``analyze`` and ``export`` stages never import them.
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
 import hashlib
 import json
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
-from typing import Callable, get_args, get_type_hints
+from importlib import import_module
+from typing import TYPE_CHECKING, Callable, get_args, get_type_hints
 
 from .batching import analyze as analyze_batches
 from .catalog import parse_catalog
-from .concepts import DEDUP_SCOPES, dedup_concepts, extract_concepts, refine_description
 from .dataset_io import (
     load_concepts,
     load_courses,
@@ -43,11 +49,10 @@ from .dataset_io import (
     save_concepts,
     save_courses,
     save_dataset,
+    save_dataset_lines,
     write_json,
 )
-from .filtering import Bm25Retriever, FilterConfig, load_corpus, run_filters
-from .instructions import GenerationError, generate_for_concepts
-from .model import Concept, Course, Dataset, Provenance, make_dataset
+from .model import DEDUP_SCOPES, Concept, Course, Dataset, Provenance, make_dataset
 from .scheduler import (
     GRANULARITY_PER_INDEX,
     GRANULARITY_PER_LOAD_TIER,
@@ -56,16 +61,9 @@ from .scheduler import (
     export_training_order,
     order as order_dataset,
 )
-from .teacher import (
-    DEFAULT_MAX_CONCURRENCY,
-    HttpEmbeddingBackend,
-    HttpTeacherBackend,
-    MockTeacherBackend,
-    ReferenceEmbeddingBackend,
-    SimulatedTeacherBackend,
-    TeacherClient,
-    fan_out,
-)
+
+if TYPE_CHECKING:
+    from .teacher import MockTeacherBackend, TeacherClient
 
 COURSES_FILE = "courses.jsonl"
 REFINED_FILE = "courses.refined.jsonl"
@@ -86,31 +84,62 @@ class CliError(RuntimeError):
     """Raised for bad configs, missing artifacts, and locked workdirs."""
 
 
+# The names this module takes from the teacher-side modules, by module.  A
+# module loads when one of its names is first looked up: as an attribute of
+# this module (``__getattr__``), or by ``_use``, through which the stages
+# and ``_backend`` call them.  Either way a value set on this module under
+# such a name, like a tracing wrapper, is the one that runs.
+LAZY_MODULES = {
+    "concepts": ("dedup_concepts", "extract_concepts", "refine_description"),
+    "filtering": ("Bm25Retriever", "FilterConfig", "load_corpus", "run_filters"),
+    "instructions": ("GenerationError", "generate_for_concepts"),
+    "teacher": (
+        "HttpEmbeddingBackend", "HttpTeacherBackend", "MockTeacherBackend",
+        "ReferenceEmbeddingBackend", "SimulatedTeacherBackend", "TeacherClient", "fan_out",
+    ),
+}
+LAZY_NAMES = {name: module for module, names in LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import a ``LAZY_NAMES`` name on first use and keep it here (PEP 562)."""
+    if name not in LAZY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{LAZY_NAMES[name]}", __package__), name)
+    return value
+
+
+def _use(name: str):
+    """What this module holds under ``name`` now, importing it if need be."""
+    return globals()[name] if name in globals() else __getattr__(name)
+
+
 def _scripted_backend(script: str | None = None) -> MockTeacherBackend:
     if not script:
         raise CliError("scripted teacher backend needs a 'script' path")
-    return MockTeacherBackend.from_file(script)
+    return _use("MockTeacherBackend").from_file(script)
 
 
-# Per section, the default backend, then per backend its constructor and the
-# JSON type of each key it reads besides "backend".  ``_backend`` rejects any
+# Per section, the default backend, then per backend the name of its
+# constructor (resolved by ``_use`` when a backend is built) and the JSON
+# type of each key it reads besides "backend".  ``_backend`` rejects any
 # other key and a value of another type; a key left out or null takes the
 # constructor's default.
 # "temperature" goes to the teacher client, not to the backend.
 BACKENDS = {
     "teacher": ("simulated", {
-        "simulated": (SimulatedTeacherBackend, {
+        "simulated": ("SimulatedTeacherBackend", {
             "seed": int, "concepts_per_course": int, "relevance_yes_rate": float,
             "refusal_rate": float, "temperature": float,
         }),
-        "scripted": (_scripted_backend, {"script": str, "temperature": float}),
-        "http": (HttpTeacherBackend, {
+        "scripted": ("_scripted_backend", {"script": str, "temperature": float}),
+        "http": ("HttpTeacherBackend", {
             "base_url": str, "model": str, "timeout": float, "temperature": float,
         }),
     }),
     "embedder": ("reference", {
-        "reference": (ReferenceEmbeddingBackend, {}),
-        "http": (HttpEmbeddingBackend, {"base_url": str, "model": str, "dimension": int}),
+        "reference": ("ReferenceEmbeddingBackend", {}),
+        "http": ("HttpEmbeddingBackend", {"base_url": str, "model": str, "dimension": int}),
     }),
 }
 
@@ -132,7 +161,9 @@ class RunConfig:
     required_yes: int = 1
     passages_per_question: int = 3
     max_failure_fraction: float = 0.25
-    max_workers: int = DEFAULT_MAX_CONCURRENCY
+    # teacher.DEFAULT_MAX_CONCURRENCY, written out so that loading a config
+    # imports no teacher code.
+    max_workers: int = 8
     teacher: dict = field(default_factory=dict)
     embedder: dict = field(default_factory=dict)
 
@@ -240,8 +271,8 @@ def _teacher_params(cfg: RunConfig) -> dict:
     return {"teacher": teacher}
 
 
-def _backend(section: str, spec, path: str = "config") -> tuple[Callable, dict]:
-    """The constructor ``spec`` names and its arguments.
+def _backend(section: str, spec, path: str = "config") -> tuple[str, dict]:
+    """The name of the constructor ``spec`` names, and its arguments.
 
     ``spec`` and its values are type-checked as top-level keys are; an int
     given for a float is handed over as a float.
@@ -252,7 +283,7 @@ def _backend(section: str, spec, path: str = "config") -> tuple[Callable, dict]:
     _check_type(path, f"{section}.backend", kind, (str,))
     if kind not in backends:
         raise CliError(f"{path}: unknown {section} backend: {kind!r}")
-    make, types = backends[kind]
+    constructor, types = backends[kind]
     unknown = sorted(set(spec) - {"backend", *types})
     if unknown:
         raise CliError(
@@ -264,7 +295,7 @@ def _backend(section: str, spec, path: str = "config") -> tuple[Callable, dict]:
         if spec.get(key) is not None:
             _check_type(path, f"{section}.{key}", spec[key], (json_type,))
             args[key] = float(spec[key]) if json_type is float else spec[key]
-    return make, args
+    return constructor, args
 
 
 def build_teacher(cfg: RunConfig) -> TeacherClient:
@@ -273,17 +304,19 @@ def build_teacher(cfg: RunConfig) -> TeacherClient:
     Backends: "simulated" (offline, deterministic), "scripted" (exact
     digest-keyed replies from a JSON file), "http" (a live endpoint).
     """
-    make, args = _backend("teacher", _teacher_params(cfg)["teacher"])
+    constructor, args = _backend("teacher", _teacher_params(cfg)["teacher"])
     temperature = args.pop("temperature", None)
-    client = TeacherClient(backend=make(**args), max_concurrency=cfg.max_workers)
+    client = _use("TeacherClient")(
+        backend=_use(constructor)(**args), max_concurrency=cfg.max_workers
+    )
     if temperature is not None:
         client = replace(client, generation_temperature=temperature)
     return client
 
 
 def build_embedder(cfg: RunConfig):
-    make, args = _backend("embedder", cfg.embedder)
-    return make(**args)
+    constructor, args = _backend("embedder", cfg.embedder)
+    return _use(constructor)(**args)
 
 
 def _now_utc() -> str:
@@ -303,33 +336,37 @@ class Stage:
     """A pipeline step: ``run(cfg, run, *values, *paths)`` takes the values of
     the workdir artifacts named in ``reads`` and the paths of outside files
     ``sources`` gives (None where unset); it returns ``{artifact: value}`` in
-    the order they are to be written."""
+    the order they are to be written.  ``modules`` are the ``LAZY_MODULES``
+    whose names ``run`` uses."""
 
     name: str
     run: Callable[..., dict]
     reads: tuple[str, ...] = ()
     sources: Callable[[RunConfig], list] = lambda cfg: []
     params: Callable[[RunConfig], dict] = lambda cfg: {}
+    modules: tuple[str, ...] = ()
 
 
 def _stage_refine(cfg: RunConfig, run: dict, courses: list[Course]) -> dict:
     client = build_teacher(cfg)
-    refined = fan_out(
-        lambda course: refine_description(course, client), courses, client.max_concurrency
+    refine = _use("refine_description")
+    refined = _use("fan_out")(
+        lambda course: refine(course, client), courses, client.max_concurrency
     )
     return {REFINED_FILE: refined}
 
 
 def _stage_concepts(cfg: RunConfig, run: dict, courses: list[Course]) -> dict:
     client = build_teacher(cfg)
-    per_course = fan_out(
-        lambda course: extract_concepts(course, client), courses, client.max_concurrency
+    extract = _use("extract_concepts")
+    per_course = _use("fan_out")(
+        lambda course: extract(course, client), courses, client.max_concurrency
     )
     return {RAW_CONCEPTS_FILE: [concept for batch in per_course for concept in batch]}
 
 
 def _stage_dedup(cfg: RunConfig, run: dict, concepts: list[Concept]) -> dict:
-    kept, report = dedup_concepts(
+    kept, report = _use("dedup_concepts")(
         concepts, build_embedder(cfg), threshold=cfg.dedup_threshold, scope=cfg.dedup_scope
     )
     return {CONCEPTS_FILE: kept, DEDUP_REPORT_FILE: report.to_dict()}
@@ -345,11 +382,11 @@ def _stage_generate(
         created_at=run["started_at"],
         run_id=run["run_id"],
     )
-    instances, failures = generate_for_concepts(
+    instances, failures = _use("generate_for_concepts")(
         concepts, titles, client, seed=cfg.seed, provenance=provenance
     )
     if concepts and len(failures) / len(concepts) > cfg.max_failure_fraction:
-        raise GenerationError(
+        raise _use("GenerationError")(
             f"systematic backend failure: {len(failures)}/{len(concepts)} "
             "concepts could not be generated"
         )
@@ -362,11 +399,11 @@ def _stage_generate(
 def _stage_filter(cfg: RunConfig, run: dict, instances: Dataset, corpus: str | None) -> dict:
     if not corpus:
         raise CliError("filter stage requires 'corpus' in the config")
-    filtered, stats = run_filters(
+    filtered, stats = _use("run_filters")(
         instances,
-        Bm25Retriever(load_corpus(corpus)),
+        _use("Bm25Retriever")(_use("load_corpus")(corpus)),
         build_teacher(cfg),
-        FilterConfig(
+        _use("FilterConfig")(
             required_yes=cfg.required_yes,
             passages_per_question=cfg.passages_per_question,
             max_failure_fraction=cfg.max_failure_fraction,
@@ -398,18 +435,21 @@ STAGES = (
     ),
     Stage(
         name="refine",
+        modules=("concepts",),
         reads=(COURSES_FILE,),
         params=_teacher_params,
         run=_stage_refine,
     ),
     Stage(
         name="concepts",
+        modules=("concepts",),
         reads=(REFINED_FILE,),
         params=_teacher_params,
         run=_stage_concepts,
     ),
     Stage(
         name="dedup",
+        modules=("concepts",),
         reads=(RAW_CONCEPTS_FILE,),
         params=lambda cfg: {
             "threshold": cfg.dedup_threshold,
@@ -420,6 +460,7 @@ STAGES = (
     ),
     Stage(
         name="generate",
+        modules=("instructions",),
         reads=(CONCEPTS_FILE, REFINED_FILE),
         params=lambda cfg: {
             "seed": cfg.seed,
@@ -430,6 +471,7 @@ STAGES = (
     ),
     Stage(
         name="filter",
+        modules=("filtering",),
         reads=(INSTANCES_FILE,),
         sources=lambda cfg: [cfg.corpus],
         params=lambda cfg: {
@@ -488,6 +530,10 @@ ARTIFACT_IO = {
 # ``dataset_digest`` of the items, as save -> load -> save is byte-identical.
 DATASET_FILES = frozenset(n for n, (load, _save) in ARTIFACT_IO.items() if load == "load_dataset")
 
+# A dataset artifact whose items are a permutation of another's, and that
+# other artifact: the ordered items are the filtered ones in a new order.
+PERMUTATION_OF = {ORDERED_FILE: FILTERED_FILE}
+
 
 class _Artifacts:
     """The digests and values of the workdir's files in one pipeline invocation.
@@ -503,6 +549,11 @@ class _Artifacts:
     held for it equals one that ``run`` records for it, which only a save
     by this engine writes there.  A file rewritten by hand, even with the
     same records, loads without a digest.
+
+    A canonical file loaded as the source of a ``PERMUTATION_OF`` artifact
+    also keeps its lines, one per item, until that artifact is saved: it is
+    then written as those lines in its items' order, and no item is encoded
+    again.  Any other dataset is encoded by its saver.
     """
 
     def __init__(self, cfg: RunConfig, run: dict):
@@ -510,6 +561,7 @@ class _Artifacts:
         self.run = run
         self.digests: dict[str, str] = {}
         self.values: dict[str, object] = {}
+        self.lines: dict[str, list[bytes]] = {}
         self.input_digests: dict[str, str] = {}
 
     def digest(self, path: str) -> str:
@@ -526,13 +578,21 @@ class _Artifacts:
                         for entry in self.run["stages"].values())
             if name in DATASET_FILES and digest is not None and digest in recorded:
                 value = replace(value, digest=digest)
+                if name in PERMUTATION_OF.values():
+                    with open(path, "rb") as handle:
+                        self.lines[name] = handle.readlines()
             self.values[name] = value
         return self.values[name]
 
     def save(self, name: str, value) -> dict[str, str]:
-        saver = globals()[ARTIFACT_IO.get(name, (None, "_save_json"))[1]]
         path = self.cfg.artifact(name)
-        written = saver(value, path)
+        source = PERMUTATION_OF.get(name)
+        lines = self.lines.pop(source, None)
+        rows = None if lines is None else _rows_in(self.values[source], lines, value)
+        if rows is not None:
+            written = save_dataset_lines(value, map(lines.__getitem__, rows), path)
+        else:
+            written = globals()[ARTIFACT_IO.get(name, (None, "_save_json"))[1]](value, path)
         self.digests.update(written)
         self.values[name] = (
             replace(value, digest=written[path]) if name in DATASET_FILES else value
@@ -560,6 +620,17 @@ class _Artifacts:
             blob = json.dumps(payload, ensure_ascii=False, sort_keys=True)
             self.input_digests[stage.name] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
         return self.input_digests[stage.name]
+
+
+def _rows_in(source: Dataset, lines: list[bytes], permuted: Dataset) -> list[int] | None:
+    """The row of ``source`` that holds each item of ``permuted``, or None
+    unless ``lines`` has one line per source item and every permuted item
+    is one of the source's."""
+    if len(lines) != len(source.items):
+        return None
+    row = {id(item): i for i, item in enumerate(source.items)}
+    rows = [row.get(id(item)) for item in permuted.items]
+    return None if None in rows else rows
 
 
 def load_run_manifest(cfg: RunConfig) -> dict:
@@ -610,59 +681,57 @@ def run_stage(stage: Stage, cfg: RunConfig, run: dict, artifacts: _Artifacts) ->
 
 
 class _WorkdirLock:
-    """Lock file holding the pid, so runs cannot interleave.
+    """An exclusive ``flock`` on the workdir's lock file, so runs cannot interleave.
 
-    The pid is written to a file of this process's own first and then
-    hard-linked to the lock name, which fails if the lock exists; so the
-    lock never exists without its pid.  A lock whose pid names no live
-    process was left by a killed run: it is removed and the link is tried
-    once more.  Two processes that take over the same dead lock at once can
-    both run, as the second may remove the lock the first has just made.
+    The kernel holds the lock for the open file and drops it when the
+    holder exits, however it dies, so the lock of a killed run is free to
+    take.  The pid written into the file only names the holder in the
+    error.  The file is removed on exit, while still locked: a process that
+    opened it before then and locks it afterwards holds a file that is no
+    longer at the path, so it opens the path and locks it once more.
     """
 
     def __init__(self, cfg: RunConfig):
         self.path = cfg.artifact(LOCK_FILE)
+        self.fd: int | None = None
 
     def __enter__(self):
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        pid = os.getpid()
-        pending = f"{self.path}.{pid}"
-        try:
-            with open(pending, "x", encoding="utf-8") as handle:
-                handle.write(f"{pid}\n")
-            for attempt in (1, 2):
-                try:
-                    os.link(pending, self.path)
+        for _attempt in (1, 2):
+            fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                if self._names(fd):
+                    os.ftruncate(fd, 0)
+                    os.write(fd, f"{os.getpid()}\n".encode())
+                    self.fd, fd = fd, None
                     return self
-                except FileExistsError:
-                    if attempt == 2 or not self._holder_is_dead():
-                        raise CliError(
-                            f"workdir is locked by {self.path}; "
-                            "another run may be active (delete the file if it is stale)"
-                        )
-                    os.unlink(self.path)
-        finally:
-            if os.path.exists(pending):
-                os.unlink(pending)
+            except BlockingIOError:
+                holder = os.pread(fd, 32, 0).decode("utf-8", "replace").strip() or "unknown"
+                raise CliError(
+                    f"workdir is locked by {self.path} (pid {holder}); another run is active"
+                ) from None
+            finally:
+                if fd is not None:
+                    os.close(fd)
+        raise CliError(f"workdir is locked by {self.path}; another run took it meanwhile")
 
-    def _holder_is_dead(self) -> bool:
-        """True when the lock holds the pid of a process that no longer exists."""
+    def _names(self, fd: int) -> bool:
+        """True when the lock path still names the file open as ``fd``."""
         try:
-            with open(self.path, encoding="utf-8") as handle:
-                pid = int(handle.read())
-            if pid > 0:
-                os.kill(pid, 0)
-        except ProcessLookupError:
-            return True
-        except (OSError, OverflowError, ValueError):
-            pass
-        return False
+            at_path = os.stat(self.path)
+        except FileNotFoundError:
+            return False
+        held = os.fstat(fd)
+        return (at_path.st_dev, at_path.st_ino) == (held.st_dev, held.st_ino)
 
     def __exit__(self, *exc_info):
         try:
             os.unlink(self.path)
         except FileNotFoundError:
             pass
+        os.close(self.fd)
+        self.fd = None
         return False
 
 
@@ -706,6 +775,11 @@ def run_pipeline(cfg: RunConfig, command: str = "run") -> None:
             stages = STAGES[start:]
         else:
             stages = STAGES if command == "run" else (STAGES[STAGE_NAMES.index(command)],)
+        # Load the code of every stage to run before the first one makes
+        # any data: code loaded in between long-lived values raises the
+        # peak RSS.
+        for module in dict.fromkeys(m for stage in stages for m in stage.modules):
+            import_module(f".{module}", __package__)
         for i, stage in enumerate(stages):
             run_stage(stage, cfg, run, artifacts)
             later = {name for after in stages[i + 1:] for name in after.reads}

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
 from .catalog import SlugError, slugify
-from .model import Concept, Course
+from .model import DEDUP_SCOPES, Concept, Course
 from .prompts import build_concept_prompt, build_refinement_prompt
 from .teacher import TeacherClient
 
@@ -24,7 +24,6 @@ if TYPE_CHECKING:
 log = logging.getLogger(__name__)
 
 DEFAULT_DEDUP_THRESHOLD = 0.67
-DEDUP_SCOPES = ("global", "per_subject")
 
 _ENTRY_RE = re.compile(r"^\s*(?:Concept\s+)?(\d{1,3})\s*(?:[.):]|→|->)\s*(.*)$")
 

@@ -242,10 +242,15 @@ def read_jsonl(path: str) -> Iterable[tuple[int, dict]]:
 
 
 def write_lines(path: str, lines: Iterable[str]) -> dict[str, str]:
-    """Write each line and a newline to ``path``; return ``{path: sha256}``.
+    """Write each line and a newline to ``path`` with ``write_bytes``."""
+    return write_bytes(path, (line.encode("utf-8") + b"\n" for line in lines))
 
-    The UTF-8 bytes stream to ``<path>.tmp`` in the same directory and into
-    the digest, then ``os.replace`` puts the whole file in place, so a killed
+
+def write_bytes(path: str, chunks: Iterable[bytes]) -> dict[str, str]:
+    """Write ``chunks`` to ``path`` one after another; return ``{path: sha256}``.
+
+    The chunks stream to ``<path>.tmp`` in the same directory and into the
+    digest, then ``os.replace`` puts the whole file in place, so a killed
     process leaves either the old file or the new one, never a prefix.  An
     interrupted write removes the temporary file and re-raises.
     """
@@ -253,8 +258,7 @@ def write_lines(path: str, lines: Iterable[str]) -> dict[str, str]:
     digest = hashlib.sha256()
     try:
         with open(tmp, "wb") as handle:
-            for line in lines:
-                data = line.encode("utf-8") + b"\n"
+            for data in chunks:
                 digest.update(data)
                 handle.write(data)
         os.replace(tmp, path)
@@ -272,7 +276,15 @@ def write_json(path: str, payload: Any) -> dict[str, str]:
 
 def save_dataset(d: Dataset, path: str) -> dict[str, str]:
     """Write canonical JSONL plus the manifest sidecar; return both digests."""
-    written = write_lines(path, map(instance_line, d.items))
+    lines = (instance_line(item).encode("utf-8") + b"\n" for item in d.items)
+    return save_dataset_lines(d, lines, path)
+
+
+def save_dataset_lines(d: Dataset, lines: Iterable[bytes], path: str) -> dict[str, str]:
+    """``save_dataset(d, path)`` given each item's line, in order: its
+    ``instance_line`` in UTF-8 plus a newline, such as a canonical file of
+    the same items holds.  The caller vouches that the lines are those."""
+    written = write_bytes(path, lines)
     return written | write_json(manifest_path(path), d.manifest)
 
 

@@ -320,7 +320,13 @@ def _judge(
     client: TeacherClient,
     required_yes: int,
 ) -> InstructionInstance | None:
-    """Judge ``passages`` for one instance; return it kept, unfiltered or None."""
+    """Judge ``passages`` for one instance; return it kept, unfiltered or None.
+
+    Every passage is judged (no early exit), so a kept instance carries the
+    full vote vector.  A judging failure leaves the instance unfiltered
+    rather than dropping it; a TeacherAuthError propagates, since every
+    later judge call would be rejected too.
+    """
     try:
         votes = [
             client.judge_relevance(instance.question, p.title, p.text)
@@ -334,25 +340,6 @@ def _judge(
     if sum(votes) < required_yes:
         return None
     return with_verdict(instance, FILTER_KEPT, tuple(votes))
-
-
-def retrieval_filter(
-    instance: InstructionInstance,
-    retriever: Bm25Retriever,
-    client: TeacherClient,
-    required_yes: int = DEFAULT_REQUIRED_YES,
-    passages_per_question: int = DEFAULT_PASSAGES_PER_QUESTION,
-) -> InstructionInstance | None:
-    """Judge retrieved passages; return the kept instance, or None to drop it.
-
-    All passages are judged (no early exit) so the full vote vector lands
-    on a kept instance.  A judging failure leaves the instance unfiltered
-    rather than dropping it; a TeacherAuthError propagates, since every
-    later judge call would be rejected too.  A ``passages_per_question``
-    below 1 raises FilterError before any judge call.
-    """
-    passages = retriever.retrieve(instance.question, k=passages_per_question)
-    return _judge(instance, passages, client, required_yes)
 
 
 @dataclass(frozen=True)

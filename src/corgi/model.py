@@ -24,6 +24,10 @@ FILTER_KEPT = "kept"
 
 FILTER_STATUSES = (FILTER_UNFILTERED, FILTER_KEPT)
 
+# Where ``concepts.dedup_concepts`` looks for duplicates: among all concepts,
+# or only among those of the same subject.
+DEDUP_SCOPES = ("global", "per_subject")
+
 _SLUG_RE = re.compile(r"^[a-z0-9]+(-[a-z0-9]+)*$")
 
 

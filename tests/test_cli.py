@@ -1,6 +1,8 @@
 """Command line tests: configs, staged runs, resume, and determinism."""
 
 import builtins
+import contextlib
+import fcntl
 import hashlib
 import itertools
 import json
@@ -38,9 +40,10 @@ from corgi.cli import (
     load_run_manifest,
     main,
 )
-from corgi.dataset_io import load_dataset, manifest_path
-from corgi.scheduler import dataset_digest
+from corgi.dataset_io import instance_line, load_dataset, manifest_path, save_dataset
+from corgi.scheduler import STRATEGIES, OrderingConfig, dataset_digest, order
 from corgi.teacher import (
+    DEFAULT_MAX_CONCURRENCY,
     HttpEmbeddingBackend,
     HttpTeacherBackend,
     MockTeacherBackend,
@@ -53,6 +56,7 @@ from corgi.teacher import (
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 CATALOG = os.path.join(FIXTURES, "catalog.csv")
 CORPUS = os.path.join(FIXTURES, "corpus")
+SRC = os.path.dirname(os.path.dirname(corgi.__file__))
 
 CATALOG_COURSES = 4
 CONCEPTS_PER_COURSE = 3
@@ -92,6 +96,19 @@ def read_bytes(path):
 
 def workdir_bytes(workdir):
     return {name: read_bytes(os.path.join(workdir, name)) for name in os.listdir(workdir)}
+
+
+@contextlib.contextmanager
+def held_lock(path, text):
+    """Hold an exclusive ``flock`` on ``path`` with ``text`` in the file, as a
+    running ``corgi`` holds its workdir lock."""
+    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        os.write(fd, text.encode())
+        yield
+    finally:
+        os.close(fd)
 
 
 def clock():
@@ -169,6 +186,7 @@ class TestLoadConfig:
         assert cfg.dedup_threshold == 0.67
         assert cfg.required_yes == 1
         assert cfg.passages_per_question == 3
+        assert cfg.max_workers == DEFAULT_MAX_CONCURRENCY
 
     def test_relative_paths_resolve_against_the_config(self, tmp_path):
         nested = tmp_path / "configs"
@@ -687,9 +705,8 @@ class TestErrorsAndLocking:
         path = write_config(tmp_path)
         workdir = load_config(path).workdir
         os.makedirs(workdir, exist_ok=True)
-        with open(os.path.join(workdir, LOCK_FILE), "w", encoding="utf-8") as handle:
-            handle.write("held\n")
-        rc = main(["run", "--config", path])
+        with held_lock(os.path.join(workdir, LOCK_FILE), "held\n"):
+            rc = main(["run", "--config", path])
         captured = capsys.readouterr()
         assert rc == 1
         assert "locked" in json.loads(captured.err.strip())["message"]
@@ -711,31 +728,58 @@ class TestErrorsAndLocking:
         workdir = load_config(path).workdir
         os.makedirs(workdir, exist_ok=True)
         lock = os.path.join(workdir, LOCK_FILE)
-        with open(lock, "w", encoding="utf-8") as handle:
-            handle.write(f"{os.getpid()}\n")
-        rc = main(["run", "--config", path])
+        with held_lock(lock, f"{os.getpid()}\n"):
+            rc = main(["run", "--config", path])
+            assert read_bytes(lock) == f"{os.getpid()}\n".encode()
         captured = capsys.readouterr()
         assert rc == 1
-        assert "locked" in json.loads(captured.err.strip())["message"]
-        assert read_bytes(lock) == f"{os.getpid()}\n".encode()
+        message = json.loads(captured.err.strip())["message"]
+        assert "locked" in message
+        assert f"pid {os.getpid()}" in message
 
-    def test_interrupted_pid_write_leaves_no_lock(self, tmp_path, capsys, monkeypatch):
+    def test_interrupted_pid_write_leaves_no_lock(self, tmp_path, capsys):
         """A run killed while writing its pid does not lock the workdir for good."""
         path = write_config(tmp_path)
         workdir = load_config(path).workdir
-        real_open = builtins.open
-
-        def open_failing_exclusive_writes(file, mode="r", *args, **kwargs):
-            handle = real_open(file, mode, *args, **kwargs)
-            return _WriteHandle(handle, stop_at=0) if mode == "x" else handle
-
-        monkeypatch.setattr(builtins, "open", open_failing_exclusive_writes)
-        with pytest.raises(Interrupted):
-            main(["run", "--config", path])
-        monkeypatch.setattr(builtins, "open", real_open)
+        child = subprocess.run(
+            [sys.executable, "-c", DIES_WRITING_ITS_PID, "run", "--config", path],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            timeout=120,
+        )
+        assert child.returncode == 9, child.stderr
+        assert os.path.exists(os.path.join(workdir, LOCK_FILE))
         rc = main(["run", "--config", path])
         assert rc == 0, capsys.readouterr().err
         assert [n for n in os.listdir(workdir) if n.startswith(LOCK_FILE)] == []
+
+    def test_two_takeovers_of_a_dead_lock_let_one_run(self, tmp_path):
+        """Two processes that find the same dead holder's lock at once: one
+        runs and the other is refused."""
+        path = write_config(tmp_path)
+        workdir = load_config(path).workdir
+        os.makedirs(workdir, exist_ok=True)
+        dead = subprocess.Popen([sys.executable, "-c", "pass"])
+        assert dead.wait(timeout=60) == 0
+        with open(os.path.join(workdir, LOCK_FILE), "w", encoding="utf-8") as handle:
+            handle.write(f"{dead.pid}\n")
+        gate = str(tmp_path / "gate")
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", TAKE_THE_LOCK, path, gate],
+                env={**os.environ, "PYTHONPATH": SRC},
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for _ in range(2)
+        ]
+        outcomes = []
+        for child in children:
+            out, err = child.communicate(timeout=120)
+            assert child.returncode == 0, err
+            outcomes.append(out.strip())
+        assert sorted(outcomes) == ["ran", "refused"]
 
     def test_run_id_mismatch(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -752,6 +796,48 @@ class TestErrorsAndLocking:
         captured = capsys.readouterr()
         assert rc == 1
         assert json.loads(captured.err.strip())["error"] == "CliError"
+
+
+# Run in a child process: a corgi command that dies (as if killed) when it
+# writes its pid into the lock file it has just locked.
+DIES_WRITING_ITS_PID = """
+import os, sys
+import corgi.cli as cli
+os.write = lambda fd, data: os._exit(9)
+cli.main(sys.argv[1:])
+"""
+
+# Run in two child processes at once: each takes the workdir lock of the
+# config sys.argv[1] and prints "ran" or "refused".  ``meet`` holds a process
+# until both have reached the same step.  The winner keeps the lock until
+# both have tried, and each process pauses where a dead holder's pid is
+# probed, so that both find the holder dead before either takes over.
+TAKE_THE_LOCK = """
+import glob, os, sys, time
+import corgi.cli as cli
+
+def meet(step):
+    open(f"{sys.argv[2]}.{step}.{os.getpid()}", "w").close()
+    deadline = time.monotonic() + 30
+    while len(glob.glob(f"{sys.argv[2]}.{step}.*")) < 2 and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+real_kill = os.kill
+def kill(pid, sig):
+    meet("probe")
+    return real_kill(pid, sig)
+os.kill = kill
+
+cfg = cli.load_config(sys.argv[1])
+meet("start")
+try:
+    with cli._WorkdirLock(cfg):
+        meet("tried")
+        print("ran")
+except cli.CliError:
+    meet("tried")
+    print("refused")
+"""
 
 
 class TestResume:
@@ -1008,14 +1094,32 @@ def test_fixture_training_files_per_strategy_match_the_pins(tmp_path, capsys):
     assert got == TRAINING_PINS
 
 
-# Run in a child process: ``corgi resume --strategy block`` on a built
-# workdir, then fail if anything imported numpy.
-RESUME_WITHOUT_NUMPY = """
+# Run in a child process: the corgi command sys.argv[2:] on a built workdir,
+# then fail if it imported any module named in sys.argv[1] (comma-separated).
+COMMAND_IMPORTS_NONE_OF = """
 import sys
 import corgi.cli as cli
-assert cli.main(["resume", "--config", sys.argv[1], "--strategy", "block"]) == 0
-assert "numpy" not in sys.modules, "the resume imported numpy"
+assert cli.main(sys.argv[2:]) == 0
+imported = [name for name in sys.argv[1].split(",") if name in sys.modules]
+assert not imported, f"{sys.argv[2:]} imported {imported}"
 """
+
+TEACHER_SIDE = ("corgi.teacher", "corgi.filtering", "corgi.concepts", "corgi.instructions",
+                "corgi.prompts")
+
+
+def run_importing_none_of(modules, argv):
+    """Run the corgi command ``argv`` in a child process that fails if it
+    imported any of ``modules``; return the child's stdout."""
+    child = subprocess.run(
+        [sys.executable, "-c", COMMAND_IMPORTS_NONE_OF, ",".join(modules), *argv],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout
 
 
 class TestOrderInputDigest:
@@ -1069,18 +1173,71 @@ class TestOrderInputDigest:
             assert digest == expected
 
     def test_resume_with_a_strategy_imports_no_numpy(self, tmp_path, capsys):
+        """Nor any teacher-side module."""
         path = write_config(tmp_path)
         assert main(["run", "--config", path]) == 0
-        src = os.path.dirname(os.path.dirname(corgi.__file__))
-        child = subprocess.run(
-            [sys.executable, "-c", RESUME_WITHOUT_NUMPY, path],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=120,
+        out = run_importing_none_of(
+            ("numpy",) + TEACHER_SIDE, ["resume", "--config", path, "--strategy", "block"]
         )
-        assert child.returncode == 0, child.stderr
-        assert "[order] wrote" in child.stdout
+        assert "[order] wrote" in out
+
+    def test_dedup_imports_neither_filtering_nor_instructions(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        out = run_importing_none_of(
+            ("corgi.filtering", "corgi.instructions"),
+            ["dedup", "--config", path, "--threshold", "0.61"],
+        )
+        assert "[dedup] wrote" in out
+
+
+class TestOrderedLines:
+    """``ordered.jsonl`` is the lines of a canonical ``instances.filtered.jsonl``
+    in the new order, byte for byte what ``save_dataset`` would write."""
+
+    def test_resume_with_a_strategy_encodes_no_item(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        cfg = load_config(path)
+        encoded = []
+
+        def counting(real):
+            def counted(item):
+                encoded.append(item.id)
+                return real(item)
+
+            return counted
+
+        for module in (corgi.dataset_io, corgi.scheduler):
+            monkeypatch.setattr(module, "instance_line", counting(module.instance_line))
+        expected = str(tmp_path / "expected.jsonl")
+        for strategy in STRATEGIES:
+            assert main(["resume", "--config", path, "--strategy", strategy]) == 0
+            assert "[order] wrote" in capsys.readouterr().out
+            assert encoded == [], strategy
+            ordering = OrderingConfig(strategy=strategy, seed=cfg.seed)
+            save_dataset(order(load_dataset(cfg.artifact(FILTERED_FILE)), ordering), expected)
+            encoded.clear()
+            ordered = cfg.artifact(ORDERED_FILE)
+            assert read_bytes(ordered) == read_bytes(expected), strategy
+            assert read_bytes(manifest_path(ordered)) == read_bytes(manifest_path(expected))
+
+    def test_order_encodes_a_rewritten_input(self, tmp_path, capsys):
+        """A filtered file rewritten by hand, with valid records in another
+        key order, is not canonical: its lines are not copied."""
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        cfg = load_config(path)
+        filtered = cfg.artifact(FILTERED_FILE)
+        records = jsonl_records(filtered)
+        with open(filtered, "w", encoding="utf-8") as handle:
+            for record in records:
+                handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+        assert main(["order", "--config", path]) == 0
+        ordered = cfg.artifact(ORDERED_FILE)
+        lines = read_bytes(ordered).decode("utf-8").splitlines()
+        assert len(lines) == len(records)
+        assert lines == [instance_line(item) for item in load_dataset(ordered).items]
 
 
 # Run in a child process: ``corgi run`` that dies with ``os._exit`` in the

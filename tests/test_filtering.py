@@ -24,7 +24,6 @@ from corgi.filtering import (
     FilterError,
     FilterStats,
     load_corpus,
-    retrieval_filter,
     rule_filter,
     run_filters,
     tokenize,
@@ -82,6 +81,17 @@ def one_window_corpus():
         CorpusDocument("cells.txt", "Cell Biology", "The nucleus stores DNA inside the membrane."),
         CorpusDocument("rome.txt", "Roman History", "The senate governed the republic by decree."),
     ]
+
+
+def judge_one(item, retriever, client, **config):
+    """``run_filters`` on a one-item dataset: the item as it is kept, or None
+    when the retrieval filter drops it.  Any judging failure is tolerated."""
+    filtered, stats = run_filters(
+        make_dataset([item]), retriever, client,
+        FilterConfig(max_failure_fraction=1.0, **config),
+    )
+    assert stats.rule_dropped == 0
+    return filtered.items[0] if filtered.items else None
 
 
 class SequenceJudgeClient:
@@ -553,7 +563,7 @@ class TestDecideVotes:
         retriever = Bm25Retriever(one_window_corpus())
         for votes, want_one, want_three in table:
             for required_yes, want in ((1, want_one), (3, want_three)):
-                judged = retrieval_filter(
+                judged = judge_one(
                     instance_with(), retriever, SequenceJudgeClient(votes),
                     required_yes=required_yes, passages_per_question=len(votes),
                 )
@@ -567,7 +577,7 @@ class TestRetrievalFilter:
         retriever = Bm25Retriever(one_window_corpus())
         client = SequenceJudgeClient([False, True, False])
         item = instance_with(question=COMET_QUESTION)
-        judged = retrieval_filter(item, retriever, client)
+        judged = judge_one(item, retriever, client)
         assert judged.filter_status == FILTER_KEPT
         assert judged.relevance_votes == (False, True, False)
         assert len(client.calls) == 3
@@ -576,7 +586,7 @@ class TestRetrievalFilter:
         retriever = Bm25Retriever(one_window_corpus())
         client = SequenceJudgeClient([True, True, True])
         item = instance_with(question=COMET_QUESTION)
-        retrieval_filter(item, retriever, client)
+        judge_one(item, retriever, client)
         passages = retriever.retrieve(COMET_QUESTION, k=3)
         assert client.calls == [
             (COMET_QUESTION, p.title, p.text) for p in passages
@@ -585,13 +595,13 @@ class TestRetrievalFilter:
     def test_all_no_drops(self):
         retriever = Bm25Retriever(one_window_corpus())
         client = SequenceJudgeClient([False, False, False])
-        assert retrieval_filter(instance_with(), retriever, client) is None
+        assert judge_one(instance_with(), retriever, client) is None
         assert len(client.calls) == 3
 
     def test_required_yes_three(self):
         retriever = Bm25Retriever(one_window_corpus())
         client = SequenceJudgeClient([True, True, False])
-        judged = retrieval_filter(
+        judged = judge_one(
             instance_with(), retriever, client, required_yes=3
         )
         assert judged is None
@@ -599,7 +609,7 @@ class TestRetrievalFilter:
     def test_passages_per_question(self):
         retriever = Bm25Retriever(one_window_corpus())
         client = SequenceJudgeClient([False, True])
-        judged = retrieval_filter(
+        judged = judge_one(
             instance_with(), retriever, client, passages_per_question=2
         )
         assert judged.relevance_votes == (False, True)
@@ -608,7 +618,7 @@ class TestRetrievalFilter:
     def test_judge_failure_leaves_instance_unfiltered(self):
         retriever = Bm25Retriever(one_window_corpus())
         client = SequenceJudgeClient([True, TeacherError("down"), True])
-        judged = retrieval_filter(instance_with(), retriever, client)
+        judged = judge_one(instance_with(), retriever, client)
         assert judged.filter_status == FILTER_UNFILTERED
         assert judged.relevance_votes is None
 
