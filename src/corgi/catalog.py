@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import re
 
-from .dataset_io import DatasetFormatError, read_jsonl
+from .dataset_io import DatasetFormatError, _optional_str, read_jsonl
 from .model import HIGHER, SECONDARY, Course, EducationalStage
 
 CSV_COLUMNS = ("subject", "course_title", "course_description", "source", "stage_hint")
@@ -156,7 +156,10 @@ def parse_catalog(path: str) -> list[Course]:
     if path.endswith((".jsonl", ".json")):
         courses = _parse_jsonl(path)
     else:
-        courses = _parse_csv(path)
+        try:
+            courses = _parse_csv(path)
+        except UnicodeDecodeError as exc:
+            raise CatalogError(f"{path}: not UTF-8: {exc}") from None
 
     seen: dict[tuple[str, str], int] = {}
     for i, course in enumerate(courses):
@@ -197,15 +200,10 @@ def _parse_jsonl(path: str) -> list[Course]:
     try:
         courses = []
         for line_no, record in read_jsonl(path):
-            fields = {}
-            for name in CSV_COLUMNS:
-                value = record.get(name)
-                if value is not None and type(value) is not str:
-                    raise DatasetFormatError(
-                        path, line_no, name,
-                        f"expected string or null, got {type(value).__name__}",
-                    )
-                fields[name] = (value or "").strip()
+            fields = {
+                name: (_optional_str(record, path, line_no, name) or "").strip()
+                for name in CSV_COLUMNS
+            }
             courses.append(
                 _course_from_fields(
                     subject=fields["subject"],

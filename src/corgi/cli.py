@@ -186,7 +186,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
             raw = json.load(handle)
     except FileNotFoundError:
         raise CliError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise CliError(f"{path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise CliError(f"{path}: config must be a JSON object")
@@ -562,7 +562,6 @@ class _Artifacts:
         self.digests: dict[str, str] = {}
         self.values: dict[str, object] = {}
         self.lines: dict[str, list[bytes]] = {}
-        self.input_digests: dict[str, str] = {}
 
     def digest(self, path: str) -> str:
         if path not in self.digests:
@@ -577,7 +576,7 @@ class _Artifacts:
             recorded = ((entry.get("outputs") or {}).get(name)
                         for entry in self.run["stages"].values())
             if name in DATASET_FILES and digest is not None and digest in recorded:
-                value = replace(value, digest=digest)
+                value = value.with_digest(digest)
                 if name in PERMUTATION_OF.values():
                     with open(path, "rb") as handle:
                         self.lines[name] = handle.readlines()
@@ -594,32 +593,27 @@ class _Artifacts:
         else:
             written = globals()[ARTIFACT_IO.get(name, (None, "_save_json"))[1]](value, path)
         self.digests.update(written)
-        self.values[name] = (
-            replace(value, digest=written[path]) if name in DATASET_FILES else value
-        )
-        self.input_digests.clear()  # the file may be any stage's input
+        self.values[name] = value.with_digest(written[path]) if name in DATASET_FILES else value
         return written
 
     def input_digest(self, stage: Stage) -> str:
         """Digest of the files ``stage`` reads and of its parameters; a
         directory contributes every file under it."""
-        if stage.name not in self.input_digests:
-            paths = [self.cfg.artifact(name) for name in stage.reads]
-            files: dict[str, str] = {}
-            for path in paths + [p for p in stage.sources(self.cfg) if p]:
-                if os.path.isdir(path):
-                    for root, _dirs, names in os.walk(path):
-                        for name in sorted(names):
-                            full = os.path.join(root, name)
-                            files[os.path.relpath(full, path)] = self.digest(full)
-                elif os.path.exists(path):
-                    files[os.path.basename(path)] = self.digest(path)
-                else:
-                    raise CliError(f"missing input file: {path}")
-            payload = {"files": files, "params": stage.params(self.cfg)}
-            blob = json.dumps(payload, ensure_ascii=False, sort_keys=True)
-            self.input_digests[stage.name] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-        return self.input_digests[stage.name]
+        paths = [self.cfg.artifact(name) for name in stage.reads]
+        files: dict[str, str] = {}
+        for path in paths + [p for p in stage.sources(self.cfg) if p]:
+            if os.path.isdir(path):
+                for root, _dirs, names in os.walk(path):
+                    for name in sorted(names):
+                        full = os.path.join(root, name)
+                        files[os.path.relpath(full, path)] = self.digest(full)
+            elif os.path.exists(path):
+                files[os.path.basename(path)] = self.digest(path)
+            else:
+                raise CliError(f"missing input file: {path}")
+        payload = {"files": files, "params": stage.params(self.cfg)}
+        blob = json.dumps(payload, ensure_ascii=False, sort_keys=True)
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _rows_in(source: Dataset, lines: list[bytes], permuted: Dataset) -> list[int] | None:
@@ -642,8 +636,20 @@ def load_run_manifest(cfg: RunConfig) -> dict:
     """
     path = cfg.artifact(RUN_MANIFEST_FILE)
     if os.path.exists(path):
-        with open(path, encoding="utf-8") as handle:
-            run = json.load(handle)
+        try:
+            with open(path, encoding="utf-8") as handle:
+                run = json.load(handle)
+        except ValueError as exc:
+            raise CliError(f"{path} is not valid JSON: {exc}") from None
+        stages = run.get("stages") if isinstance(run, dict) else None
+        if not isinstance(stages, dict) or type(run.get("started_at")) is not str or not all(
+            isinstance(entry, dict) and isinstance(entry.get("outputs") or {}, dict)
+            for entry in stages.values()
+        ):
+            raise CliError(
+                f"{path}: not a run manifest: an object with a string started_at "
+                "and an object of stages, each an object"
+            )
         if run.get("run_id") != cfg.run_id:
             raise CliError(
                 f"{path} belongs to run {run.get('run_id')!r}, not {cfg.run_id!r}; "
@@ -685,10 +691,8 @@ class _WorkdirLock:
 
     The kernel holds the lock for the open file and drops it when the
     holder exits, however it dies, so the lock of a killed run is free to
-    take.  The pid written into the file only names the holder in the
-    error.  The file is removed on exit, while still locked: a process that
-    opened it before then and locks it afterwards holds a file that is no
-    longer at the path, so it opens the path and locks it once more.
+    take.  The file stays in the workdir: the holder writes its pid into it,
+    only to name itself in the error, and empties it again on exit.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -697,42 +701,26 @@ class _WorkdirLock:
 
     def __enter__(self):
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        for _attempt in (1, 2):
-            fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
+        fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
             try:
                 fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                if self._names(fd):
-                    os.ftruncate(fd, 0)
-                    os.write(fd, f"{os.getpid()}\n".encode())
-                    self.fd, fd = fd, None
-                    return self
             except BlockingIOError:
                 holder = os.pread(fd, 32, 0).decode("utf-8", "replace").strip() or "unknown"
                 raise CliError(
                     f"workdir is locked by {self.path} (pid {holder}); another run is active"
                 ) from None
-            finally:
-                if fd is not None:
-                    os.close(fd)
-        raise CliError(f"workdir is locked by {self.path}; another run took it meanwhile")
-
-    def _names(self, fd: int) -> bool:
-        """True when the lock path still names the file open as ``fd``."""
-        try:
-            at_path = os.stat(self.path)
-        except FileNotFoundError:
-            return False
-        held = os.fstat(fd)
-        return (at_path.st_dev, at_path.st_ino) == (held.st_dev, held.st_ino)
+            os.ftruncate(fd, 0)
+            os.write(fd, f"{os.getpid()}\n".encode())
+        except BaseException:
+            os.close(fd)
+            raise
+        self.fd = fd
+        return self
 
     def __exit__(self, *exc_info):
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
+        os.ftruncate(self.fd, 0)
         os.close(self.fd)
-        self.fd = None
-        return False
 
 
 def first_pending_stage(cfg: RunConfig, run: dict,
@@ -824,9 +812,7 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, _overrides_from_args(args))
-        os.makedirs(cfg.workdir, exist_ok=True)
-        run_pipeline(cfg, args.command)
+        run_pipeline(load_config(args.config, _overrides_from_args(args)), args.command)
     except Exception as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error, ensure_ascii=False), file=sys.stderr)

@@ -40,23 +40,28 @@ def manifest_path(path: str) -> str:
     return f"{path}.manifest"
 
 
-def _require(record: dict, path: str, line: int, field: str, kind: type | tuple) -> Any:
+_JSON_TYPE_NAMES = {str: "string", int: "integer", dict: "object"}
+
+
+def _require(record: dict, path: str, line: int, field: str, kind: type) -> Any:
+    """``record[field]``, which must be there and of the JSON type ``kind``."""
     if field not in record:
         raise DatasetFormatError(path, line, field, "missing required field")
     value = record[field]
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is int:
+    if type(value) is not kind:
         raise DatasetFormatError(
-            path, line, field, f"expected {kind}, got {type(value).__name__}"
+            path, line, field, f"expected {_JSON_TYPE_NAMES[kind]}, got {type(value).__name__}"
         )
     return value
 
 
 def _optional_str(record: dict, path: str, line: int, field: str) -> str | None:
+    """``record[field]`` if it is a string, or None if it is null or missing."""
     value = record.get(field)
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        raise DatasetFormatError(path, line, field, "expected string or null")
+    if value is not None and type(value) is not str:
+        raise DatasetFormatError(
+            path, line, field, f"expected string or null, got {type(value).__name__}"
+        )
     return value
 
 
@@ -228,17 +233,32 @@ def read_jsonl(path: str) -> Iterable[tuple[int, dict]]:
     line, whichever stage reads the file.
     """
     with open(path, encoding="utf-8") as handle:
+        try:
+            for line_no, raw in enumerate(handle, start=1):
+                raw = raw.strip()
+                if not raw:
+                    continue
+                try:
+                    record = json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    raise DatasetFormatError(path, line_no, None, f"invalid JSON: {exc}") from exc
+                if not isinstance(record, dict):
+                    raise DatasetFormatError(path, line_no, None, "expected a JSON object")
+                yield line_no, record
+        except UnicodeDecodeError:
+            _undecodable_line(path)
+
+
+def _undecodable_line(path: str) -> NoReturn:
+    """Raise for the first line of ``path`` that is not UTF-8.  Text mode
+    decodes a block at a time, so it cannot say which line failed."""
+    with open(path, "rb") as handle:
         for line_no, raw in enumerate(handle, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
             try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(path, line_no, None, f"invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise DatasetFormatError(path, line_no, None, "expected a JSON object")
-            yield line_no, record
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DatasetFormatError(path, line_no, None, f"not UTF-8: {exc}") from None
+    raise AssertionError(f"{path}: every line decodes")
 
 
 def write_lines(path: str, lines: Iterable[str]) -> dict[str, str]:
@@ -299,8 +319,13 @@ def load_dataset(path: str) -> Dataset:
     items = [instance_from_record(rec, path, line, shared) for line, rec in read_jsonl(path)]
     side = manifest_path(path)
     if os.path.exists(side):
-        with open(side, encoding="utf-8") as handle:
-            manifest = json.load(handle)
+        try:
+            with open(side, encoding="utf-8") as handle:
+                manifest = json.load(handle)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise DatasetFormatError(side, getattr(exc, "lineno", 1), None, f"invalid JSON: {exc}")
+        if not isinstance(manifest, dict):
+            raise DatasetFormatError(side, 1, None, "expected a JSON object")
     else:
         manifest = build_manifest(items, run_id="")
     return Dataset(items=tuple(items), manifest=manifest)

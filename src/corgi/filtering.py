@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-from .dataset_io import DatasetFormatError, read_jsonl
+from .dataset_io import DatasetFormatError, _require, read_jsonl
 from .model import (
     FILTER_KEPT,
     FILTER_UNFILTERED,
@@ -112,8 +112,11 @@ def load_corpus(path: str) -> list[CorpusDocument]:
         names = sorted(n for n in os.listdir(path) if n.endswith(".txt"))
         for name in names:
             full = os.path.join(path, name)
-            with open(full, encoding="utf-8") as handle:
-                text = handle.read()
+            try:
+                with open(full, encoding="utf-8") as handle:
+                    text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise FilterError(f"{full}: not UTF-8: {exc}") from None
             title = os.path.splitext(name)[0]
             documents.append(CorpusDocument(doc_id=name, title=title, text=text))
     elif os.path.isfile(path):
@@ -123,15 +126,11 @@ def load_corpus(path: str) -> list[CorpusDocument]:
                     raise FilterError(
                         f"{path}:{line_no}: corpus records need title and text fields"
                     )
-                for name in ("title", "text"):
-                    if type(record[name]) is not str:
-                        raise DatasetFormatError(
-                            path, line_no, name,
-                            f"expected string, got {type(record[name]).__name__}",
-                        )
                 documents.append(
                     CorpusDocument(
-                        doc_id=f"{path}:{line_no}", title=record["title"], text=record["text"]
+                        doc_id=f"{path}:{line_no}",
+                        title=_require(record, path, line_no, "title", str),
+                        text=_require(record, path, line_no, "text", str),
                     )
                 )
         except DatasetFormatError as exc:

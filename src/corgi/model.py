@@ -199,16 +199,23 @@ class Dataset:
     ``digest``, when set, is ``dataset_digest(items)``: the sha256 of the
     items' canonical JSONL, which is the file ``save_dataset`` writes.
     ``order`` records it as the input digest rather than encode every item
-    again.  It takes no part in equality; a value built from another with
-    ``dataclasses.replace`` and new items must not keep it.
+    again.  It takes no part in equality, and only ``with_digest`` sets it:
+    a value built by the constructor or ``dataclasses.replace`` has none.
     """
 
     items: tuple[InstructionInstance, ...]
     manifest: dict[str, Any] = field(default_factory=dict)
-    digest: str | None = field(default=None, compare=False)
+    digest: str | None = field(default=None, init=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.items)
+
+    def with_digest(self, digest: str) -> Dataset:
+        """This dataset carrying ``digest``, which the caller vouches is
+        ``dataset_digest(self.items)``."""
+        copy = Dataset(self.items, self.manifest)
+        object.__setattr__(copy, "digest", digest)
+        return copy
 
 
 def build_manifest(

@@ -236,8 +236,20 @@ class MockTeacherBackend:
 
     @classmethod
     def from_file(cls, path: str) -> "MockTeacherBackend":
-        with open(path, encoding="utf-8") as handle:
-            return cls(json.load(handle))
+        """Load a JSON object mapping each prompt digest to its reply."""
+        try:
+            with open(path, encoding="utf-8") as handle:
+                scripts = json.load(handle)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise TeacherError(f"{path}: invalid JSON: {exc}") from None
+        if not isinstance(scripts, dict):
+            raise TeacherError(f"{path}: expected a JSON object of prompt digest to reply")
+        for digest, reply in scripts.items():
+            if type(reply) is not str:
+                raise TeacherError(
+                    f"{path}: reply to {digest} must be a string, got {type(reply).__name__}"
+                )
+        return cls(scripts)
 
     def complete(self, req: CompletionRequest) -> str:
         digest = prompt_digest(req.prompt)

@@ -213,6 +213,27 @@ class TestParseCatalog:
             parse_catalog(str(path))
         assert str(err.value).startswith(f"{path}:3: {message}")
 
+    def test_csv_that_is_not_utf8_names_the_path(self, tmp_path):
+        path = tmp_path / "cat.csv"
+        row = f"{ASTRONOMY_SUBJECT},{ASTRONOMY_TITLE},Stars \xff and planets.,,"
+        path.write_bytes(f"{CSV_HEADER}\n".encode() + row.encode("latin-1") + b"\n")
+        with pytest.raises(CatalogError) as err:
+            parse_catalog(str(path))
+        assert str(err.value).startswith(f"{path}: not UTF-8: ")
+
+    def test_jsonl_line_that_is_not_utf8_names_path_and_line(self, tmp_path):
+        path = tmp_path / "cat.jsonl"
+        good = json.dumps({
+            "subject": "Higher Education - Ethics",
+            "course_title": "Intro",
+            "course_description": "Moral reasoning.",
+        })
+        bad = good.replace("Moral", "Mor\xe9l").encode("latin-1")
+        path.write_bytes(good.encode() + b"\n" + bad + b"\n")
+        with pytest.raises(CatalogError) as err:
+            parse_catalog(str(path))
+        assert str(err.value).startswith(f"{path}:2: not UTF-8: ")
+
     @pytest.mark.parametrize("field", ["subject", "course_title", "course_description"])
     def test_null_jsonl_field_reads_as_empty(self, tmp_path, field):
         """As in a CSV catalog, not as the text "None"."""

@@ -2,6 +2,7 @@
 
 import builtins
 import contextlib
+import errno
 import fcntl
 import hashlib
 import itertools
@@ -10,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -107,6 +109,16 @@ def held_lock(path, text):
         fcntl.flock(fd, fcntl.LOCK_EX)
         os.write(fd, text.encode())
         yield
+    finally:
+        os.close(fd)
+
+
+def assert_lock_free(path):
+    """The lock file is still in the workdir, empty, and free to take."""
+    assert read_bytes(path) == b""
+    fd = os.open(path, os.O_RDWR)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
     finally:
         os.close(fd)
 
@@ -240,6 +252,13 @@ class TestLoadConfig:
         as_list.write_text("[1, 2]", encoding="utf-8")
         with pytest.raises(CliError):
             load_config(str(as_list))
+
+    def test_a_config_that_is_not_utf8_is_named(self, tmp_path):
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(b'{"workdir": "w\xe9rk", "catalog": "c.csv"}')
+        with pytest.raises(CliError) as err:
+            load_config(str(bad))
+        assert str(err.value).startswith(f"{bad} is not valid JSON: ")
 
     def test_keys_no_backend_reads_are_rejected(self, tmp_path):
         cases = (
@@ -564,7 +583,7 @@ class TestFullRun:
         run = read_json(cfg.artifact(RUN_MANIFEST_FILE))
         assert set(run["stages"]) == set(STAGE_NAMES)
         assert run["run_id"] == "cli-test"
-        assert not os.path.exists(cfg.artifact(LOCK_FILE))
+        assert_lock_free(cfg.artifact(LOCK_FILE))
 
     def test_two_fresh_runs_agree(self, tmp_path, capsys):
         cfg_a, _ = self.run_pipeline(tmp_path / "a", capsys)
@@ -721,7 +740,7 @@ class TestErrorsAndLocking:
             handle.write(f"{child.pid}\n")
         rc = main(["run", "--config", path])
         assert rc == 0, capsys.readouterr().err
-        assert not os.path.exists(os.path.join(workdir, LOCK_FILE))
+        assert_lock_free(os.path.join(workdir, LOCK_FILE))
 
     def test_lock_of_a_live_process_is_refused(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -751,7 +770,24 @@ class TestErrorsAndLocking:
         assert os.path.exists(os.path.join(workdir, LOCK_FILE))
         rc = main(["run", "--config", path])
         assert rc == 0, capsys.readouterr().err
-        assert [n for n in os.listdir(workdir) if n.startswith(LOCK_FILE)] == []
+        assert [n for n in os.listdir(workdir) if n.startswith(LOCK_FILE)] == [LOCK_FILE]
+        assert_lock_free(os.path.join(workdir, LOCK_FILE))
+
+    def test_failed_pid_write_frees_the_lock(self, tmp_path, capsys, monkeypatch):
+        """A pid write that raises closes the lock file, so the lock is free."""
+        path = write_config(tmp_path)
+        workdir = load_config(path).workdir
+
+        def full_disk(fd, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "write", full_disk)
+        rc = main(["run", "--config", path])
+        monkeypatch.undo()
+        assert rc == 1
+        assert "No space left" in json.loads(capsys.readouterr().err.strip())["message"]
+        assert_lock_free(os.path.join(workdir, LOCK_FILE))
+        assert main(["run", "--config", path]) == 0, capsys.readouterr().err
 
     def test_two_takeovers_of_a_dead_lock_let_one_run(self, tmp_path):
         """Two processes that find the same dead holder's lock at once: one
@@ -789,6 +825,44 @@ class TestErrorsAndLocking:
         captured = capsys.readouterr()
         assert rc == 1
         assert "belongs to run" in json.loads(captured.err.strip())["message"]
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            "[]",
+            "{broken",
+            '{"run_id": "cli-test", "started_at": "t", "stages": []}',
+            '{"run_id": "cli-test", "started_at": "t", "stages": {"ingest": 3}}',
+            '{"run_id": "cli-test", "started_at": "t", '
+            '"stages": {"ingest": {"outputs": ["courses.jsonl"]}}}',
+            '{"run_id": "cli-test", "stages": {}}',
+            '{"run_id": "cli-test", "started_at": 5, "stages": {}}',
+        ],
+    )
+    def test_a_malformed_run_manifest_is_named(self, tmp_path, capsys, manifest):
+        path = write_config(tmp_path)
+        cfg = load_config(path)
+        os.makedirs(cfg.workdir)
+        with open(cfg.artifact(RUN_MANIFEST_FILE), "w", encoding="utf-8") as handle:
+            handle.write(manifest)
+        assert main(["resume", "--config", path]) == 1
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "CliError"
+        assert error["message"].startswith(cfg.artifact(RUN_MANIFEST_FILE))
+
+    def test_a_filtered_file_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        filtered = load_config(path).artifact(FILTERED_FILE)
+        lines = read_bytes(filtered).splitlines(keepends=True)
+        lines[1] = lines[1].replace(b'"question": "', b'"question": "\xff', 1)
+        with open(filtered, "wb") as handle:
+            handle.writelines(lines)
+        capsys.readouterr()
+        assert main(["order", "--config", path]) == 1
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "DatasetFormatError"
+        assert error["message"].startswith(f"{filtered}:2: not UTF-8: ")
 
     def test_bad_config_reports_clierror(self, tmp_path, capsys):
         path = write_config(tmp_path, strategy="alphabetical")
@@ -1172,6 +1246,19 @@ class TestOrderInputDigest:
             digest, expected = self.input_digest_and_expected(cfg)
             assert digest == expected
 
+    def test_new_items_do_not_keep_the_digest_of_the_loaded_file(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        cfg = load_config(path)
+        filtered = cfg.artifact(FILTERED_FILE)
+        artifacts = cli._Artifacts(cfg, load_run_manifest(cfg))
+        artifacts.digest(filtered)
+        loaded = artifacts.load(FILTERED_FILE)
+        assert loaded.digest == hashlib.sha256(read_bytes(filtered)).hexdigest()
+        flipped = replace(loaded, items=loaded.items[::-1])
+        ordered = order(flipped, OrderingConfig(strategy="block", seed=5))
+        assert ordered.manifest["input_digest"] == dataset_digest(flipped.items)
+
     def test_resume_with_a_strategy_imports_no_numpy(self, tmp_path, capsys):
         """Nor any teacher-side module."""
         path = write_config(tmp_path)
@@ -1336,4 +1423,4 @@ class TestInterruptedWrites:
         assert main(["resume", "--config", path]) == 0, capsys.readouterr().err
         assert read_bytes(cfg.artifact(ORDERED_FILE)) == clean
         assert not os.path.exists(cfg.artifact(ORDERED_FILE + ".tmp"))
-        assert not os.path.exists(cfg.artifact(LOCK_FILE))
+        assert_lock_free(cfg.artifact(LOCK_FILE))

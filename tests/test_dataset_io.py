@@ -113,6 +113,33 @@ def test_invalid_json_reports_line(tmp_path):
     assert "invalid JSON" in str(err.value)
 
 
+def test_undecodable_byte_names_path_and_line(tmp_path):
+    """The line is found past the first block that text mode decodes."""
+    good = json.dumps(instance_to_record(make_instance("Alpha", "c1", 1))).encode()
+    path = tmp_path / "broken.jsonl"
+    path.write_bytes((good + b"\n") * 40 + good.replace(b"Alpha", b"Al\xffpha") + b"\n")
+    assert path.stat().st_size > 2 * 8192
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(str(path))
+    assert (err.value.path, err.value.line) == (str(path), 41)
+    assert str(err.value).startswith(f"{path}:41: not UTF-8: ")
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(b"[]", "expected a JSON object"), (b'{"run_id": ', "invalid JSON"),
+     (b'{"run_id": "\xff"}', "invalid JSON")],
+)
+def test_bad_manifest_sidecar_is_named(tmp_path, content, message):
+    path = tmp_path / "data.jsonl"
+    save_dataset(make_dataset([make_instance("Alpha", "c1", 1)], run_id="side"), str(path))
+    (tmp_path / "data.jsonl.manifest").write_bytes(content)
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(str(path))
+    assert err.value.path == manifest_path(str(path))
+    assert message in str(err.value)
+
+
 def test_non_object_line_rejected(tmp_path):
     path = tmp_path / "list.jsonl"
     path.write_text("[1, 2, 3]\n")
@@ -382,7 +409,23 @@ def test_bad_stage_level_is_named_once(tmp_path):
     path = _write_with_fault(tmp_path, "stage_level", 5)
     with pytest.raises(DatasetFormatError) as err:
         load_dataset(path)
-    assert str(err.value) == f"{path}:2: field 'stage_level': expected string or null"
+    assert str(err.value) == f"{path}:2: field 'stage_level': expected string or null, got int"
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("id", 5, "field 'id': expected string, got int"),
+        ("cognitive_index", True, "field 'cognitive_index': expected integer, got bool"),
+        ("provenance", [], "field 'provenance': expected object, got list"),
+        ("provenance.run_id", None, "field 'run_id': expected string, got NoneType"),
+    ],
+)
+def test_wrong_type_names_the_json_type(tmp_path, key, value, message):
+    path = _write_with_fault(tmp_path, key, value)
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}:2: {message}"
 
 
 def test_first_bad_field_is_named(tmp_path):

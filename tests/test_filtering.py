@@ -543,6 +543,13 @@ class TestLoadCorpus:
         with pytest.raises(FilterError):
             load_corpus(str(tmp_path / "absent"))
 
+    def test_a_text_file_that_is_not_utf8_is_named(self, tmp_path):
+        (tmp_path / "a.txt").write_text("kepler orbit", encoding="utf-8")
+        (tmp_path / "b.txt").write_bytes(b"nucleus \xff membrane")
+        with pytest.raises(FilterError) as err:
+            load_corpus(str(tmp_path))
+        assert str(err.value).startswith(f"{tmp_path / 'b.txt'}: not UTF-8: ")
+
     def test_empty_directory(self, tmp_path):
         with pytest.raises(FilterError):
             load_corpus(str(tmp_path))

@@ -146,6 +146,22 @@ class TestMockBackend:
         backend = MockTeacherBackend.from_file(str(path))
         assert backend.complete(CompletionRequest(prompt="hello")) == "scripted hello"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "expected a JSON object"),
+            ('{"%s": 3}' % ("0" * 64), "must be a string, got int"),
+            ("{broken", "invalid JSON"),
+        ],
+    )
+    def test_from_file_rejects_a_bad_script(self, tmp_path, text, message):
+        path = tmp_path / "scripts.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(TeacherError) as err:
+            MockTeacherBackend.from_file(str(path))
+        assert str(err.value).startswith(f"{path}: ")
+        assert message in str(err.value)
+
     def test_model_name(self):
         assert MockTeacherBackend({}).model_name == "scripted-mock"
 
