@@ -12,10 +12,13 @@ The final batch may be smaller than ``batch_size``; it is still analyzed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .model import Dataset, InstructionInstance
 from .taxonomy import LOAD_EASY, LOAD_HARD, LOAD_MEDIUM
+
+if TYPE_CHECKING:
+    from .dataset_io import DatasetLines
 
 LOAD_TIERS = (LOAD_EASY, LOAD_MEDIUM, LOAD_HARD)
 
@@ -116,11 +119,13 @@ def _batch_stats(
     )
 
 
-def analyze(ordered: Dataset, batch_size: int) -> BatchReport:
+def analyze(ordered: Dataset | DatasetLines, batch_size: int) -> BatchReport:
     """Cut the ordered sequence into consecutive batches and describe each.
 
-    The report is labelled with the strategy and granularity that the
-    manifest of ``ordered`` records.
+    Only each item's subject, cognitive load and cognitive index are read,
+    so the ``LineItem`` keys of a ``DatasetLines`` give the report of its
+    decoded instances.  The report is labelled with the strategy and
+    granularity that the manifest of ``ordered`` records.
     """
     items = ordered.items
     if not isinstance(batch_size, int) or isinstance(batch_size, bool):

@@ -8,7 +8,11 @@ those it writes, so a run is a chain of artifacts in one working directory:
     -> ordered.jsonl -> batch_report.json / training.jsonl
 
 Within one process each stage hands its values to the later stages that
-read them, and each file is digested at most once.  ``run.json`` records,
+read them, and each file is digested at most once.  The filtered and
+ordered datasets are handed over as their canonical lines
+(``DatasetLines``): the filter stage validates its items, and the order,
+analyze and export stages slice what they need out of the lines, so
+``resume --strategy`` decodes and encodes no instance.  ``run.json`` records,
 per stage, a digest of the inputs and parameters the stage saw plus digests
 of what it wrote.  ``resume`` replays from the first stage whose outputs are
 missing or no longer match their recorded digests, or whose recorded input
@@ -43,13 +47,15 @@ from typing import TYPE_CHECKING, Callable, get_args, get_type_hints
 from .batching import analyze as analyze_batches
 from .catalog import parse_catalog
 from .dataset_io import (
+    DatasetLines,
+    dataset_lines,
     load_concepts,
     load_courses,
     load_dataset,
+    parse_dataset_lines,
     save_concepts,
     save_courses,
     save_dataset,
-    save_dataset_lines,
     write_json,
 )
 from .model import DEDUP_SCOPES, Concept, Course, Dataset, Provenance, make_dataset
@@ -59,7 +65,8 @@ from .scheduler import (
     STRATEGIES,
     OrderingConfig,
     export_training_order,
-    order as order_dataset,
+    order_lines as order_dataset,
+    require_valid,
 )
 
 if TYPE_CHECKING:
@@ -397,6 +404,8 @@ def _stage_generate(
 
 
 def _stage_filter(cfg: RunConfig, run: dict, instances: Dataset, corpus: str | None) -> dict:
+    """The kept items are validated here, where they are built, and handed
+    on as lines: the order, analyze and export stages validate nothing."""
     if not corpus:
         raise CliError("filter stage requires 'corpus' in the config")
     filtered, stats = _use("run_filters")(
@@ -409,10 +418,11 @@ def _stage_filter(cfg: RunConfig, run: dict, instances: Dataset, corpus: str | N
             max_failure_fraction=cfg.max_failure_fraction,
         ),
     )
-    return {FILTERED_FILE: filtered, FILTER_STATS_FILE: stats.to_dict()}
+    require_valid(filtered)
+    return {FILTERED_FILE: dataset_lines(filtered), FILTER_STATS_FILE: stats.to_dict()}
 
 
-def _stage_order(cfg: RunConfig, run: dict, filtered: Dataset) -> dict:
+def _stage_order(cfg: RunConfig, run: dict, filtered: DatasetLines) -> dict:
     ordering = OrderingConfig(
         strategy=cfg.strategy,
         seed=cfg.seed,
@@ -421,7 +431,7 @@ def _stage_order(cfg: RunConfig, run: dict, filtered: Dataset) -> dict:
     return {ORDERED_FILE: order_dataset(filtered, ordering)}
 
 
-def _stage_analyze(cfg: RunConfig, run: dict, ordered: Dataset) -> dict:
+def _stage_analyze(cfg: RunConfig, run: dict, ordered: DatasetLines) -> dict:
     report = analyze_batches(ordered, cfg.batch_size)
     print(json.dumps(report.summary(), ensure_ascii=False))
     return {BATCH_REPORT_FILE: report.to_dict()}
@@ -526,13 +536,9 @@ ARTIFACT_IO = {
     TRAINING_FILE: (None, "export_training_order"),
 }
 
-# Artifacts saved as a dataset's canonical JSONL: the file's sha256 is
-# ``dataset_digest`` of the items, as save -> load -> save is byte-identical.
-DATASET_FILES = frozenset(n for n, (load, _save) in ARTIFACT_IO.items() if load == "load_dataset")
-
-# A dataset artifact whose items are a permutation of another's, and that
-# other artifact: the ordered items are the filtered ones in a new order.
-PERMUTATION_OF = {ORDERED_FILE: FILTERED_FILE}
+# The dataset artifacts whose value is a ``DatasetLines``: those the order,
+# analyze and export stages read.
+LINE_FILES = frozenset({FILTERED_FILE, ORDERED_FILE})
 
 
 class _Artifacts:
@@ -544,16 +550,13 @@ class _Artifacts:
     workdir meanwhile; the next invocation digests every file afresh, so a
     hand edit between runs is still found by content.
 
-    A dataset value carries its file's sha256 as ``Dataset.digest`` when
-    that file is known to be canonical: this process saved it, or the digest
-    held for it equals one that ``run`` records for it, which only a save
-    by this engine writes there.  A file rewritten by hand, even with the
-    same records, loads without a digest.
-
-    A canonical file loaded as the source of a ``PERMUTATION_OF`` artifact
-    also keeps its lines, one per item, until that artifact is saved: it is
-    then written as those lines in its items' order, and no item is encoded
-    again.  Any other dataset is encoded by its saver.
+    A ``LINE_FILES`` artifact is read in one piece, which gives both its
+    digest and its bytes, held until it is loaded.  It is canonical when
+    this process saved it or its digest equals one that ``run`` records
+    for it, which only a save by this engine writes there: its lines are
+    then its value, with nothing decoded, and its items have passed
+    ``validate`` when they were built.  A file rewritten by hand, even with
+    the same records, is decoded, validated and encoded again.
     """
 
     def __init__(self, cfg: RunConfig, run: dict):
@@ -561,40 +564,55 @@ class _Artifacts:
         self.run = run
         self.digests: dict[str, str] = {}
         self.values: dict[str, object] = {}
-        self.lines: dict[str, list[bytes]] = {}
+        self.line_paths = {cfg.artifact(name) for name in LINE_FILES}
+        self.held: dict[str, bytes] = {}
 
     def digest(self, path: str) -> str:
         if path not in self.digests:
-            self.digests[path] = _file_digest(path)
+            if path in self.line_paths:
+                self.held[path] = self._read(path)
+            else:
+                self.digests[path] = _file_digest(path)
         return self.digests[path]
+
+    def _read(self, path: str) -> bytes:
+        """The bytes of ``path``, read in one piece; their digest is kept."""
+        with open(path, "rb") as handle:
+            data = handle.read()
+        self.digests[path] = hashlib.sha256(data).hexdigest()
+        return data
 
     def load(self, name: str):
         if name not in self.values:
             path = self.cfg.artifact(name)
-            value = globals()[ARTIFACT_IO[name][0]](path)
-            digest = self.digests.get(path)
-            recorded = ((entry.get("outputs") or {}).get(name)
-                        for entry in self.run["stages"].values())
-            if name in DATASET_FILES and digest is not None and digest in recorded:
-                value = value.with_digest(digest)
-                if name in PERMUTATION_OF.values():
-                    with open(path, "rb") as handle:
-                        self.lines[name] = handle.readlines()
-            self.values[name] = value
+            if name in LINE_FILES:
+                self.values[name] = self._lines(name, path)
+            else:
+                self.values[name] = globals()[ARTIFACT_IO[name][0]](path)
         return self.values[name]
+
+    def _lines(self, name: str, path: str) -> DatasetLines:
+        data = self.held.pop(path, None) or self._read(path)
+        digest = self.digests[path]
+        if any((entry.get("outputs") or {}).get(name) == digest
+               for entry in self.run["stages"].values()):
+            return parse_dataset_lines(data, path).with_digest(digest)
+        dataset = globals()[ARTIFACT_IO[name][0]](path)
+        require_valid(dataset)
+        return dataset_lines(dataset)
 
     def save(self, name: str, value) -> dict[str, str]:
         path = self.cfg.artifact(name)
-        source = PERMUTATION_OF.get(name)
-        lines = self.lines.pop(source, None)
-        rows = None if lines is None else _rows_in(self.values[source], lines, value)
-        if rows is not None:
-            written = save_dataset_lines(value, map(lines.__getitem__, rows), path)
-        else:
-            written = globals()[ARTIFACT_IO.get(name, (None, "_save_json"))[1]](value, path)
+        written = globals()[ARTIFACT_IO.get(name, (None, "_save_json"))[1]](value, path)
         self.digests.update(written)
-        self.values[name] = value.with_digest(written[path]) if name in DATASET_FILES else value
+        self.held.pop(path, None)
+        self.values[name] = value.with_digest(written[path]) if name in LINE_FILES else value
         return written
+
+    def keep(self, names: set[str]) -> None:
+        """Drop the values and held bytes of every artifact not in ``names``."""
+        self.values = {n: v for n, v in self.values.items() if n in names}
+        self.held = {p: b for p, b in self.held.items() if os.path.basename(p) in names}
 
     def input_digest(self, stage: Stage) -> str:
         """Digest of the files ``stage`` reads and of its parameters; a
@@ -614,17 +632,6 @@ class _Artifacts:
         payload = {"files": files, "params": stage.params(self.cfg)}
         blob = json.dumps(payload, ensure_ascii=False, sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _rows_in(source: Dataset, lines: list[bytes], permuted: Dataset) -> list[int] | None:
-    """The row of ``source`` that holds each item of ``permuted``, or None
-    unless ``lines`` has one line per source item and every permuted item
-    is one of the source's."""
-    if len(lines) != len(source.items):
-        return None
-    row = {id(item): i for i, item in enumerate(source.items)}
-    rows = [row.get(id(item)) for item in permuted.items]
-    return None if None in rows else rows
 
 
 def load_run_manifest(cfg: RunConfig) -> dict:
@@ -769,9 +776,8 @@ def run_pipeline(cfg: RunConfig, command: str = "run") -> None:
         for module in dict.fromkeys(m for stage in stages for m in stage.modules):
             import_module(f".{module}", __package__)
         for i, stage in enumerate(stages):
+            artifacts.keep({name for later in stages[i:] for name in later.reads})
             run_stage(stage, cfg, run, artifacts)
-            later = {name for after in stages[i + 1:] for name in after.reads}
-            artifacts.values = {n: v for n, v in artifacts.values.items() if n in later}
 
 
 def _build_parser() -> argparse.ArgumentParser:

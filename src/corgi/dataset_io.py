@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import dataclass, field
 from typing import Any, Iterable, NoReturn
 
 from .model import (
@@ -294,18 +295,31 @@ def write_json(path: str, payload: Any) -> dict[str, str]:
     return write_lines(path, [json.dumps(payload, ensure_ascii=False, indent=2)])
 
 
-def save_dataset(d: Dataset, path: str) -> dict[str, str]:
-    """Write canonical JSONL plus the manifest sidecar; return both digests."""
-    lines = (instance_line(item).encode("utf-8") + b"\n" for item in d.items)
-    return save_dataset_lines(d, lines, path)
+def save_dataset(d: Dataset | DatasetLines, path: str) -> dict[str, str]:
+    """Write canonical JSONL plus the manifest sidecar; return both digests.
+
+    A ``DatasetLines`` is written as its lines, with no item encoded.
+    """
+    if isinstance(d, DatasetLines):
+        lines = (item.line for item in d.items)
+    else:
+        lines = (instance_line(item).encode("utf-8") + b"\n" for item in d.items)
+    return write_bytes(path, lines) | write_json(manifest_path(path), d.manifest)
 
 
-def save_dataset_lines(d: Dataset, lines: Iterable[bytes], path: str) -> dict[str, str]:
-    """``save_dataset(d, path)`` given each item's line, in order: its
-    ``instance_line`` in UTF-8 plus a newline, such as a canonical file of
-    the same items holds.  The caller vouches that the lines are those."""
-    written = write_bytes(path, lines)
-    return written | write_json(manifest_path(path), d.manifest)
+def _load_manifest(path: str) -> dict | None:
+    """The manifest sidecar of the dataset file ``path``, or None if it has none."""
+    side = manifest_path(path)
+    if not os.path.exists(side):
+        return None
+    try:
+        with open(side, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise DatasetFormatError(side, getattr(exc, "lineno", 1), None, f"invalid JSON: {exc}")
+    if not isinstance(manifest, dict):
+        raise DatasetFormatError(side, 1, None, "expected a JSON object")
+    return manifest
 
 
 def load_dataset(path: str) -> Dataset:
@@ -317,18 +331,130 @@ def load_dataset(path: str) -> Dataset:
     """
     shared: dict = {}
     items = [instance_from_record(rec, path, line, shared) for line, rec in read_jsonl(path)]
-    side = manifest_path(path)
-    if os.path.exists(side):
-        try:
-            with open(side, encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise DatasetFormatError(side, getattr(exc, "lineno", 1), None, f"invalid JSON: {exc}")
-        if not isinstance(manifest, dict):
-            raise DatasetFormatError(side, 1, None, "expected a JSON object")
-    else:
+    manifest = _load_manifest(path)
+    if manifest is None:
         manifest = build_manifest(items, run_id="")
     return Dataset(items=tuple(items), manifest=manifest)
+
+
+class LineItem:
+    """One item of a ``DatasetLines``: its canonical line and the keys that
+    ordering and batch analysis read, with the values and types that the
+    decoded ``InstructionInstance`` has."""
+
+    __slots__ = ("stage", "subject", "concept_id", "cognitive_index", "cognitive_load", "line")
+
+    def __init__(self, stage: EducationalStage, subject: str, concept_id: str,
+                 cognitive_index: int, cognitive_load: str, line: bytes):
+        self.stage = stage
+        self.subject = subject
+        self.concept_id = concept_id
+        self.cognitive_index = cognitive_index
+        self.cognitive_load = cognitive_load
+        self.line = line
+
+
+@dataclass(frozen=True)
+class DatasetLines:
+    """A dataset as the lines of its canonical file, which nothing decodes.
+
+    Each item is a ``LineItem`` whose ``line`` is ``instance_line`` of the
+    instance in UTF-8 plus a newline.  ``digest``, when set, is the sha256
+    of those lines, which is ``dataset_digest`` of the instances.  Only
+    ``with_digest`` sets it, and ``order_lines`` as a memo, so
+    ``dataclasses.replace`` drops it.
+    """
+
+    items: tuple[LineItem, ...]
+    manifest: dict[str, Any]
+    digest: str | None = field(default=None, init=False, compare=False)
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def with_digest(self, digest: str) -> DatasetLines:
+        """These lines carrying ``digest``, which the caller vouches is
+        their sha256."""
+        copy = DatasetLines(self.items, self.manifest)
+        object.__setattr__(copy, "digest", digest)
+        return copy
+
+
+def dataset_lines(d: Dataset) -> DatasetLines:
+    """``d`` as lines: each item encoded once, its keys taken from the item."""
+    items = tuple(
+        LineItem(item.stage, item.subject, item.concept_id, item.cognitive_index,
+                 item.cognitive_load, instance_line(item).encode("utf-8") + b"\n")
+        for item in d.items
+    )
+    return DatasetLines(items, d.manifest)
+
+
+# Key markers of ``instance_line``, which writes every key but the first
+# after ', '.
+_STAGE = b', "stage": '
+_INDEX = b', "cognitive_index": '
+_SYSTEM = b', "system_message": '
+_QUESTION = b', "question": '
+_ANSWER = b', "answer": '
+_STATUS = b', "filter_status": '
+
+
+def parse_dataset_lines(data: bytes, path: str) -> DatasetLines:
+    """The lines of ``data``, the bytes of the canonical dataset file ``path``,
+    with their keys sliced out and the file's manifest sidecar.
+
+    The caller vouches that ``data`` is what ``save_dataset`` writes, such
+    as a file whose sha256 a save recorded.  A key's marker (``, "key": ``)
+    occurs in a line only where ``instance_line`` writes that key.  Its
+    quote cannot lie inside an encoded string, where every quote is escaped
+    as ``\\"``; it cannot close a string, since a closing quote is followed
+    by a comma or a brace, not a letter; and the only strings that follow
+    ``, `` are keys.  So whatever the strings hold, slicing at the markers
+    is exact.
+
+    Each line gives two runs of keys: from the stage to the concept id,
+    which the items of one concept share, and from the cognitive index to
+    the load, which the items of one index share.  Each distinct run is
+    decoded once, as the JSON object its keys make.
+    """
+    concepts: dict[bytes, tuple[EducationalStage, str, str]] = {}
+    levels: dict[bytes, tuple[int, str]] = {}
+    items = []
+    for line in data.splitlines(keepends=True):
+        a = line.index(_STAGE)
+        b = line.index(_INDEX, a)
+        c = line.index(_SYSTEM, b)
+        concept, level = line[a:b], line[b:c]
+        if concept not in concepts:
+            keys = _run_keys(concept)
+            concepts[concept] = (EducationalStage(keys["stage"], keys["stage_level"]),
+                                 keys["subject"], keys["concept_id"])
+        if level not in levels:
+            keys = _run_keys(level)
+            levels[level] = (keys["cognitive_index"], keys["cognitive_load"])
+        items.append(LineItem(*concepts[concept], *levels[level], line))
+    manifest = _load_manifest(path)
+    if manifest is None:
+        manifest = build_manifest(items, run_id="")
+    return DatasetLines(tuple(items), manifest)
+
+
+def _run_keys(run: bytes) -> dict[str, Any]:
+    """The keys and values of ``run``, a line's bytes from one key marker
+    up to another."""
+    return json.loads(b"{" + run[2:] + b"}")
+
+
+def encoded_turns(line: bytes) -> tuple[bytes, bytes, bytes]:
+    """The system message, question and answer of a canonical line, each as
+    ``instance_line`` encodes it (``_json_str`` in UTF-8).  The markers are
+    searched from the end, past the shorter part of the line."""
+    d = line.rindex(_STATUS)
+    c = line.rindex(_ANSWER, 0, d)
+    b = line.rindex(_QUESTION, 0, c)
+    a = line.rindex(_SYSTEM, 0, b)
+    return line[a + len(_SYSTEM):b], line[b + len(_QUESTION):c], line[c + len(_ANSWER):d]
 
 
 def course_to_record(course: Course) -> dict[str, Any]:

@@ -198,24 +198,21 @@ class Dataset:
 
     ``digest``, when set, is ``dataset_digest(items)``: the sha256 of the
     items' canonical JSONL, which is the file ``save_dataset`` writes.
-    ``order`` records it as the input digest rather than encode every item
-    again.  It takes no part in equality, and only ``with_digest`` sets it:
-    a value built by the constructor or ``dataclasses.replace`` has none.
+    ``validated`` is True once ``scheduler.require_valid`` has passed this
+    object.  Both are memos that ``order`` keeps on the object it orders,
+    so that ordering it again repeats neither (``require_valid`` keeps
+    ``validated`` too): they take no part in equality, and a value built by
+    the constructor or ``dataclasses.replace`` has neither.  So the
+    manifest of a validated dataset must not be edited in place.
     """
 
     items: tuple[InstructionInstance, ...]
     manifest: dict[str, Any] = field(default_factory=dict)
     digest: str | None = field(default=None, init=False, compare=False)
+    validated: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.items)
-
-    def with_digest(self, digest: str) -> Dataset:
-        """This dataset carrying ``digest``, which the caller vouches is
-        ``dataset_digest(self.items)``."""
-        copy = Dataset(self.items, self.manifest)
-        object.__setattr__(copy, "digest", digest)
-        return copy
 
 
 def build_manifest(

@@ -21,6 +21,8 @@ Subject and concept orders are those of first appearance in the input; for
 another subject order, stably pre-sort the items by subject rank.
 Every strategy but random is one stable sort of the items by a key
 (``_order_group``), so items whose keys are equal keep their input order.
+``order`` permutes decoded instances and ``order_lines`` the canonical
+lines of a dataset (``DatasetLines``), by the same function.
 """
 
 from __future__ import annotations
@@ -29,13 +31,22 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable
 
-from .dataset_io import _json_str, instance_line, manifest_path, write_json, write_lines
+from .dataset_io import (
+    DatasetLines,
+    _json_str,
+    encoded_turns,
+    instance_line,
+    manifest_path,
+    write_bytes,
+    write_json,
+    write_lines,
+)
 from .model import (
     HIGHER,
     SECONDARY,
     Dataset,
     InstructionInstance,
-    make_dataset,
+    build_manifest,
     validate,
 )
 from .taxonomy import LOAD_EASY, LOAD_HARD, LOAD_MEDIUM
@@ -131,7 +142,7 @@ def dataset_digest(items: Iterable[InstructionInstance]) -> str:
     return h.hexdigest()
 
 
-def canonical_orders(d: Dataset) -> tuple[list[str], dict[str, list[str]]]:
+def canonical_orders(d: Dataset | DatasetLines) -> tuple[list[str], dict[str, list[str]]]:
     """Subject order and per-subject concept order (first appearance)."""
     subjects: list[str] = []
     concept_orders: dict[str, list[str]] = {}
@@ -145,19 +156,65 @@ def canonical_orders(d: Dataset) -> tuple[list[str], dict[str, list[str]]]:
     return subjects, concept_orders
 
 
+def require_valid(d: Dataset) -> None:
+    """Raise ``SchedulerError`` with the ``validate`` summary unless ``d``
+    passes.  Each ``Dataset`` object is validated once: a pass is kept on
+    it as ``d.validated``, which ``dataclasses.replace`` drops."""
+    if d.validated:
+        return
+    report = validate(d)
+    if not report.ok:
+        raise SchedulerError(f"dataset failed validation:\n{report.summary()}")
+    object.__setattr__(d, "validated", True)
+
+
 def order(d: Dataset, cfg: OrderingConfig) -> Dataset:
     """Emit the curriculum permutation for one strategy.
 
     The manifest keeps the input's ``run_id`` and records the ordering keys
     ``strategy``, ``seed``, ``granularity`` and the input's digest, which is
-    ``d.digest`` when set and ``dataset_digest(d.items)`` otherwise.
-    ``granularity`` is None for every strategy but interleave, the one it
-    shapes.
+    ``d.digest`` when set and ``dataset_digest(d.items)`` otherwise; a
+    digest computed here is kept on ``d``, so ``d`` is validated and
+    digested once however many strategies order it.  ``granularity`` is
+    None for every strategy but interleave, the one it shapes.
     """
-    report = validate(d)
-    if not report.ok:
-        raise SchedulerError(f"dataset failed validation:\n{report.summary()}")
+    require_valid(d)
+    if d.digest is None:
+        object.__setattr__(d, "digest", dataset_digest(d.items))
+    ordered = _curriculum(d, cfg)
+    return Dataset(tuple(ordered), _ordered_manifest(ordered, d, cfg))
 
+
+def order_lines(lines: DatasetLines, cfg: OrderingConfig) -> DatasetLines:
+    """``order`` of the dataset whose canonical lines are ``lines``: the same
+    permutation and manifest, with no item decoded or encoded.
+
+    Nothing is validated: a ``DatasetLines`` is made from a dataset that
+    has passed ``validate`` (the filter stage's, or one decoded and checked
+    by its reader).  A missing digest is the sha256 of the lines, and is
+    kept on ``lines`` as ``order`` keeps one on a ``Dataset``.
+    """
+    if lines.digest is None:
+        digest = hashlib.sha256(b"".join(item.line for item in lines.items)).hexdigest()
+        object.__setattr__(lines, "digest", digest)
+    ordered = _curriculum(lines, cfg)
+    return DatasetLines(tuple(ordered), _ordered_manifest(ordered, lines, cfg))
+
+
+def _ordered_manifest(ordered: list, source: Dataset | DatasetLines, cfg: OrderingConfig) -> dict:
+    return build_manifest(
+        ordered,
+        run_id=source.manifest.get("run_id", ""),
+        strategy=cfg.strategy,
+        seed=cfg.seed,
+        extra={"granularity": cfg.interleave_granularity
+               if cfg.strategy == STRATEGY_INTERLEAVE else None,
+               "input_digest": source.digest},
+    )
+
+
+def _curriculum(d: Dataset | DatasetLines, cfg: OrderingConfig) -> list:
+    """The items of ``d`` in the order of ``cfg``."""
     subjects, concept_orders = canonical_orders(d)
     subject_rank = {s: i for i, s in enumerate(subjects)}
     concept_rank = {
@@ -174,27 +231,23 @@ def order(d: Dataset, cfg: OrderingConfig) -> Dataset:
     else:
         groups = [list(d.items)]
 
-    ordered: list[InstructionInstance] = []
+    ordered = []
     for group in groups:
         ordered.extend(_order_group(group, cfg, subject_rank, concept_rank))
-    return make_dataset(
-        ordered,
-        run_id=d.manifest.get("run_id", ""),
-        strategy=cfg.strategy,
-        seed=cfg.seed,
-        extra={"granularity": cfg.interleave_granularity
-               if cfg.strategy == STRATEGY_INTERLEAVE else None,
-               "input_digest": d.digest or dataset_digest(d.items)},
-    )
+    return ordered
 
 
 def _order_group(
-    items: list[InstructionInstance],
+    items: list,
     cfg: OrderingConfig,
     subject_rank: dict[str, int],
     concept_rank: dict[tuple[str, str], int],
-) -> list[InstructionInstance]:
-    """One stable sort by the strategy's key; equal keys keep input order."""
+) -> list:
+    """One stable sort by the strategy's key; equal keys keep input order.
+
+    ``items`` are instances or ``LineItem``s: only their subject,
+    concept_id, cognitive_index and cognitive_load are read.
+    """
     if cfg.strategy == STRATEGY_RANDOM:
         return [items[i] for i in fisher_yates(len(items), cfg.seed or 0)]
     subject = [subject_rank[it.subject] for it in items]
@@ -244,20 +297,25 @@ def _places(groups: list, keys: list) -> list[int]:
     return places
 
 
-def export_training_order(d: Dataset, path: str) -> dict[str, str]:
+def export_training_order(d: Dataset | DatasetLines, path: str) -> dict[str, str]:
     """Write conversation records in curriculum order, plus the manifest.
 
-    ``d`` is an ordered dataset, as ``order`` returns it.  Each line is
-    {"messages": [...]} with an optional system turn; the manifest sidecar
-    copies ``d``'s ordering keys and adds the item count.  Re-export of the
-    same dataset is byte-identical.  Returns ``{path: sha256}`` of both files.
+    ``d`` is an ordered dataset, as ``order`` or ``order_lines`` returns
+    it.  Each line is {"messages": [...]} with an optional system turn; the
+    manifest sidecar copies ``d``'s ordering keys and adds the item count.
+    Re-export of the same dataset is byte-identical, and the lines of a
+    ``DatasetLines`` are those of its decoded instances.  Returns
+    ``{path: sha256}`` of both files.
     """
     missing = [key for key in ORDERING_KEYS if key not in d.manifest]
     if missing:
         raise SchedulerError(f"manifest of an ordered dataset lacks {missing}")
     manifest = {key: d.manifest[key] for key in ORDERING_KEYS}
     manifest["count"] = len(d.items)
-    written = write_lines(path, map(_conversation_line, d.items))
+    if isinstance(d, DatasetLines):
+        written = write_bytes(path, (_conversation_bytes(item.line) for item in d.items))
+    else:
+        written = write_lines(path, map(_conversation_line, d.items))
     return written | write_json(manifest_path(path), manifest)
 
 
@@ -273,3 +331,16 @@ def _conversation_line(item: InstructionInstance) -> str:
         f'{{"role": "user", "content": {_json_str(item.question)}}}, '
         f'{{"role": "assistant", "content": {_json_str(item.answer)}}}]}}'
     )
+
+
+def _conversation_bytes(line: bytes) -> bytes:
+    """``_conversation_line`` of the instance whose canonical line is
+    ``line``, in UTF-8 plus a newline, built from the line's encoded turns:
+    both encode each turn with ``_json_str``."""
+    system, question, answer = encoded_turns(line)
+    return b"".join((
+        b'{"messages": [',
+        b'{"role": "system", "content": ' + system + b'}, ' if system != b'""' else b'',
+        b'{"role": "user", "content": ', question,
+        b'}, {"role": "assistant", "content": ', answer, b'}]}\n',
+    ))

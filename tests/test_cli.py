@@ -883,9 +883,8 @@ cli.main(sys.argv[1:])
 
 # Run in two child processes at once: each takes the workdir lock of the
 # config sys.argv[1] and prints "ran" or "refused".  ``meet`` holds a process
-# until both have reached the same step.  The winner keeps the lock until
-# both have tried, and each process pauses where a dead holder's pid is
-# probed, so that both find the holder dead before either takes over.
+# until both have reached the same step: both start together, and the
+# winner keeps the lock until both have tried.
 TAKE_THE_LOCK = """
 import glob, os, sys, time
 import corgi.cli as cli
@@ -895,12 +894,6 @@ def meet(step):
     deadline = time.monotonic() + 30
     while len(glob.glob(f"{sys.argv[2]}.{step}.*")) < 2 and time.monotonic() < deadline:
         time.sleep(0.005)
-
-real_kill = os.kill
-def kill(pid, sig):
-    meet("probe")
-    return real_kill(pid, sig)
-os.kill = kill
 
 cfg = cli.load_config(sys.argv[1])
 meet("start")
@@ -1036,6 +1029,13 @@ class TestResume:
             return real_digest(path)
 
         monkeypatch.setattr(cli, "_file_digest", file_digest)
+        real_read = cli._Artifacts._read
+
+        def read(self, path):
+            digested.append(path)
+            return real_read(self, path)
+
+        monkeypatch.setattr(cli._Artifacts, "_read", read)
         path = write_config(tmp_path)
         assert main(["run", "--config", path]) == 0
         assert loaded == []
@@ -1050,7 +1050,10 @@ class TestResume:
             assert main(["resume", "--config", path, "--strategy", "block"]) == 0
             out = capsys.readouterr().out
             assert ("[order] wrote" in out) is replays
-            assert loaded == ([FILTERED_FILE] if replays else [])
+            # The canonical filtered file is read once, as lines, and
+            # never decoded.
+            assert loaded == []
+            assert load_config(path).artifact(FILTERED_FILE) in digested
             assert len(digested) == len(set(digested)), out
         assert out.rstrip().endswith("nothing to do")
 
@@ -1256,8 +1259,10 @@ class TestOrderInputDigest:
         loaded = artifacts.load(FILTERED_FILE)
         assert loaded.digest == hashlib.sha256(read_bytes(filtered)).hexdigest()
         flipped = replace(loaded, items=loaded.items[::-1])
-        ordered = order(flipped, OrderingConfig(strategy="block", seed=5))
-        assert ordered.manifest["input_digest"] == dataset_digest(flipped.items)
+        assert flipped.digest is None
+        ordered = cli.order_dataset(flipped, OrderingConfig(strategy="block", seed=5))
+        reversed_items = load_dataset(filtered).items[::-1]
+        assert ordered.manifest["input_digest"] == dataset_digest(reversed_items)
 
     def test_resume_with_a_strategy_imports_no_numpy(self, tmp_path, capsys):
         """Nor any teacher-side module."""
@@ -1276,6 +1281,80 @@ class TestOrderInputDigest:
             ["dedup", "--config", path, "--threshold", "0.61"],
         )
         assert "[dedup] wrote" in out
+
+
+class TestTailOnLines:
+    """The order, analyze and export stages work on the canonical lines of the
+    filtered file; validation happens where the items are built."""
+
+    def test_resume_with_a_strategy_decodes_encodes_and_validates_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        calls = []
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in (
+            (corgi.dataset_io, "instance_from_record"),
+            (corgi.dataset_io, "instance_line"),
+            (corgi.scheduler, "instance_line"),
+            (corgi.scheduler, "validate"),
+            (corgi.model, "validate"),
+            (corgi.scheduler, "_conversation_line"),
+        ):
+            counting(module, name)
+        for strategy in STRATEGIES:
+            assert main(["resume", "--config", path, "--strategy", strategy]) == 0
+            assert "[export] wrote" in capsys.readouterr().out
+        assert calls == []
+
+    def test_a_filter_stage_whose_items_fail_validation_saves_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        real = cli.run_filters
+
+        def duplicating(*args, **kwargs):
+            kept, stats = real(*args, **kwargs)
+            return replace(kept, items=kept.items + kept.items[:1]), stats
+
+        monkeypatch.setattr(cli, "run_filters", duplicating)
+        path = write_config(tmp_path)
+        cfg = load_config(path)
+        assert main(["run", "--config", path]) == 1
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "SchedulerError"
+        assert "dataset failed validation" in error["message"]
+        assert "duplicate of instance at position 0" in error["message"]
+        assert not os.path.exists(cfg.artifact(FILTERED_FILE))
+        assert not os.path.exists(manifest_path(cfg.artifact(FILTERED_FILE)))
+        assert not os.path.exists(cfg.artifact(FILTER_STATS_FILE))
+        stages = read_json(cfg.artifact(RUN_MANIFEST_FILE))["stages"]
+        assert list(stages) == list(STAGE_NAMES[:STAGE_NAMES.index("filter")])
+
+    def test_order_of_a_hand_edited_invalid_filtered_file_fails(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        filtered = load_config(path).artifact(FILTERED_FILE)
+        records = jsonl_records(filtered)
+        records[1]["cognitive_load"] = "unheard-of"
+        with open(filtered, "w", encoding="utf-8") as handle:
+            for record in records:
+                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+        capsys.readouterr()
+        assert main(["order", "--config", path]) == 1
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "SchedulerError"
+        assert error["message"].startswith("dataset failed validation:\n")
+        assert f"[1] {records[1]['id']} cognitive_load:" in error["message"]
 
 
 class TestOrderedLines:

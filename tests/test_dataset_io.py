@@ -571,3 +571,119 @@ def test_concept_line_in_the_retired_format_loads(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(old) + "\n")
     assert load_concepts(str(path)) == [concept]
+
+
+# Characters that a slicer of canonical lines must not trip over: the key
+# markers themselves, escaped quotes, backslashes, control characters,
+# U+2028 and non-BMP characters.
+SLICER_PIECES = (
+    ', "question": ', ', "subject": ', ', "stage": ', ', "system_message": ',
+    '"', '\\"', '\\', '\n', '\r', '\x00', '\x0b', '\x1f', '\u2028', '\u2029',
+    '\U0001f600', '\U00010348', '\u00e9', "}", "{", ", ", ": ", "a", "Z", " ",
+)
+
+
+def _awkward_text(rng, empty=False):
+    if empty:
+        return ""
+    return "".join(rng.choice(SLICER_PIECES) for _ in range(rng.randint(1, 12)))
+
+
+def _slicer_items(rng, count):
+    from corgi.model import InstructionInstance
+    from corgi.taxonomy import template_for
+
+    subjects = [_awkward_text(rng) for _ in range(4)]
+    items = []
+    for k in range(count):
+        index = rng.randint(1, 19)
+        row = template_for(index)
+        level = rng.choice((None, "graduate", _awkward_text(rng)))
+        stage = EducationalStage("higher", level) if level or rng.random() < 0.5 else (
+            EducationalStage("secondary"))
+        concept = _awkward_text(rng)
+        items.append(InstructionInstance(
+            id=_awkward_text(rng), stage=stage, subject=rng.choice(subjects),
+            course_id=_awkward_text(rng), concept_id=concept, cognitive_index=index,
+            cognitive_process=row.process, cognitive_subprocess=row.subprocess,
+            cognitive_load=row.load,
+            system_message=_awkward_text(rng, empty=rng.random() < 0.4),
+            question=_awkward_text(rng), answer=_awkward_text(rng),
+            filter_status=rng.choice(("kept", _awkward_text(rng))),
+            relevance_votes=rng.choice((None, (), (True, False))),
+            provenance=Provenance(_awkward_text(rng), _awkward_text(rng), _awkward_text(rng)),
+        ))
+    return items
+
+
+def _keys(item):
+    return (item.stage, item.subject, item.concept_id, item.cognitive_index,
+            item.cognitive_load)
+
+
+def test_sliced_keys_and_turns_equal_the_decoded_items(tmp_path):
+    """``parse_dataset_lines`` slices each line's keys exactly, and the
+    conversation built from a line's slices is ``_conversation_line``."""
+    from corgi.dataset_io import parse_dataset_lines
+    from corgi.scheduler import _conversation_bytes, _conversation_line
+
+    rng = random.Random(2305)
+    for round_no in range(20):
+        items = _slicer_items(rng, rng.randint(1, 40))
+        path = tmp_path / f"slices-{round_no}.jsonl"
+        save_dataset(make_dataset(items, run_id="slices"), str(path))
+        data = path.read_bytes()
+        lines = parse_dataset_lines(data, str(path))
+        decoded = load_dataset(str(path)).items
+        assert decoded == tuple(items)
+        assert [_keys(it) for it in lines.items] == [_keys(it) for it in items]
+        assert b"".join(it.line for it in lines.items) == data
+        assert lines.manifest == json.loads((tmp_path / f"{path.name}.manifest").read_text())
+        for item, line_item in zip(items, lines.items):
+            want = (_conversation_line(item) + "\n").encode("utf-8")
+            assert _conversation_bytes(line_item.line) == want
+    assert {bool(it.system_message) for it in items} == {True, False}
+    assert {it.stage.level for it in items} >= {None, "graduate"}
+
+
+def test_lines_order_and_export_like_the_decoded_dataset(tmp_path):
+    """``order_lines`` gives ``order``'s permutation and manifest, and the
+    exports of the two are byte-identical."""
+    from corgi.dataset_io import parse_dataset_lines
+    from corgi.scheduler import (
+        STRATEGIES,
+        OrderingConfig,
+        _curriculum,
+        export_training_order,
+        order_lines,
+    )
+
+    rng = random.Random(2306)
+    items = _slicer_items(rng, 60)
+    d = make_dataset(items, run_id="lines")
+    path = tmp_path / "lines.jsonl"
+    save_dataset(d, str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    lines = parse_dataset_lines(path.read_bytes(), str(path)).with_digest(digest)
+    for strategy in STRATEGIES:
+        for granularity in ("per_index", "per_load_tier"):
+            cfg = OrderingConfig(strategy=strategy, seed=11,
+                                 interleave_granularity=granularity)
+            # The slicer items are not valid instances, so the permutation
+            # is taken from the one ``order`` runs after ``validate``.
+            want = _curriculum(d, cfg)
+            got = order_lines(lines, cfg)
+            assert b"".join(it.line for it in got.items) == b"".join(
+                instance_line(it).encode("utf-8") + b"\n" for it in want
+            )
+            assert got.manifest["input_digest"] == digest
+            ordered = make_dataset(want, run_id="lines", strategy=strategy, seed=11,
+                                   extra={key: got.manifest[key]
+                                          for key in ("granularity", "input_digest")})
+            assert got.manifest == ordered.manifest
+            export_training_order(got, str(tmp_path / "from-lines.jsonl"))
+            export_training_order(ordered, str(tmp_path / "from-items.jsonl"))
+            for name in ("from-lines.jsonl", "from-lines.jsonl.manifest"):
+                twin = name.replace("lines", "items")
+                assert (tmp_path / name).read_bytes() == (tmp_path / twin).read_bytes()
+

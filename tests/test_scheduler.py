@@ -501,3 +501,41 @@ class TestExport:
         export_training_order(od, str(first))
         export_training_order(od, str(second))
         assert first.read_bytes() == second.read_bytes()
+
+
+def test_order_validates_and_digests_each_dataset_once(monkeypatch):
+    """Five strategies on one dataset share one ``validate`` and at most one
+    ``dataset_digest``; a ``dataclasses.replace`` of it starts afresh."""
+    from dataclasses import replace
+
+    import corgi.scheduler as scheduler
+
+    calls = []
+    for name in ("validate", "dataset_digest"):
+        def counted(arg, real=getattr(scheduler, name), name=name):
+            calls.append(name)
+            return real(arg)
+
+        monkeypatch.setattr(scheduler, name, counted)
+    d = nine_item_fixture()
+    for strategy in STRATEGIES:
+        order(d, OrderingConfig(strategy=strategy, seed=7))
+    assert calls.count("validate") == 1
+    assert calls.count("dataset_digest") <= 1
+    assert d.validated and d.digest == dataset_digest(d.items)
+
+    calls.clear()
+    copy = replace(d, items=d.items[::-1])
+    assert not copy.validated and copy.digest is None
+    ordered = order(copy, OrderingConfig(strategy="block"))
+    assert calls == ["validate", "dataset_digest"]
+    assert ordered.manifest["input_digest"] == dataset_digest(copy.items)
+
+
+def test_a_dataset_that_failed_validation_is_checked_again():
+    item = make_instance("Alpha", "c1", 1)
+    d = make_dataset([item, item], run_id="dup")
+    for _ in range(2):
+        with pytest.raises(SchedulerError, match="duplicate"):
+            order(d, OrderingConfig(strategy="block"))
+    assert not d.validated
