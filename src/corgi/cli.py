@@ -663,12 +663,7 @@ def load_run_manifest(cfg: RunConfig) -> dict:
                 "use a fresh workdir or matching run_id"
             )
         return run
-    run = {
-        "run_id": cfg.run_id,
-        "started_at": _now_utc(),
-        "seed": cfg.seed,
-        "stages": {},
-    }
+    run = {"run_id": cfg.run_id, "started_at": _now_utc(), "stages": {}}
     write_json(path, run)
     return run
 

@@ -381,7 +381,8 @@ class DatasetLines:
 
 
 def dataset_lines(d: Dataset) -> DatasetLines:
-    """``d`` as lines: each item encoded once, its keys taken from the item."""
+    """``d`` as lines: each item encoded once, its keys taken from the item.
+    Nothing is validated."""
     items = tuple(
         LineItem(item.stage, item.subject, item.concept_id, item.cognitive_index,
                  item.cognitive_load, instance_line(item).encode("utf-8") + b"\n")
@@ -446,15 +447,26 @@ def _run_keys(run: bytes) -> dict[str, Any]:
     return json.loads(b"{" + run[2:] + b"}")
 
 
-def encoded_turns(line: bytes) -> tuple[bytes, bytes, bytes]:
-    """The system message, question and answer of a canonical line, each as
-    ``instance_line`` encodes it (``_json_str`` in UTF-8).  The markers are
-    searched from the end, past the shorter part of the line."""
+def training_line(line: bytes) -> bytes:
+    """The ``training.jsonl`` line of the instance whose canonical line is
+    ``line``, in UTF-8 plus a newline: ``json.dumps({"messages": [...]},
+    ensure_ascii=False)`` of its turns, with the system turn left out when
+    the message is empty.
+
+    Each turn is copied from ``line`` as ``instance_line`` encoded it, which
+    is how ``json.dumps`` encodes a string.  The markers are searched from
+    the end, past the shorter part of the line.
+    """
     d = line.rindex(_STATUS)
     c = line.rindex(_ANSWER, 0, d)
     b = line.rindex(_QUESTION, 0, c)
-    a = line.rindex(_SYSTEM, 0, b)
-    return line[a + len(_SYSTEM):b], line[b + len(_QUESTION):c], line[c + len(_ANSWER):d]
+    system = line[line.rindex(_SYSTEM, 0, b) + len(_SYSTEM):b]
+    return b"".join((
+        b'{"messages": [',
+        b'{"role": "system", "content": ' + system + b'}, ' if system != b'""' else b'',
+        b'{"role": "user", "content": ', line[b + len(_QUESTION):c],
+        b'}, {"role": "assistant", "content": ', line[c + len(_ANSWER):d], b'}]}\n',
+    ))
 
 
 def course_to_record(course: Course) -> dict[str, Any]:

@@ -33,13 +33,12 @@ from typing import Iterable
 
 from .dataset_io import (
     DatasetLines,
-    _json_str,
-    encoded_turns,
+    dataset_lines,
     instance_line,
     manifest_path,
+    training_line,
     write_bytes,
     write_json,
-    write_lines,
 )
 from .model import (
     HIGHER,
@@ -301,46 +300,18 @@ def export_training_order(d: Dataset | DatasetLines, path: str) -> dict[str, str
     """Write conversation records in curriculum order, plus the manifest.
 
     ``d`` is an ordered dataset, as ``order`` or ``order_lines`` returns
-    it.  Each line is {"messages": [...]} with an optional system turn; the
-    manifest sidecar copies ``d``'s ordering keys and adds the item count.
-    Re-export of the same dataset is byte-identical, and the lines of a
-    ``DatasetLines`` are those of its decoded instances.  Returns
-    ``{path: sha256}`` of both files.
+    it; a ``Dataset`` is encoded to its canonical lines (``dataset_lines``),
+    and each line's record is ``training_line`` of it: {"messages": [...]}
+    with an optional system turn.  The manifest sidecar copies ``d``'s
+    ordering keys and adds the item count.  Re-export of the same dataset
+    is byte-identical.  Returns ``{path: sha256}`` of both files.
     """
     missing = [key for key in ORDERING_KEYS if key not in d.manifest]
     if missing:
         raise SchedulerError(f"manifest of an ordered dataset lacks {missing}")
     manifest = {key: d.manifest[key] for key in ORDERING_KEYS}
     manifest["count"] = len(d.items)
-    if isinstance(d, DatasetLines):
-        written = write_bytes(path, (_conversation_bytes(item.line) for item in d.items))
-    else:
-        written = write_lines(path, map(_conversation_line, d.items))
+    if not isinstance(d, DatasetLines):
+        d = dataset_lines(d)
+    written = write_bytes(path, (training_line(item.line) for item in d.items))
     return written | write_json(manifest_path(path), manifest)
-
-
-def _conversation_line(item: InstructionInstance) -> str:
-    """``json.dumps({"messages": [...]}, ensure_ascii=False)`` of the item's
-    turns, written field by field as ``instance_line`` is."""
-    system = (
-        f'{{"role": "system", "content": {_json_str(item.system_message)}}}, '
-        if item.system_message else ""
-    )
-    return (
-        f'{{"messages": [{system}'
-        f'{{"role": "user", "content": {_json_str(item.question)}}}, '
-        f'{{"role": "assistant", "content": {_json_str(item.answer)}}}]}}'
-    )
-
-
-def _conversation_bytes(line: bytes) -> bytes:
-    """``_conversation_line`` of the instance whose canonical line is
-    ``line``, in UTF-8 plus a newline, built from the line's encoded turns:
-    both encode each turn with ``_json_str``."""
-    system, question, answer = encoded_turns(line)
-    return b"".join((
-        b'{"messages": [',
-        b'{"role": "system", "content": ' + system + b'}, ' if system != b'""' else b'',
-        b'{"role": "user", "content": ', question,
-        b'}, {"role": "assistant", "content": ', answer, b'}]}\n',
-    ))

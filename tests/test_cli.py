@@ -1101,6 +1101,19 @@ class TestResume:
         assert "[refine] wrote" in out
         assert "[generate] wrote" in out
 
+    def test_run_manifest_records_no_seed(self, tmp_path, capsys):
+        """The seed each stage ran with is in its output manifests and its
+        input digest; ``run.json`` keeps none that could go stale."""
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        assert main(["resume", "--config", path, "--seed", "6"]) == 0
+        capsys.readouterr()
+        cfg = load_config(path)
+        run = read_json(cfg.artifact(RUN_MANIFEST_FILE))
+        assert set(run) == {"run_id", "started_at", "stages"}
+        for name in (INSTANCES_FILE, ORDERED_FILE):
+            assert read_json(manifest_path(cfg.artifact(name)))["seed"] == 6
+
     def test_failure_fraction_change_reruns_generate(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["run", "--config", path]) == 0
@@ -1309,7 +1322,6 @@ class TestTailOnLines:
             (corgi.scheduler, "instance_line"),
             (corgi.scheduler, "validate"),
             (corgi.model, "validate"),
-            (corgi.scheduler, "_conversation_line"),
         ):
             counting(module, name)
         for strategy in STRATEGIES:

@@ -22,6 +22,7 @@ from corgi.dataset_io import (
     save_concepts,
     save_courses,
     save_dataset,
+    training_line,
     write_lines,
 )
 from corgi.model import (
@@ -287,18 +288,22 @@ def _awkward_items():
     ] + _varied_items(random.Random(45))
 
 
-def test_conversation_line_matches_the_generic_encoder():
-    from corgi.scheduler import _conversation_line
+def _reference_training_line(item):
+    """The ``training.jsonl`` line of ``item`` by the generic encoder."""
+    turns = [{"role": "system", "content": item.system_message}] if item.system_message else []
+    turns += [
+        {"role": "user", "content": item.question},
+        {"role": "assistant", "content": item.answer},
+    ]
+    return (json.dumps({"messages": turns}, ensure_ascii=False) + "\n").encode("utf-8")
 
+
+def test_conversation_line_matches_the_generic_encoder():
     items = _awkward_items()
     assert {bool(item.system_message) for item in items} == {True, False}
     for item in items:
-        turns = [{"role": "system", "content": item.system_message}] if item.system_message else []
-        turns += [
-            {"role": "user", "content": item.question},
-            {"role": "assistant", "content": item.answer},
-        ]
-        assert _conversation_line(item) == json.dumps({"messages": turns}, ensure_ascii=False)
+        line = instance_line(item).encode("utf-8") + b"\n"
+        assert training_line(line) == _reference_training_line(item)
 
 
 def test_load_dataset_matches_the_generic_decoder(tmp_path):
@@ -578,6 +583,7 @@ def test_concept_line_in_the_retired_format_loads(tmp_path):
 # U+2028 and non-BMP characters.
 SLICER_PIECES = (
     ', "question": ', ', "subject": ', ', "stage": ', ', "system_message": ',
+    ', "answer": ', ', "filter_status": ',
     '"', '\\"', '\\', '\n', '\r', '\x00', '\x0b', '\x1f', '\u2028', '\u2029',
     '\U0001f600', '\U00010348', '\u00e9', "}", "{", ", ", ": ", "a", "Z", " ",
 )
@@ -623,9 +629,8 @@ def _keys(item):
 
 def test_sliced_keys_and_turns_equal_the_decoded_items(tmp_path):
     """``parse_dataset_lines`` slices each line's keys exactly, and the
-    conversation built from a line's slices is ``_conversation_line``."""
+    conversation built from a line's slices is the generic encoder's."""
     from corgi.dataset_io import parse_dataset_lines
-    from corgi.scheduler import _conversation_bytes, _conversation_line
 
     rng = random.Random(2305)
     for round_no in range(20):
@@ -640,15 +645,14 @@ def test_sliced_keys_and_turns_equal_the_decoded_items(tmp_path):
         assert b"".join(it.line for it in lines.items) == data
         assert lines.manifest == json.loads((tmp_path / f"{path.name}.manifest").read_text())
         for item, line_item in zip(items, lines.items):
-            want = (_conversation_line(item) + "\n").encode("utf-8")
-            assert _conversation_bytes(line_item.line) == want
+            assert training_line(line_item.line) == _reference_training_line(item)
     assert {bool(it.system_message) for it in items} == {True, False}
     assert {it.stage.level for it in items} >= {None, "graduate"}
 
 
 def test_lines_order_and_export_like_the_decoded_dataset(tmp_path):
     """``order_lines`` gives ``order``'s permutation and manifest, and the
-    exports of the two are byte-identical."""
+    exports of the two are byte-identical and the generic encoder's."""
     from corgi.dataset_io import parse_dataset_lines
     from corgi.scheduler import (
         STRATEGIES,
@@ -686,4 +690,37 @@ def test_lines_order_and_export_like_the_decoded_dataset(tmp_path):
             for name in ("from-lines.jsonl", "from-lines.jsonl.manifest"):
                 twin = name.replace("lines", "items")
                 assert (tmp_path / name).read_bytes() == (tmp_path / twin).read_bytes()
+            assert (tmp_path / "from-items.jsonl").read_bytes() == b"".join(
+                map(_reference_training_line, want)
+            )
+
+
+def test_export_of_a_dataset_matches_the_generic_encoder(tmp_path):
+    """``export_training_order`` of an ordered ``Dataset`` writes the
+    generic encoder's line of each item, for every strategy, whatever the
+    turns hold."""
+    from dataclasses import replace
+
+    from conftest import random_dataset
+    from corgi.scheduler import STRATEGIES, OrderingConfig, export_training_order, order
+
+    rng = random.Random(2407)
+    path = tmp_path / "training.jsonl"
+    turns = []
+    for seed in range(12):
+        items = [
+            replace(item, system_message=_awkward_text(rng, empty=rng.random() < 0.4),
+                    question="Q " + _awkward_text(rng), answer="A " + _awkward_text(rng))
+            for item in random_dataset(rng).items
+        ]
+        d = make_dataset(items, run_id="export")
+        for strategy in STRATEGIES:
+            ordered = order(d, OrderingConfig(strategy=strategy, seed=seed))
+            export_training_order(ordered, str(path))
+            assert path.read_bytes() == b"".join(map(_reference_training_line, ordered.items))
+        turns += [(it.system_message, it.question, it.answer) for it in items]
+    assert "" in {system for system, _, _ in turns}
+    text = "".join("".join(turn) for turn in turns)
+    for piece in (', "answer": ', '\\"', "\\", "\x00", "\n", "\u2028", "\U0001f600"):
+        assert piece in text
 
