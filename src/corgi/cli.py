@@ -273,8 +273,8 @@ def _teacher_params(cfg: RunConfig) -> dict:
     teacher-derived artifacts looking fresh to ``resume``.
     """
     teacher = dict(cfg.teacher)
-    if teacher.get("backend", "simulated") == "simulated":
-        teacher.setdefault("seed", cfg.seed)
+    if teacher.get("backend", "simulated") == "simulated" and teacher.get("seed") is None:
+        teacher["seed"] = cfg.seed
     return {"teacher": teacher}
 
 

@@ -142,7 +142,7 @@ _SCREEN_MARGIN = 1e-9
 
 
 class _KeptRows:
-    """Kept concepts of one dedup scope group, their vectors also matrix rows.
+    """Kept concepts of one dedup scope group, their vectors the rows of a matrix.
 
     The matrix has a row for each distinct text of the group, so it never
     grows.  Rows are written only as concepts are kept, and the pages of
@@ -153,7 +153,6 @@ class _KeptRows:
         import numpy as np
 
         self.ids: list[str] = []
-        self.vectors: list[np.ndarray] = []
         self.matrix = np.empty((capacity, dimension), dtype=np.float64)
 
     def first_match(
@@ -167,7 +166,7 @@ class _KeptRows:
             return None
         screen = self.matrix[: len(self.ids)] @ vector
         for row in np.flatnonzero(screen >= threshold - _SCREEN_MARGIN):
-            kept = self.vectors[row]
+            kept = self.matrix[row]
             sim = float(np.dot(vector, kept))
             if sim >= threshold:
                 return self.ids[row], sim
@@ -178,7 +177,6 @@ class _KeptRows:
     def add(self, concept_id: str, vector: np.ndarray) -> None:
         self.matrix[len(self.ids)] = vector
         self.ids.append(concept_id)
-        self.vectors.append(vector)
 
 
 def dedup_concepts(

@@ -147,79 +147,55 @@ def instance_line(item: InstructionInstance) -> str:
     )
 
 
+# The fields of an instance record that ``instance_from_record`` reads with
+# ``_require`` after the stage, in the order it checks them.
+_INSTANCE_FIELDS = (
+    ("id", str), ("subject", str), ("course_id", str), ("concept_id", str),
+    ("cognitive_index", int), ("cognitive_process", str),
+    ("cognitive_subprocess", str), ("cognitive_load", str),
+    ("system_message", str), ("question", str), ("answer", str),
+    ("filter_status", str),
+)
+
+
 def instance_from_record(
     record: dict, path: str = "<memory>", line: int = 0, shared: dict | None = None
 ) -> InstructionInstance:
     """The one decoder of an instance record; keys it does not read are ignored.
 
-    Each field is read by key and its type checked inline.  Only a record
-    that fails a check goes to ``_instance_fault``, which names its first
-    bad field.  ``shared`` maps each stage and provenance seen to one
-    object, so that the items of one file share them.
+    The fields are checked in one fixed order, and the first that fails
+    raises ``DatasetFormatError`` naming it: ``stage``,
+    ``relevance_votes``, ``provenance``, ``stage_level``, the stage they
+    make, ``_INSTANCE_FIELDS``, then the provenance's three strings.  Types
+    are exact JSON types.  ``shared`` maps each stage and provenance seen to
+    one object, so that the items of one file share them.
     """
-    get = record.get
-    item_id, stage_value, level = get("id"), get("stage"), get("stage_level")
-    subject, course_id, concept_id = get("subject"), get("course_id"), get("concept_id")
-    index, process, subprocess = (
-        get("cognitive_index"), get("cognitive_process"), get("cognitive_subprocess")
-    )
-    load, system, question = get("cognitive_load"), get("system_message"), get("question")
-    answer, status, votes, prov = (
-        get("answer"), get("filter_status"), get("relevance_votes"), get("provenance")
-    )
-    if not (
-        type(item_id) is str and type(stage_value) is str
-        and (level is None or type(level) is str)
-        and type(subject) is str and type(course_id) is str
-        and type(concept_id) is str and type(index) is int
-        and type(process) is str and type(subprocess) is str
-        and type(load) is str and type(system) is str
-        and type(question) is str and type(answer) is str
-        and type(status) is str and type(prov) is dict
-        and (votes is None
-             or type(votes) is list and all(v is True or v is False for v in votes))
+    stage_value = _require(record, path, line, "stage", str)
+    votes = record.get("relevance_votes")
+    if votes is not None and (
+        type(votes) is not list or not all(v is True or v is False for v in votes)
     ):
-        _instance_fault(record, path, line)
-    prov_key = (prov.get("teacher_model"), prov.get("created_at"), prov.get("run_id"))
-    if not all(type(value) is str for value in prov_key):
-        _instance_fault(record, path, line)
+        raise DatasetFormatError(path, line, "relevance_votes", "expected a list of booleans")
+    prov = _require(record, path, line, "provenance", dict)
+    level = _optional_str(record, path, line, "stage_level")
     shared = {} if shared is None else shared
     stage = shared.get((stage_value, level))
     if stage is None:
         try:
             stage = shared[stage_value, level] = EducationalStage(stage_value, level)
-        except ValueError:
-            _instance_fault(record, path, line)
+        except ValueError as exc:
+            raise DatasetFormatError(path, line, "stage", str(exc)) from exc
+    item_id, *values = (
+        _require(record, path, line, name, kind) for name, kind in _INSTANCE_FIELDS
+    )
+    prov_key = tuple(
+        _require(prov, path, line, name, str)
+        for name in ("teacher_model", "created_at", "run_id")
+    )
     provenance = shared.get(prov_key) or shared.setdefault(prov_key, Provenance(*prov_key))
     return InstructionInstance(
-        item_id, stage, subject, course_id, concept_id, index, process, subprocess, load,
-        system, question, answer, status, None if votes is None else tuple(votes), provenance,
+        item_id, stage, *values, None if votes is None else tuple(votes), provenance
     )
-
-
-def _instance_fault(record: dict, path: str, line: int) -> NoReturn:
-    """Raise for the first field of ``record`` that fails its check."""
-    _require(record, path, line, "stage", str)
-    votes = record.get("relevance_votes")
-    if votes is not None and (
-        not isinstance(votes, list) or not all(isinstance(v, bool) for v in votes)
-    ):
-        raise DatasetFormatError(path, line, "relevance_votes", "expected a list of booleans")
-    prov = _require(record, path, line, "provenance", dict)
-    level = _optional_str(record, path, line, "stage_level")
-    try:
-        EducationalStage(record["stage"], level)
-    except ValueError as exc:
-        raise DatasetFormatError(path, line, "stage", str(exc)) from exc
-    for field in (
-        "id", "subject", "course_id", "concept_id", "cognitive_index",
-        "cognitive_process", "cognitive_subprocess", "cognitive_load",
-        "system_message", "question", "answer", "filter_status",
-    ):
-        _require(record, path, line, field, int if field == "cognitive_index" else str)
-    for field in ("teacher_model", "created_at", "run_id"):
-        _require(prov, path, line, field, str)
-    raise AssertionError(f"{path}:{line}: record passed every check")
 
 
 def _dump_line(record: dict) -> str:

@@ -122,10 +122,6 @@ def load_corpus(path: str) -> list[CorpusDocument]:
     elif os.path.isfile(path):
         try:
             for line_no, record in read_jsonl(path):
-                if "title" not in record or "text" not in record:
-                    raise FilterError(
-                        f"{path}:{line_no}: corpus records need title and text fields"
-                    )
                 documents.append(
                     CorpusDocument(
                         doc_id=f"{path}:{line_no}",

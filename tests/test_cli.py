@@ -448,6 +448,15 @@ class TestBuildBackends:
         assert client.max_concurrency == 8
         assert client.generation_temperature == 0.7
 
+    def test_a_null_seed_is_the_run_seed(self):
+        """A null simulated seed means what an omitted one does: the run seed,
+        in the stage digest and in the backend."""
+        from corgi.cli import _teacher_params
+
+        omitted, null = self.config(seed=5), self.config(seed=5, teacher={"seed": None})
+        assert _teacher_params(null) == _teacher_params(omitted) == {"teacher": {"seed": 5}}
+        assert build_teacher(null).backend.seed == build_teacher(omitted).backend.seed == 5
+
     def test_simulated_settings_pass_through(self):
         client = build_teacher(
             self.config(

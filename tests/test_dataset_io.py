@@ -1,6 +1,7 @@
 """JSONL round-trip and schema error reporting tests."""
 
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -361,10 +362,23 @@ WRONG_TYPES = [
     ("provenance.run_id", ["r"], "run_id"),
 ]
 OPTIONAL_FIELDS = ("stage_level", "relevance_votes")
+# The order in which ``instance_from_record`` checks the fields.
+DECODING_ORDER = (
+    "stage", "relevance_votes", "provenance", "stage_level", "id", "subject",
+    "course_id", "concept_id", "cognitive_index", "cognitive_process",
+    "cognitive_subprocess", "cognitive_load", "system_message", "question",
+    "answer", "filter_status", "teacher_model", "created_at", "run_id",
+)
+# The first wrong value of each top-level key of ``WRONG_TYPES``.
+TOP_LEVEL_WRONG = {}
+for _key, _value, _ in WRONG_TYPES:
+    if "." not in _key:
+        TOP_LEVEL_WRONG.setdefault(_key, _value)
 
 
-def _write_with_fault(tmp_path, key, value=None, delete=False):
-    """A three-line dataset file whose second line has ``key`` broken."""
+def _write_with_fault(tmp_path, key, value=None, delete=False, also=None):
+    """A three-line dataset file whose second line has ``key`` broken, and
+    the top-level keys of ``also`` set to their values."""
     from dataclasses import replace
 
     good = instance_to_record(make_instance("Alpha", "c1", 1))
@@ -380,6 +394,7 @@ def _write_with_fault(tmp_path, key, value=None, delete=False):
         del target[name]
     else:
         target[name] = value
+    bad.update(also or {})
     path = tmp_path / "fault.jsonl"
     path.write_text("\n".join(json.dumps(r) for r in (good, bad, good)) + "\n")
     return str(path)
@@ -433,16 +448,26 @@ def test_wrong_type_names_the_json_type(tmp_path, key, value, message):
     assert str(err.value) == f"{path}:2: {message}"
 
 
-def test_first_bad_field_is_named(tmp_path):
-    """With several faults, the error names the first in decoding order."""
-    record = instance_to_record(make_instance("Alpha", "c1", 1))
-    record["question"] = 1
-    record["id"] = 2
-    path = tmp_path / "two.jsonl"
-    path.write_text(json.dumps(record) + "\n")
+@pytest.mark.parametrize("first, second", itertools.combinations(sorted(TOP_LEVEL_WRONG), 2))
+def test_first_bad_field_is_named(tmp_path, first, second):
+    """With two faults, the error names the earlier in decoding order."""
+    path = _write_with_fault(
+        tmp_path, first, TOP_LEVEL_WRONG[first], also={second: TOP_LEVEL_WRONG[second]}
+    )
     with pytest.raises(DatasetFormatError) as err:
-        load_dataset(str(path))
-    assert err.value.field == "id"
+        load_dataset(path)
+    assert (err.value.field, err.value.line) == (min(first, second, key=DECODING_ORDER.index), 2)
+
+
+def test_votes_in_a_list_subclass_are_not_a_json_list():
+    class Votes(list):
+        pass
+
+    record = instance_to_record(make_instance("Alpha", "c1", 1))
+    record["relevance_votes"] = Votes([True, False])
+    with pytest.raises(DatasetFormatError) as err:
+        instance_from_record(record, "p.jsonl", 2)
+    assert str(err.value) == "p.jsonl:2: field 'relevance_votes': expected a list of booleans"
 
 
 def test_whitespace_only_lines_are_skipped(tmp_path):

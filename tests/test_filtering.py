@@ -523,7 +523,7 @@ class TestLoadCorpus:
         path.write_text('{"title": "A"}\n', encoding="utf-8")
         with pytest.raises(FilterError) as err:
             load_corpus(str(path))
-        assert "title and text" in str(err.value)
+        assert f"{path}:1: field 'text': missing required field" in str(err.value)
 
     @pytest.mark.parametrize("field", ["title", "text"])
     @pytest.mark.parametrize("value", [None, ["x"], 7, 2.5, True, {"a": "b"}])
