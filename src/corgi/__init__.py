@@ -16,6 +16,7 @@ from .dataset_io import (
     load_concepts,
     load_courses,
     load_dataset,
+    load_view,
     save_concepts,
     save_courses,
     save_dataset,
@@ -99,6 +100,7 @@ __all__ = [
     "load_corpus",
     "load_courses",
     "load_dataset",
+    "load_view",
     "make_dataset",
     "order",
     "parse_catalog",

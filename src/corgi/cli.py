@@ -4,15 +4,19 @@ Every stage maps the values of the artifacts it reads to the values of
 those it writes, so a run is a chain of artifacts in one working directory:
 
     courses.jsonl -> courses.refined.jsonl -> concepts.raw.jsonl
-    -> concepts.jsonl -> instances.jsonl -> instances.filtered.jsonl
-    -> ordered.jsonl -> batch_report.json / training.jsonl
+    -> concepts.jsonl -> instances.jsonl
+    -> instances.filtered.jsonl + turns.jsonl -> ordered.jsonl
+    -> batch_report.json / training.jsonl
 
+Each instance is stored once, in ``instances.jsonl``.  The filter stage
+validates the items it keeps and writes a view of them
+(``instances.filtered.jsonl``: per item its id, ordering keys and verdict)
+and each one's ``training.jsonl`` line (``turns.jsonl``), both in filtered
+order.  ``ordered.jsonl`` is the view's lines permuted, ``analyze`` reads
+the keys sliced out of them, and ``export`` permutes the stored training
+lines as bytes, so ``resume --strategy`` decodes and encodes no instance.
 Within one process each stage hands its values to the later stages that
-read them, and each file is digested at most once.  The filtered and
-ordered datasets are handed over as their canonical lines
-(``DatasetLines``): the filter stage validates its items, and the order,
-analyze and export stages slice what they need out of the lines, so
-``resume --strategy`` decodes and encodes no instance.  ``run.json`` records,
+read them, and each file is digested at most once.  ``run.json`` records,
 per stage, a digest of the inputs and parameters the stage saw plus digests
 of what it wrote.  ``resume`` replays from the first stage whose outputs are
 missing or no longer match their recorded digests, or whose recorded input
@@ -47,15 +51,20 @@ from typing import TYPE_CHECKING, Callable, get_args, get_type_hints
 from .batching import analyze as analyze_batches
 from .catalog import parse_catalog
 from .dataset_io import (
+    DatasetFormatError,
     DatasetLines,
-    dataset_lines,
     load_concepts,
     load_courses,
     load_dataset,
-    parse_dataset_lines,
+    load_turns,
+    load_view,
+    manifest_path,
+    parse_view_lines,
     save_concepts,
     save_courses,
     save_dataset,
+    save_turns,
+    view_lines,
     write_json,
 )
 from .model import DEDUP_SCOPES, Concept, Course, Dataset, Provenance, make_dataset
@@ -80,6 +89,7 @@ DEDUP_REPORT_FILE = "dedup_report.json"
 INSTANCES_FILE = "instances.jsonl"
 FAILURES_FILE = "instances.failures.json"
 FILTERED_FILE = "instances.filtered.jsonl"
+TURNS_FILE = "turns.jsonl"
 FILTER_STATS_FILE = "filter_stats.json"
 ORDERED_FILE = "ordered.jsonl"
 BATCH_REPORT_FILE = "batch_report.json"
@@ -342,12 +352,13 @@ def _file_digest(path: str) -> str:
 class Stage:
     """A pipeline step: ``run(cfg, run, *values, *paths)`` takes the values of
     the workdir artifacts named in ``reads`` and the paths of outside files
-    ``sources`` gives (None where unset); it returns ``{artifact: value}`` in
-    the order they are to be written.  ``modules`` are the ``LAZY_MODULES``
-    whose names ``run`` uses."""
+    ``sources`` gives (None where unset); it returns ``{artifact: value}`` for
+    the artifacts named in ``writes``, in the order they are to be written.
+    ``modules`` are the ``LAZY_MODULES`` whose names ``run`` uses."""
 
     name: str
     run: Callable[..., dict]
+    writes: tuple[str, ...]
     reads: tuple[str, ...] = ()
     sources: Callable[[RunConfig], list] = lambda cfg: []
     params: Callable[[RunConfig], dict] = lambda cfg: {}
@@ -405,7 +416,8 @@ def _stage_generate(
 
 def _stage_filter(cfg: RunConfig, run: dict, instances: Dataset, corpus: str | None) -> dict:
     """The kept items are validated here, where they are built, and handed
-    on as lines: the order, analyze and export stages validate nothing."""
+    on as a view carrying their turns: the order, analyze and export stages
+    validate nothing."""
     if not corpus:
         raise CliError("filter stage requires 'corpus' in the config")
     filtered, stats = _use("run_filters")(
@@ -419,7 +431,8 @@ def _stage_filter(cfg: RunConfig, run: dict, instances: Dataset, corpus: str | N
         ),
     )
     require_valid(filtered)
-    return {FILTERED_FILE: dataset_lines(filtered), FILTER_STATS_FILE: stats.to_dict()}
+    view = view_lines(filtered)
+    return {FILTERED_FILE: view, TURNS_FILE: view.turns, FILTER_STATS_FILE: stats.to_dict()}
 
 
 def _stage_order(cfg: RunConfig, run: dict, filtered: DatasetLines) -> dict:
@@ -437,14 +450,38 @@ def _stage_analyze(cfg: RunConfig, run: dict, ordered: DatasetLines) -> dict:
     return {BATCH_REPORT_FILE: report.to_dict()}
 
 
+def _stage_export(cfg: RunConfig, run: dict, ordered: DatasetLines, filtered: DatasetLines,
+                  turns: list[bytes]) -> dict:
+    """The ordered view carrying the training lines of its items: those of
+    the filtered items, permuted as ``ordered`` permutes them.  A view
+    rebuilt from ``instances.jsonl`` brings its own."""
+    if filtered.turns is not None:
+        turns = filtered.turns
+    elif len(turns) != len(filtered):
+        raise CliError(
+            f"{cfg.artifact(TURNS_FILE)} holds {len(turns)} training lines for the "
+            f"{len(filtered)} items of {cfg.artifact(FILTERED_FILE)}"
+        )
+    place = {item.line: i for i, item in enumerate(filtered.items)}
+    positions = [place.get(item.line) for item in ordered.items]
+    if len(positions) != len(place) or set(positions) != set(range(len(place))):
+        raise CliError(
+            f"{cfg.artifact(ORDERED_FILE)} is not a permutation of the items of "
+            f"{cfg.artifact(FILTERED_FILE)}"
+        )
+    return {TRAINING_FILE: replace(ordered, turns=tuple(turns[i] for i in positions))}
+
+
 STAGES = (
     Stage(
         name="ingest",
+        writes=(COURSES_FILE,),
         sources=lambda cfg: [cfg.catalog],
         run=lambda cfg, run, catalog: {COURSES_FILE: parse_catalog(catalog)},
     ),
     Stage(
         name="refine",
+        writes=(REFINED_FILE,),
         modules=("concepts",),
         reads=(COURSES_FILE,),
         params=_teacher_params,
@@ -452,6 +489,7 @@ STAGES = (
     ),
     Stage(
         name="concepts",
+        writes=(RAW_CONCEPTS_FILE,),
         modules=("concepts",),
         reads=(REFINED_FILE,),
         params=_teacher_params,
@@ -459,6 +497,7 @@ STAGES = (
     ),
     Stage(
         name="dedup",
+        writes=(CONCEPTS_FILE, DEDUP_REPORT_FILE),
         modules=("concepts",),
         reads=(RAW_CONCEPTS_FILE,),
         params=lambda cfg: {
@@ -470,6 +509,7 @@ STAGES = (
     ),
     Stage(
         name="generate",
+        writes=(INSTANCES_FILE, FAILURES_FILE),
         modules=("instructions",),
         reads=(CONCEPTS_FILE, REFINED_FILE),
         params=lambda cfg: {
@@ -481,6 +521,7 @@ STAGES = (
     ),
     Stage(
         name="filter",
+        writes=(FILTERED_FILE, TURNS_FILE, FILTER_STATS_FILE),
         modules=("filtering",),
         reads=(INSTANCES_FILE,),
         sources=lambda cfg: [cfg.corpus],
@@ -494,6 +535,7 @@ STAGES = (
     ),
     Stage(
         name="order",
+        writes=(ORDERED_FILE,),
         reads=(FILTERED_FILE,),
         params=lambda cfg: {
             "strategy": cfg.strategy,
@@ -504,14 +546,16 @@ STAGES = (
     ),
     Stage(
         name="analyze",
+        writes=(BATCH_REPORT_FILE,),
         reads=(ORDERED_FILE,),
         params=lambda cfg: {"batch_size": cfg.batch_size},
         run=_stage_analyze,
     ),
     Stage(
         name="export",
-        reads=(ORDERED_FILE,),
-        run=lambda cfg, run, ordered: {TRAINING_FILE: ordered},
+        writes=(TRAINING_FILE,),
+        reads=(ORDERED_FILE, FILTERED_FILE, TURNS_FILE),
+        run=_stage_export,
     ),
 )
 
@@ -531,14 +575,25 @@ ARTIFACT_IO = {
     RAW_CONCEPTS_FILE: ("load_concepts", "save_concepts"),
     CONCEPTS_FILE: ("load_concepts", "save_concepts"),
     INSTANCES_FILE: ("load_dataset", "save_dataset"),
-    FILTERED_FILE: ("load_dataset", "save_dataset"),
-    ORDERED_FILE: ("load_dataset", "save_dataset"),
+    FILTERED_FILE: (None, "save_dataset"),
+    ORDERED_FILE: (None, "save_dataset"),
+    TURNS_FILE: (None, "save_turns"),
     TRAINING_FILE: (None, "export_training_order"),
 }
 
-# The dataset artifacts whose value is a ``DatasetLines``: those the order,
-# analyze and export stages read.
-LINE_FILES = frozenset({FILTERED_FILE, ORDERED_FILE})
+# The artifacts that the order, analyze and export stages read, each read
+# in one piece: the filtered and ordered views, whose value is a
+# ``DatasetLines``, and the training lines of the filtered items.
+HELD_FILES = frozenset({FILTERED_FILE, ORDERED_FILE, TURNS_FILE})
+
+
+def _decoded(loader: Callable, path: str, *args):
+    """``loader(path, *args)``, whose ``DatasetFormatError`` for a bad line
+    of ``path`` becomes a ``CliError`` with the same message."""
+    try:
+        return loader(path, *args)
+    except DatasetFormatError as exc:
+        raise CliError(str(exc)) from None
 
 
 class _Artifacts:
@@ -550,13 +605,15 @@ class _Artifacts:
     workdir meanwhile; the next invocation digests every file afresh, so a
     hand edit between runs is still found by content.
 
-    A ``LINE_FILES`` artifact is read in one piece, which gives both its
-    digest and its bytes, held until it is loaded.  It is canonical when
-    this process saved it or its digest equals one that ``run`` records
-    for it, which only a save by this engine writes there: its lines are
-    then its value, with nothing decoded, and its items have passed
-    ``validate`` when they were built.  A file rewritten by hand, even with
-    the same records, is decoded, validated and encoded again.
+    A ``HELD_FILES`` artifact is read in one piece, which gives both its
+    digest and its bytes, held until it is loaded.  It is as a save of this
+    engine left it when its digest, and its manifest sidecar's if it has
+    one, equal those that the record of the stage writing it names: its
+    lines are then its value, with nothing decoded, and its items have
+    passed ``validate`` when they were built.  Any other view, even one
+    with the same records, is decoded, joined with ``instances.jsonl``,
+    validated and encoded again, and any other training-line file is
+    decoded and encoded again.
     """
 
     def __init__(self, cfg: RunConfig, run: dict):
@@ -564,12 +621,12 @@ class _Artifacts:
         self.run = run
         self.digests: dict[str, str] = {}
         self.values: dict[str, object] = {}
-        self.line_paths = {cfg.artifact(name) for name in LINE_FILES}
+        self.held_paths = {cfg.artifact(name) for name in HELD_FILES}
         self.held: dict[str, bytes] = {}
 
     def digest(self, path: str) -> str:
         if path not in self.digests:
-            if path in self.line_paths:
+            if path in self.held_paths:
                 self.held[path] = self._read(path)
             else:
                 self.digests[path] = _file_digest(path)
@@ -585,28 +642,50 @@ class _Artifacts:
     def load(self, name: str):
         if name not in self.values:
             path = self.cfg.artifact(name)
-            if name in LINE_FILES:
-                self.values[name] = self._lines(name, path)
+            if name in HELD_FILES:
+                self.values[name] = self._held(name, path)
             else:
                 self.values[name] = globals()[ARTIFACT_IO[name][0]](path)
         return self.values[name]
 
-    def _lines(self, name: str, path: str) -> DatasetLines:
-        data = self.held.pop(path, None) or self._read(path)
-        digest = self.digests[path]
-        if any((entry.get("outputs") or {}).get(name) == digest
-               for entry in self.run["stages"].values()):
-            return parse_dataset_lines(data, path).with_digest(digest)
-        dataset = globals()[ARTIFACT_IO[name][0]](path)
+    def _held(self, name: str, path: str):
+        data = self.held.pop(path, None)
+        if data is None:
+            data = self._read(path)
+        if not self._saved(name, path):
+            return self._rebuilt(name, path)
+        if name == TURNS_FILE:
+            return data.splitlines(keepends=True)
+        return parse_view_lines(data, path)
+
+    def _saved(self, name: str, path: str) -> bool:
+        """Whether ``path`` and its sidecar hold what the record of the stage
+        that writes ``name`` names, and that record names every artifact
+        the stage writes."""
+        stage = next(stage for stage in STAGES if name in stage.writes)
+        outputs = (self.run["stages"].get(stage.name) or {}).get("outputs") or {}
+        side = manifest_path(name)
+        side_path = self.cfg.artifact(side)
+        return (
+            all(written in outputs for written in stage.writes)
+            and outputs[name] == self.digests[path]
+            and (side not in outputs
+                 or (os.path.exists(side_path) and self.digest(side_path) == outputs[side]))
+        )
+
+    def _rebuilt(self, name: str, path: str):
+        if name == TURNS_FILE:
+            return _decoded(load_turns, path)
+        dataset = _decoded(load_view, path, self.load(INSTANCES_FILE))
         require_valid(dataset)
-        return dataset_lines(dataset)
+        return view_lines(dataset)
 
     def save(self, name: str, value) -> dict[str, str]:
         path = self.cfg.artifact(name)
         written = globals()[ARTIFACT_IO.get(name, (None, "_save_json"))[1]](value, path)
         self.digests.update(written)
         self.held.pop(path, None)
-        self.values[name] = value.with_digest(written[path]) if name in LINE_FILES else value
+        self.values[name] = value
         return written
 
     def keep(self, names: set[str]) -> None:
@@ -729,9 +808,10 @@ def first_pending_stage(cfg: RunConfig, run: dict,
                         artifacts: _Artifacts | None = None) -> str | None:
     """Name of the first stage that must re-run, or None when all is fresh.
 
-    A stage must re-run when it has no record or no recorded outputs (every
-    stage writes a file), an output it recorded is gone or no longer matches
-    its digest (truncated, hand-edited), or its inputs changed.
+    A stage must re-run when its record names no digest of an artifact it
+    writes (it never ran, or an older version with other artifacts ran it),
+    an output it recorded is gone or no longer matches its digest
+    (truncated, hand-edited), or its inputs changed.
     """
     artifacts = artifacts or _Artifacts(cfg, run)
     for stage in STAGES:
@@ -739,7 +819,7 @@ def first_pending_stage(cfg: RunConfig, run: dict,
         recorded = entry.get("outputs") or {}
         outputs = {cfg.artifact(name): digest for name, digest in recorded.items()}
         if (
-            not outputs
+            not all(name in recorded for name in stage.writes)
             or not all(os.path.exists(out) for out in outputs)
             or entry.get("input_digest") != artifacts.input_digest(stage)
             or any(artifacts.digest(out) != digest for out, digest in outputs.items())

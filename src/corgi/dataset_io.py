@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, NoReturn
 
 from .model import (
@@ -243,19 +243,40 @@ def write_lines(path: str, lines: Iterable[str]) -> dict[str, str]:
     return write_bytes(path, (line.encode("utf-8") + b"\n" for line in lines))
 
 
+# ``write_bytes`` joins small chunks into pieces of about this many bytes,
+# so a file of short lines is not written and digested line by line, and
+# no piece holds a second copy of a whole large file.
+_PIECE_BYTES = 1 << 16
+
+
+def _pieces(chunks: Iterable[bytes]) -> Iterable[bytes]:
+    """``chunks`` joined into pieces of at least ``_PIECE_BYTES`` but the last."""
+    gathered: list[bytes] = []
+    size = 0
+    for data in chunks:
+        gathered.append(data)
+        size += len(data)
+        if size >= _PIECE_BYTES:
+            yield b"".join(gathered)
+            gathered, size = [], 0
+    if gathered:
+        yield b"".join(gathered)
+
+
 def write_bytes(path: str, chunks: Iterable[bytes]) -> dict[str, str]:
     """Write ``chunks`` to ``path`` one after another; return ``{path: sha256}``.
 
-    The chunks stream to ``<path>.tmp`` in the same directory and into the
-    digest, then ``os.replace`` puts the whole file in place, so a killed
-    process leaves either the old file or the new one, never a prefix.  An
-    interrupted write removes the temporary file and re-raises.
+    The chunks stream, in pieces of about 64 kB, to ``<path>.tmp`` in the
+    same directory and into the digest, then ``os.replace`` puts the whole
+    file in place, so a killed process leaves either the old file or the
+    new one, never a prefix.  An interrupted write removes the temporary
+    file and re-raises.
     """
     tmp = f"{path}.tmp"
     digest = hashlib.sha256()
     try:
         with open(tmp, "wb") as handle:
-            for data in chunks:
+            for data in _pieces(chunks):
                 digest.update(data)
                 handle.write(data)
         os.replace(tmp, path)
@@ -274,13 +295,26 @@ def write_json(path: str, payload: Any) -> dict[str, str]:
 def save_dataset(d: Dataset | DatasetLines, path: str) -> dict[str, str]:
     """Write canonical JSONL plus the manifest sidecar; return both digests.
 
-    A ``DatasetLines`` is written as its lines, with no item encoded.
+    A ``DatasetLines`` is written as its view lines, with no item encoded.
     """
     if isinstance(d, DatasetLines):
         lines = (item.line for item in d.items)
     else:
         lines = (instance_line(item).encode("utf-8") + b"\n" for item in d.items)
     return write_bytes(path, lines) | write_json(manifest_path(path), d.manifest)
+
+
+def save_turns(turns: Iterable[bytes], path: str) -> dict[str, str]:
+    """Write training lines, each already UTF-8 with its newline."""
+    return write_bytes(path, turns)
+
+
+def load_turns(path: str) -> list[bytes]:
+    """The training lines of ``path``, a file of JSON objects that no save
+    wrote: each decoded and encoded again as ``training_line`` encodes one,
+    with ``json.dumps``."""
+    return [(json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
+            for _line, record in read_jsonl(path)]
 
 
 def _load_manifest(path: str) -> dict | None:
@@ -314,7 +348,7 @@ def load_dataset(path: str) -> Dataset:
 
 
 class LineItem:
-    """One item of a ``DatasetLines``: its canonical line and the keys that
+    """One item of a ``DatasetLines``: its view line and the keys that
     ordering and batch analysis read, with the values and types that the
     decoded ``InstructionInstance`` has."""
 
@@ -332,43 +366,106 @@ class LineItem:
 
 @dataclass(frozen=True)
 class DatasetLines:
-    """A dataset as the lines of its canonical file, which nothing decodes.
+    """A dataset as a view: the lines of a file that holds, per item, only
+    the keys ordering and batch analysis read and the filter's verdict.
 
-    Each item is a ``LineItem`` whose ``line`` is ``instance_line`` of the
-    instance in UTF-8 plus a newline.  ``digest``, when set, is the sha256
-    of those lines, which is ``dataset_digest`` of the instances.  Only
-    ``with_digest`` sets it, and ``order_lines`` as a memo, so
-    ``dataclasses.replace`` drops it.
+    Each item is a ``LineItem`` whose ``line`` is ``view_line`` of the
+    instance.  The manifest of a filtered view records ``dataset_digest``
+    of its instances, which ``order_lines`` records as its input digest.
+    ``turns``, when set, holds the ``training_line`` of each item, in item
+    order.
     """
 
     items: tuple[LineItem, ...]
     manifest: dict[str, Any]
-    digest: str | None = field(default=None, init=False, compare=False)
+    turns: tuple[bytes, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def with_digest(self, digest: str) -> DatasetLines:
-        """These lines carrying ``digest``, which the caller vouches is
-        their sha256."""
-        copy = DatasetLines(self.items, self.manifest)
-        object.__setattr__(copy, "digest", digest)
-        return copy
+
+# The fields of a view line, in ``instance_line``'s order.
+VIEW_FIELDS = (
+    "id", "stage", "stage_level", "subject", "concept_id", "cognitive_index",
+    "cognitive_load", "filter_status", "relevance_votes",
+)
 
 
-def dataset_lines(d: Dataset) -> DatasetLines:
-    """``d`` as lines: each item encoded once, its keys taken from the item.
-    Nothing is validated."""
-    items = tuple(
-        LineItem(item.stage, item.subject, item.concept_id, item.cognitive_index,
-                 item.cognitive_load, instance_line(item).encode("utf-8") + b"\n")
-        for item in d.items
-    )
-    return DatasetLines(items, d.manifest)
+def view_line(item: InstructionInstance) -> bytes:
+    """The view line of an instance in UTF-8 plus a newline:
+    ``json.dumps`` of its ``VIEW_FIELDS``, written out as ``instance_line``
+    writes them.  A value of a type other than the declared one raises
+    ``TypeError``."""
+    index = item.cognitive_index
+    if type(index) is not int:
+        raise TypeError("cognitive_index is not an int")
+    return (
+        f'{{"id": {_json_str(item.id)}, '
+        f'"stage": {_json_str(item.stage.value)}, '
+        f'"stage_level": {_json_opt_str(item.stage.level)}, '
+        f'"subject": {_json_str(item.subject)}, '
+        f'"concept_id": {_json_str(item.concept_id)}, '
+        f'"cognitive_index": {index}, '
+        f'"cognitive_load": {_json_str(item.cognitive_load)}, '
+        f'"filter_status": {_json_str(item.filter_status)}, '
+        f'"relevance_votes": {_json_votes(item.relevance_votes)}}}\n'
+    ).encode("utf-8")
 
 
-# Key markers of ``instance_line``, which writes every key but the first
-# after ', '.
+def view_lines(d: Dataset) -> DatasetLines:
+    """``d`` as a view carrying its turns: each item encoded once by
+    ``instance_line``, which gives its training line and the manifest's
+    ``dataset_digest``, and once by ``view_line``.  Nothing is validated."""
+    digest = hashlib.sha256()
+    items, turns = [], []
+    for item in d.items:
+        line = instance_line(item).encode("utf-8") + b"\n"
+        digest.update(line)
+        turns.append(training_line(line))
+        items.append(LineItem(item.stage, item.subject, item.concept_id, item.cognitive_index,
+                              item.cognitive_load, view_line(item)))
+    manifest = {**d.manifest, "dataset_digest": digest.hexdigest()}
+    return DatasetLines(tuple(items), manifest, tuple(turns))
+
+
+def load_view(path: str, instances: Dataset) -> Dataset:
+    """The dataset the view file ``path`` describes, rebuilt from
+    ``instances``.
+
+    Each line names an item of ``instances`` by its ``id`` and gives its
+    ``filter_status`` and ``relevance_votes``; its other keys must equal the
+    item's.  A line whose id no item has, or an earlier line has, raises
+    ``DatasetFormatError``, as does any other bad line.  The manifest is the
+    file's sidecar.  Nothing is validated.
+    """
+    by_id = {item.id: item for item in instances.items}
+    first_line: dict[str, int] = {}
+    shared: dict = {}
+    items = []
+    for line, record in read_jsonl(path):
+        item_id = _require(record, path, line, "id", str)
+        if item_id in first_line:
+            raise DatasetFormatError(path, line, "id", f"repeats line {first_line[item_id]}")
+        first_line[item_id] = line
+        if item_id not in by_id:
+            raise DatasetFormatError(path, line, "id", f"no instance has id {item_id!r}")
+        joined = instance_to_record(by_id[item_id]) | {
+            "filter_status": _require(record, path, line, "filter_status", str),
+            "relevance_votes": record.get("relevance_votes"),
+        }
+        items.append(instance_from_record(joined, path, line, shared))
+        for key in VIEW_FIELDS:
+            value = record.get(key)
+            if (type(value), value) != (type(joined[key]), joined[key]):
+                raise DatasetFormatError(path, line, key, f"differs from instance {item_id!r}")
+    manifest = _load_manifest(path)
+    if manifest is None:
+        manifest = build_manifest(items, run_id="")
+    return Dataset(tuple(items), manifest)
+
+
+# Key markers of ``instance_line`` and ``view_line``, which write every key
+# but the first after ', '.
 _STAGE = b', "stage": '
 _INDEX = b', "cognitive_index": '
 _SYSTEM = b', "system_message": '
@@ -377,18 +474,18 @@ _ANSWER = b', "answer": '
 _STATUS = b', "filter_status": '
 
 
-def parse_dataset_lines(data: bytes, path: str) -> DatasetLines:
-    """The lines of ``data``, the bytes of the canonical dataset file ``path``,
-    with their keys sliced out and the file's manifest sidecar.
+def parse_view_lines(data: bytes, path: str) -> DatasetLines:
+    """The lines of ``data``, the bytes of the view file ``path`` as
+    ``save_dataset`` wrote it, with their keys sliced out and the file's
+    manifest sidecar.
 
-    The caller vouches that ``data`` is what ``save_dataset`` writes, such
-    as a file whose sha256 a save recorded.  A key's marker (``, "key": ``)
-    occurs in a line only where ``instance_line`` writes that key.  Its
-    quote cannot lie inside an encoded string, where every quote is escaped
-    as ``\\"``; it cannot close a string, since a closing quote is followed
-    by a comma or a brace, not a letter; and the only strings that follow
-    ``, `` are keys.  So whatever the strings hold, slicing at the markers
-    is exact.
+    The caller vouches that ``data`` is what a save wrote, such as a file
+    whose sha256 a save recorded.  A key's marker (``, "key": ``) occurs in
+    a line only where ``view_line`` writes that key.  Its quote cannot lie
+    inside an encoded string, where every quote is escaped as ``\\"``; it
+    cannot close a string, since a closing quote is followed by a comma or a
+    brace, not a letter; and the only strings that follow ``, `` are keys.
+    So whatever the strings hold, slicing at the markers is exact.
 
     Each line gives two runs of keys: from the stage to the concept id,
     which the items of one concept share, and from the cognitive index to
@@ -401,7 +498,7 @@ def parse_dataset_lines(data: bytes, path: str) -> DatasetLines:
     for line in data.splitlines(keepends=True):
         a = line.index(_STAGE)
         b = line.index(_INDEX, a)
-        c = line.index(_SYSTEM, b)
+        c = line.index(_STATUS, b)
         concept, level = line[a:b], line[b:c]
         if concept not in concepts:
             keys = _run_keys(concept)

@@ -21,8 +21,8 @@ Subject and concept orders are those of first appearance in the input; for
 another subject order, stably pre-sort the items by subject rank.
 Every strategy but random is one stable sort of the items by a key
 (``_order_group``), so items whose keys are equal keep their input order.
-``order`` permutes decoded instances and ``order_lines`` the canonical
-lines of a dataset (``DatasetLines``), by the same function.
+``order`` permutes decoded instances and ``order_lines`` the lines of a
+view (``DatasetLines``), by the same function.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ from typing import Iterable
 
 from .dataset_io import (
     DatasetLines,
-    dataset_lines,
     instance_line,
     manifest_path,
+    save_turns,
     training_line,
-    write_bytes,
     write_json,
 )
 from .model import (
@@ -181,26 +180,27 @@ def order(d: Dataset, cfg: OrderingConfig) -> Dataset:
     if d.digest is None:
         object.__setattr__(d, "digest", dataset_digest(d.items))
     ordered = _curriculum(d, cfg)
-    return Dataset(tuple(ordered), _ordered_manifest(ordered, d, cfg))
+    return Dataset(tuple(ordered), _ordered_manifest(ordered, d, cfg, d.digest))
 
 
 def order_lines(lines: DatasetLines, cfg: OrderingConfig) -> DatasetLines:
-    """``order`` of the dataset whose canonical lines are ``lines``: the same
+    """``order`` of the dataset whose view is ``lines``: the same
     permutation and manifest, with no item decoded or encoded.
 
-    Nothing is validated: a ``DatasetLines`` is made from a dataset that
-    has passed ``validate`` (the filter stage's, or one decoded and checked
-    by its reader).  A missing digest is the sha256 of the lines, and is
-    kept on ``lines`` as ``order`` keeps one on a ``Dataset``.
+    Nothing is validated: a view is made from a dataset that has passed
+    ``validate`` (the filter stage's, or one rebuilt and checked by its
+    reader).  The input digest is the ``dataset_digest`` that the view's
+    manifest records.
     """
-    if lines.digest is None:
-        digest = hashlib.sha256(b"".join(item.line for item in lines.items)).hexdigest()
-        object.__setattr__(lines, "digest", digest)
     ordered = _curriculum(lines, cfg)
-    return DatasetLines(tuple(ordered), _ordered_manifest(ordered, lines, cfg))
+    return DatasetLines(
+        tuple(ordered), _ordered_manifest(ordered, lines, cfg, lines.manifest["dataset_digest"])
+    )
 
 
-def _ordered_manifest(ordered: list, source: Dataset | DatasetLines, cfg: OrderingConfig) -> dict:
+def _ordered_manifest(
+    ordered: list, source: Dataset | DatasetLines, cfg: OrderingConfig, digest: str
+) -> dict:
     return build_manifest(
         ordered,
         run_id=source.manifest.get("run_id", ""),
@@ -208,7 +208,7 @@ def _ordered_manifest(ordered: list, source: Dataset | DatasetLines, cfg: Orderi
         seed=cfg.seed,
         extra={"granularity": cfg.interleave_granularity
                if cfg.strategy == STRATEGY_INTERLEAVE else None,
-               "input_digest": source.digest},
+               "input_digest": digest},
     )
 
 
@@ -299,19 +299,23 @@ def _places(groups: list, keys: list) -> list[int]:
 def export_training_order(d: Dataset | DatasetLines, path: str) -> dict[str, str]:
     """Write conversation records in curriculum order, plus the manifest.
 
-    ``d`` is an ordered dataset, as ``order`` or ``order_lines`` returns
-    it; a ``Dataset`` is encoded to its canonical lines (``dataset_lines``),
-    and each line's record is ``training_line`` of it: {"messages": [...]}
-    with an optional system turn.  The manifest sidecar copies ``d``'s
-    ordering keys and adds the item count.  Re-export of the same dataset
-    is byte-identical.  Returns ``{path: sha256}`` of both files.
+    ``d`` is an ordered dataset, as ``order`` returns it, or an ordered
+    view carrying its turns.  Each record is ``training_line`` of an item's
+    canonical line: {"messages": [...]} with an optional system turn.  A
+    ``Dataset`` is encoded here; a view's ``turns`` are written as they are.
+    The manifest sidecar copies ``d``'s ordering keys and adds the item
+    count.  Re-export of the same dataset is byte-identical.  Returns
+    ``{path: sha256}`` of both files.
     """
     missing = [key for key in ORDERING_KEYS if key not in d.manifest]
     if missing:
         raise SchedulerError(f"manifest of an ordered dataset lacks {missing}")
     manifest = {key: d.manifest[key] for key in ORDERING_KEYS}
     manifest["count"] = len(d.items)
-    if not isinstance(d, DatasetLines):
-        d = dataset_lines(d)
-    written = write_bytes(path, (training_line(item.line) for item in d.items))
-    return written | write_json(manifest_path(path), manifest)
+    if isinstance(d, DatasetLines):
+        if d.turns is None or len(d.turns) != len(d.items):
+            raise SchedulerError("an ordered view must carry one training line per item")
+        turns = d.turns
+    else:
+        turns = (training_line(instance_line(item).encode("utf-8") + b"\n") for item in d.items)
+    return save_turns(turns, path) | write_json(manifest_path(path), manifest)

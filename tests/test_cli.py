@@ -33,6 +33,7 @@ from corgi.cli import (
     RUN_MANIFEST_FILE,
     STAGE_NAMES,
     TRAINING_FILE,
+    TURNS_FILE,
     CliError,
     RunConfig,
     build_embedder,
@@ -42,7 +43,14 @@ from corgi.cli import (
     load_run_manifest,
     main,
 )
-from corgi.dataset_io import instance_line, load_dataset, manifest_path, save_dataset
+from corgi.dataset_io import (
+    load_dataset,
+    load_view,
+    manifest_path,
+    save_dataset,
+    view_line,
+    write_json,
+)
 from corgi.scheduler import STRATEGIES, OrderingConfig, dataset_digest, order
 from corgi.teacher import (
     DEFAULT_MAX_CONCURRENCY,
@@ -864,13 +872,13 @@ class TestErrorsAndLocking:
         assert main(["run", "--config", path]) == 0
         filtered = load_config(path).artifact(FILTERED_FILE)
         lines = read_bytes(filtered).splitlines(keepends=True)
-        lines[1] = lines[1].replace(b'"question": "', b'"question": "\xff', 1)
+        lines[1] = lines[1].replace(b'"subject": "', b'"subject": "\xff', 1)
         with open(filtered, "wb") as handle:
             handle.writelines(lines)
         capsys.readouterr()
         assert main(["order", "--config", path]) == 1
         error = json.loads(capsys.readouterr().err.strip())
-        assert error["error"] == "DatasetFormatError"
+        assert error["error"] == "CliError"
         assert error["message"].startswith(f"{filtered}:2: not UTF-8: ")
 
     def test_bad_config_reports_clierror(self, tmp_path, capsys):
@@ -998,6 +1006,34 @@ class TestResume:
         assert "[filter] up to date" in out
         assert "[order] wrote" in out
         assert {name: read_bytes(cfg.artifact(name)) for name in names} == before
+
+    def test_a_workdir_from_before_the_view_is_rebuilt(self, tmp_path, capsys, monkeypatch):
+        """A workdir whose filtered file holds whole instance records and
+        whose filter record names no turns.jsonl, as earlier versions left
+        it: a one-stage order reads the records as a view, and resume runs
+        the filter again."""
+        monkeypatch.setattr(cli, "_now_utc", lambda: STAMP)
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        cfg = load_config(path)
+        clean = workdir_bytes(cfg.workdir)
+        items = filtered_items(cfg)
+        written = save_dataset(corgi.model.make_dataset(items, run_id=cfg.run_id),
+                               cfg.artifact(FILTERED_FILE))
+        run = read_json(cfg.artifact(RUN_MANIFEST_FILE))
+        outputs = run["stages"]["filter"]["outputs"]
+        del outputs[TURNS_FILE]
+        outputs.update({os.path.basename(p): digest for p, digest in written.items()})
+        write_json(cfg.artifact(RUN_MANIFEST_FILE), run)
+        os.unlink(cfg.artifact(TURNS_FILE))
+        capsys.readouterr()
+        assert main(["order", "--config", path]) == 0
+        for name in (ORDERED_FILE, manifest_path(ORDERED_FILE)):
+            assert read_bytes(cfg.artifact(name)) == clean[name]
+        assert first_pending_stage(cfg, load_run_manifest(cfg)) == "filter"
+        assert main(["resume", "--config", path]) == 0
+        assert "[filter] wrote" in capsys.readouterr().out
+        assert workdir_bytes(cfg.workdir) == clean
 
     def test_run_stage_digests_no_file_its_stage_wrote(self, tmp_path, monkeypatch):
         digested = {}
@@ -1221,15 +1257,20 @@ def run_importing_none_of(modules, argv):
     return child.stdout
 
 
+def filtered_items(cfg):
+    """The filtered items, rebuilt from the view and ``instances.jsonl``."""
+    instances = load_dataset(cfg.artifact(INSTANCES_FILE))
+    return load_view(cfg.artifact(FILTERED_FILE), instances).items
+
+
 class TestOrderInputDigest:
     """``ordered.jsonl.manifest`` records ``dataset_digest`` of the items order
-    read, whether it is taken from a verified file digest or encoded again."""
+    read, whether it is taken from a saved view's manifest or computed again."""
 
     @staticmethod
     def input_digest_and_expected(cfg):
         manifest = read_json(manifest_path(cfg.artifact(ORDERED_FILE)))
-        expected = dataset_digest(load_dataset(cfg.artifact(FILTERED_FILE)).items)
-        return manifest["input_digest"], expected
+        return manifest["input_digest"], dataset_digest(filtered_items(cfg))
 
     @pytest.mark.parametrize(
         "command", [["order"], ["run"], ["resume", "--strategy", "block"]]
@@ -1271,20 +1312,19 @@ class TestOrderInputDigest:
             digest, expected = self.input_digest_and_expected(cfg)
             assert digest == expected
 
-    def test_new_items_do_not_keep_the_digest_of_the_loaded_file(self, tmp_path, capsys):
+    def test_a_saved_view_records_the_digest_of_its_items(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["run", "--config", path]) == 0
         cfg = load_config(path)
-        filtered = cfg.artifact(FILTERED_FILE)
         artifacts = cli._Artifacts(cfg, load_run_manifest(cfg))
-        artifacts.digest(filtered)
+        artifacts.digest(cfg.artifact(FILTERED_FILE))
         loaded = artifacts.load(FILTERED_FILE)
-        assert loaded.digest == hashlib.sha256(read_bytes(filtered)).hexdigest()
-        flipped = replace(loaded, items=loaded.items[::-1])
-        assert flipped.digest is None
-        ordered = cli.order_dataset(flipped, OrderingConfig(strategy="block", seed=5))
-        reversed_items = load_dataset(filtered).items[::-1]
-        assert ordered.manifest["input_digest"] == dataset_digest(reversed_items)
+        # Sliced from the saved lines, with no turns rebuilt.
+        assert loaded.turns is None
+        expected = dataset_digest(filtered_items(cfg))
+        assert loaded.manifest["dataset_digest"] == expected
+        ordered = cli.order_dataset(loaded, OrderingConfig(strategy="block", seed=5))
+        assert ordered.manifest["input_digest"] == expected
 
     def test_resume_with_a_strategy_imports_no_numpy(self, tmp_path, capsys):
         """Nor any teacher-side module."""
@@ -1303,6 +1343,110 @@ class TestOrderInputDigest:
             ["dedup", "--config", path, "--threshold", "0.61"],
         )
         assert "[dedup] wrote" in out
+
+
+def edit_lines(path, edit):
+    """Apply ``edit`` to the list of ``path``'s lines, as bytes."""
+    lines = read_bytes(path).splitlines(keepends=True)
+    edit(lines)
+    with open(path, "wb") as handle:
+        handle.writelines(lines)
+
+
+def reference_training(cfg):
+    """``training.jsonl`` built from the ``instances.jsonl`` records, taken
+    in the order of the ids in ``ordered.jsonl``, with ``json.dumps``."""
+    records = {r["id"]: r for r in jsonl_records(cfg.artifact(INSTANCES_FILE))}
+    out = []
+    for view in jsonl_records(cfg.artifact(ORDERED_FILE)):
+        r = records[view["id"]]
+        turns = [{"role": "system", "content": r["system_message"]}] if r["system_message"] else []
+        turns += [{"role": "user", "content": r["question"]},
+                  {"role": "assistant", "content": r["answer"]}]
+        out.append(json.dumps({"messages": turns}, ensure_ascii=False) + "\n")
+    return "".join(out).encode("utf-8")
+
+
+class TestViewFaults:
+    """Views and training lines that a hand edit left inconsistent fail with
+    a ``CliError`` naming the file; consistent ones give the clean outputs."""
+
+    def fails(self, capsys, path, command):
+        capsys.readouterr()
+        assert main([command, "--config", path]) == 1
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "CliError"
+        return error["message"]
+
+    def test_a_view_naming_an_unknown_id_is_named(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        filtered = load_config(path).artifact(FILTERED_FILE)
+        edit_lines(filtered, lambda lines: lines.__setitem__(
+            1, lines[1].replace(b'{"id": "', b'{"id": "gone/', 1)))
+        message = self.fails(capsys, path, "order")
+        assert message.startswith(f"{filtered}:2: field 'id': no instance has id 'gone/")
+
+    def test_a_view_repeating_an_id_is_named(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        filtered = load_config(path).artifact(FILTERED_FILE)
+        edit_lines(filtered, lambda lines: lines.__setitem__(2, lines[0]))
+        message = self.fails(capsys, path, "order")
+        assert message == f"{filtered}:3: field 'id': repeats line 1"
+
+    def test_an_ordered_view_that_is_not_a_permutation_is_named(self, tmp_path, capsys):
+        """A dropped line, with the manifest's counts to match, passes the
+        loader and ``validate`` but is not the filtered items reordered."""
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        cfg = load_config(path)
+        ordered = cfg.artifact(ORDERED_FILE)
+        dropped = jsonl_records(ordered)[-1]
+        edit_lines(ordered, lambda lines: lines.pop())
+        manifest = read_json(manifest_path(ordered))
+        manifest["counts"]["total"] -= 1
+        manifest["counts"][dropped["stage"]] -= 1
+        write_json(manifest_path(ordered), manifest)
+        message = self.fails(capsys, path, "export")
+        assert message == (f"{ordered} is not a permutation of the items of "
+                           f"{cfg.artifact(FILTERED_FILE)}")
+
+    def test_training_lines_of_another_count_are_named(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        cfg = load_config(path)
+        count = len(jsonl_records(cfg.artifact(FILTERED_FILE)))
+        edit_lines(cfg.artifact(TURNS_FILE), lambda lines: lines.pop(3))
+        message = self.fails(capsys, path, "export")
+        assert message == (f"{cfg.artifact(TURNS_FILE)} holds {count - 1} training lines "
+                           f"for the {count} items of {cfg.artifact(FILTERED_FILE)}")
+
+    def test_a_view_rewritten_in_another_order_brings_its_own_turns(self, tmp_path, capsys):
+        """The stored training lines follow the view as it was saved; a view
+        whose lines were swapped is rebuilt with the turns of its items."""
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        cfg = load_config(path)
+        edit_lines(cfg.artifact(FILTERED_FILE), lambda lines: lines.insert(0, lines.pop(5)))
+        for stage in ("order", "export"):
+            assert main([stage, "--config", path]) == 0
+        capsys.readouterr()
+        assert read_bytes(cfg.artifact(TRAINING_FILE)) == reference_training(cfg)
+
+    def test_rewritten_training_lines_are_encoded_again(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path]) == 0
+        cfg = load_config(path)
+        clean = read_bytes(cfg.artifact(TRAINING_FILE))
+        turns = cfg.artifact(TURNS_FILE)
+        records = jsonl_records(turns)
+        with open(turns, "w", encoding="utf-8") as handle:
+            for record in records:
+                handle.write(json.dumps(record, separators=(",", ":")) + "\n\n")
+        assert main(["export", "--config", path]) == 0
+        capsys.readouterr()
+        assert read_bytes(cfg.artifact(TRAINING_FILE)) == clean
 
 
 class TestTailOnLines:
@@ -1366,7 +1510,7 @@ class TestTailOnLines:
         assert main(["run", "--config", path]) == 0
         filtered = load_config(path).artifact(FILTERED_FILE)
         records = jsonl_records(filtered)
-        records[1]["cognitive_load"] = "unheard-of"
+        records[1]["filter_status"] = "unheard-of"
         with open(filtered, "w", encoding="utf-8") as handle:
             for record in records:
                 handle.write(json.dumps(record, ensure_ascii=False) + "\n")
@@ -1375,12 +1519,12 @@ class TestTailOnLines:
         error = json.loads(capsys.readouterr().err.strip())
         assert error["error"] == "SchedulerError"
         assert error["message"].startswith("dataset failed validation:\n")
-        assert f"[1] {records[1]['id']} cognitive_load:" in error["message"]
+        assert f"[1] {records[1]['id']} filter_status:" in error["message"]
 
 
 class TestOrderedLines:
-    """``ordered.jsonl`` is the lines of a canonical ``instances.filtered.jsonl``
-    in the new order, byte for byte what ``save_dataset`` would write."""
+    """``ordered.jsonl`` is the lines of a saved ``instances.filtered.jsonl``
+    in the new order, byte for byte what ``view_line`` would write."""
 
     def test_resume_with_a_strategy_encodes_no_item(self, tmp_path, capsys, monkeypatch):
         path = write_config(tmp_path)
@@ -1397,21 +1541,24 @@ class TestOrderedLines:
 
         for module in (corgi.dataset_io, corgi.scheduler):
             monkeypatch.setattr(module, "instance_line", counting(module.instance_line))
-        expected = str(tmp_path / "expected.jsonl")
+        monkeypatch.setattr(corgi.dataset_io, "view_line", counting(view_line))
+        expected = str(tmp_path / "expected.jsonl.manifest")
         for strategy in STRATEGIES:
             assert main(["resume", "--config", path, "--strategy", strategy]) == 0
             assert "[order] wrote" in capsys.readouterr().out
             assert encoded == [], strategy
             ordering = OrderingConfig(strategy=strategy, seed=cfg.seed)
-            save_dataset(order(load_dataset(cfg.artifact(FILTERED_FILE)), ordering), expected)
+            want = order(corgi.model.make_dataset(filtered_items(cfg), run_id=cfg.run_id),
+                         ordering)
+            write_json(expected, want.manifest)
             encoded.clear()
             ordered = cfg.artifact(ORDERED_FILE)
-            assert read_bytes(ordered) == read_bytes(expected), strategy
-            assert read_bytes(manifest_path(ordered)) == read_bytes(manifest_path(expected))
+            assert read_bytes(ordered) == b"".join(map(view_line, want.items)), strategy
+            assert read_bytes(manifest_path(ordered)) == read_bytes(expected)
 
     def test_order_encodes_a_rewritten_input(self, tmp_path, capsys):
-        """A filtered file rewritten by hand, with valid records in another
-        key order, is not canonical: its lines are not copied."""
+        """A filtered view rewritten by hand, with valid records in another
+        key order, was not written by a save: its lines are not copied."""
         path = write_config(tmp_path)
         assert main(["run", "--config", path]) == 0
         cfg = load_config(path)
@@ -1422,13 +1569,15 @@ class TestOrderedLines:
                 handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
         assert main(["order", "--config", path]) == 0
         ordered = cfg.artifact(ORDERED_FILE)
-        lines = read_bytes(ordered).decode("utf-8").splitlines()
+        lines = read_bytes(ordered).splitlines(keepends=True)
         assert len(lines) == len(records)
-        assert lines == [instance_line(item) for item in load_dataset(ordered).items]
+        instances = load_dataset(cfg.artifact(INSTANCES_FILE))
+        assert lines == [view_line(item) for item in load_view(ordered, instances).items]
 
 
-# Run in a child process: ``corgi run`` that dies with ``os._exit`` in the
-# middle of writing ordered.jsonl, so no cleanup of any kind runs.
+# Run in a child process: ``corgi run`` that dies with ``os._exit`` half way
+# through its first write to the file sys.argv[2], whatever the size of the
+# pieces it is written in, so no cleanup of any kind runs.
 DYING_RUN = """
 import builtins, os, sys
 import corgi.cli as cli
@@ -1438,17 +1587,14 @@ real_open = builtins.open
 class Dying:
     def __init__(self, handle):
         self.handle = handle
-        self.writes = 0
     def __enter__(self):
         return self
     def __exit__(self, *exc_info):
         self.handle.close()
     def write(self, data):
-        self.handle.write(data)
-        self.writes += 1
-        if self.writes == 10:
-            self.handle.flush()
-            os._exit(9)
+        self.handle.write(data[: len(data) // 2])
+        self.handle.flush()
+        os._exit(9)
 
 def dying_open(file, mode="r", *args, **kwargs):
     handle = real_open(file, mode, *args, **kwargs)
@@ -1480,6 +1626,8 @@ class TestInterruptedWrites:
         # and one after each stage.
         sizes = [handle.size for handle in recorder.files]
         assert len(sizes) == artifacts + 1 + len(STAGE_NAMES)
+        # The filter stage's training lines are one of the writes cut below.
+        assert TURNS_FILE in run["stages"]["filter"]["outputs"]
 
         for cut in range(1, len(sizes) + 1):
             path = write_config(tmp_path / f"cut-{cut}")
@@ -1505,22 +1653,24 @@ class TestInterruptedWrites:
         monkeypatch.setattr(cli, "_now_utc", lambda: STAMP)
         clean_path = write_config(tmp_path / "clean")
         assert main(["run", "--config", clean_path]) == 0
-        clean = read_bytes(load_config(clean_path).artifact(ORDERED_FILE))
+        clean = read_bytes(load_config(clean_path).artifact(TURNS_FILE))
 
         path = write_config(tmp_path / "killed")
         cfg = load_config(path)
         src = os.path.dirname(os.path.dirname(corgi.__file__))
         child = subprocess.run(
-            [sys.executable, "-c", DYING_RUN, STAMP, ORDERED_FILE, "run", "--config", path],
+            [sys.executable, "-c", DYING_RUN, STAMP, TURNS_FILE, "run", "--config", path],
             env={**os.environ, "PYTHONPATH": src},
             capture_output=True,
             timeout=120,
         )
         assert child.returncode == 9, child.stderr
         assert os.path.exists(cfg.artifact(LOCK_FILE))
-        assert os.path.exists(cfg.artifact(ORDERED_FILE + ".tmp"))
+        partial = read_bytes(cfg.artifact(TURNS_FILE + ".tmp"))
+        assert 0 < len(partial) < len(clean)
+        assert not os.path.exists(cfg.artifact(TURNS_FILE))
         capsys.readouterr()
         assert main(["resume", "--config", path]) == 0, capsys.readouterr().err
-        assert read_bytes(cfg.artifact(ORDERED_FILE)) == clean
-        assert not os.path.exists(cfg.artifact(ORDERED_FILE + ".tmp"))
+        assert read_bytes(cfg.artifact(TURNS_FILE)) == clean
+        assert not os.path.exists(cfg.artifact(TURNS_FILE + ".tmp"))
         assert_lock_free(cfg.artifact(LOCK_FILE))

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import make_instance
 from corgi.dataset_io import (
+    VIEW_FIELDS,
     DatasetFormatError,
     _dump_line,
     concept_to_record,
@@ -634,7 +635,7 @@ def _slicer_items(rng, count):
             EducationalStage("secondary"))
         concept = _awkward_text(rng)
         items.append(InstructionInstance(
-            id=_awkward_text(rng), stage=stage, subject=rng.choice(subjects),
+            id=f"{_awkward_text(rng)}{k}", stage=stage, subject=rng.choice(subjects),
             course_id=_awkward_text(rng), concept_id=concept, cognitive_index=index,
             cognitive_process=row.process, cognitive_subprocess=row.subprocess,
             cognitive_load=row.load,
@@ -652,37 +653,97 @@ def _keys(item):
             item.cognitive_load)
 
 
+def _reference_view_line(item):
+    """The view line of ``item`` by the generic encoder."""
+    record = instance_to_record(item)
+    view = {key: record[key] for key in VIEW_FIELDS}
+    return (json.dumps(view, ensure_ascii=False) + "\n").encode("utf-8")
+
+
 def test_sliced_keys_and_turns_equal_the_decoded_items(tmp_path):
-    """``parse_dataset_lines`` slices each line's keys exactly, and the
-    conversation built from a line's slices is the generic encoder's."""
-    from corgi.dataset_io import parse_dataset_lines
+    """A view's lines and turns are the generic encoders', ``parse_view_lines``
+    slices each line's keys exactly, and ``load_view`` rebuilds the items
+    from the view and the unfiltered instances."""
+    from dataclasses import replace
+
+    from corgi.dataset_io import load_view, parse_view_lines, view_lines
+    from corgi.scheduler import dataset_digest
 
     rng = random.Random(2305)
     for round_no in range(20):
         items = _slicer_items(rng, rng.randint(1, 40))
+        view = view_lines(make_dataset(items, run_id="slices"))
+        assert view.manifest["dataset_digest"] == dataset_digest(items)
+        assert view.turns == tuple(map(_reference_training_line, items))
         path = tmp_path / f"slices-{round_no}.jsonl"
-        save_dataset(make_dataset(items, run_id="slices"), str(path))
+        save_dataset(view, str(path))
         data = path.read_bytes()
-        lines = parse_dataset_lines(data, str(path))
-        decoded = load_dataset(str(path)).items
-        assert decoded == tuple(items)
+        assert data == b"".join(map(_reference_view_line, items))
+        lines = parse_view_lines(data, str(path))
         assert [_keys(it) for it in lines.items] == [_keys(it) for it in items]
-        assert b"".join(it.line for it in lines.items) == data
+        assert [it.line for it in lines.items] == [it.line for it in view.items]
         assert lines.manifest == json.loads((tmp_path / f"{path.name}.manifest").read_text())
-        for item, line_item in zip(items, lines.items):
-            assert training_line(line_item.line) == _reference_training_line(item)
+        unfiltered = make_dataset(
+            [replace(it, filter_status="unfiltered", relevance_votes=None) for it in items[::-1]]
+        )
+        rebuilt = load_view(str(path), unfiltered)
+        assert rebuilt.items == tuple(items)
+        assert rebuilt.manifest == lines.manifest
     assert {bool(it.system_message) for it in items} == {True, False}
     assert {it.stage.level for it in items} >= {None, "graduate"}
 
 
+def _view_file(tmp_path, edit):
+    """A view of four items with ``edit(records)`` applied to its records,
+    and the unfiltered instances it names."""
+    from dataclasses import replace
+
+    from corgi.dataset_io import view_lines
+
+    items = [make_instance("Alpha", f"c{k}", 2, filter_status="kept") for k in range(4)]
+    path = tmp_path / "view.jsonl"
+    save_dataset(view_lines(make_dataset(items)), str(path))
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    edit(records)
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return str(path), make_dataset([replace(it, filter_status="unfiltered") for it in items])
+
+
+@pytest.mark.parametrize("edit, line, field, message", [
+    (lambda r: r[2].update(id="alpha/course-1/c9/2"), 3, "id",
+     "no instance has id 'alpha/course-1/c9/2'"),
+    (lambda r: r.__setitem__(3, r[1]), 4, "id", "repeats line 2"),
+    (lambda r: r[1].update(subject="Beta"), 2, "subject",
+     "differs from instance 'alpha/course-1/c1/2'"),
+    (lambda r: r[0].update(cognitive_index=2.0), 1, "cognitive_index",
+     "differs from instance 'alpha/course-1/c0/2'"),
+    (lambda r: r[0].pop("filter_status"), 1, "filter_status", "missing required field"),
+    (lambda r: r[0].update(relevance_votes=[1]), 1, "relevance_votes",
+     "expected a list of booleans"),
+])
+def test_a_bad_view_line_is_named(tmp_path, edit, line, field, message):
+    from corgi.dataset_io import load_view
+
+    path, instances = _view_file(tmp_path, edit)
+    with pytest.raises(DatasetFormatError) as err:
+        load_view(path, instances)
+    assert (err.value.line, err.value.field) == (line, field)
+    assert str(err.value) == f"{path}:{line}: field {field!r}: {message}"
+
+
 def test_lines_order_and_export_like_the_decoded_dataset(tmp_path):
     """``order_lines`` gives ``order``'s permutation and manifest, and the
-    exports of the two are byte-identical and the generic encoder's."""
-    from corgi.dataset_io import parse_dataset_lines
+    export of the ordered view carrying its turns is byte-identical to the
+    decoded dataset's and the generic encoder's."""
+    from dataclasses import replace
+
+    from corgi.dataset_io import parse_view_lines, view_lines
     from corgi.scheduler import (
         STRATEGIES,
         OrderingConfig,
+        SchedulerError,
         _curriculum,
+        dataset_digest,
         export_training_order,
         order_lines,
     )
@@ -690,10 +751,11 @@ def test_lines_order_and_export_like_the_decoded_dataset(tmp_path):
     rng = random.Random(2306)
     items = _slicer_items(rng, 60)
     d = make_dataset(items, run_id="lines")
+    view = view_lines(d)
     path = tmp_path / "lines.jsonl"
-    save_dataset(d, str(path))
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    lines = parse_dataset_lines(path.read_bytes(), str(path)).with_digest(digest)
+    save_dataset(view, str(path))
+    lines = parse_view_lines(path.read_bytes(), str(path))
+    turn_of = dict(zip((it.line for it in view.items), view.turns))
     for strategy in STRATEGIES:
         for granularity in ("per_index", "per_load_tier"):
             cfg = OrderingConfig(strategy=strategy, seed=11,
@@ -702,14 +764,15 @@ def test_lines_order_and_export_like_the_decoded_dataset(tmp_path):
             # is taken from the one ``order`` runs after ``validate``.
             want = _curriculum(d, cfg)
             got = order_lines(lines, cfg)
-            assert b"".join(it.line for it in got.items) == b"".join(
-                instance_line(it).encode("utf-8") + b"\n" for it in want
-            )
-            assert got.manifest["input_digest"] == digest
+            assert [it.line for it in got.items] == list(map(_reference_view_line, want))
+            assert got.manifest["input_digest"] == dataset_digest(items)
             ordered = make_dataset(want, run_id="lines", strategy=strategy, seed=11,
                                    extra={key: got.manifest[key]
                                           for key in ("granularity", "input_digest")})
             assert got.manifest == ordered.manifest
+            with pytest.raises(SchedulerError, match="one training line per item"):
+                export_training_order(got, str(tmp_path / "from-lines.jsonl"))
+            got = replace(got, turns=tuple(turn_of[it.line] for it in got.items))
             export_training_order(got, str(tmp_path / "from-lines.jsonl"))
             export_training_order(ordered, str(tmp_path / "from-items.jsonl"))
             for name in ("from-lines.jsonl", "from-lines.jsonl.manifest"):

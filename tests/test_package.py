@@ -17,8 +17,8 @@ PUBLIC = {
     "catalog": ("parse_catalog", "slugify"),
     "concepts": ("dedup_concepts", "extract_concepts", "refine_description"),
     "dataset_io": (
-        "load_concepts", "load_courses", "load_dataset", "save_concepts", "save_courses",
-        "save_dataset",
+        "load_concepts", "load_courses", "load_dataset", "load_view", "save_concepts",
+        "save_courses", "save_dataset",
     ),
     "filtering": (
         "Bm25Retriever", "FilterConfig", "FilterStats", "load_corpus", "rule_filter",
