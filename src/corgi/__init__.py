@@ -40,28 +40,44 @@ from .scheduler import (
 )
 from .taxonomy import COGNITIVE_TEMPLATES, CognitiveTemplate, template_for
 
-# Public names of the teacher-side modules, by the module that defines them.
-_LAZY_MODULES = {
+# The names of the teacher-side modules, by the module that defines them:
+# their public names, and the two that ``corgi.cli`` also takes from them
+# (``GenerationError`` and ``fan_out``, which ``__all__`` leaves out).
+LAZY_MODULES = {
     "concepts": ("dedup_concepts", "extract_concepts", "refine_description"),
     "filtering": (
         "Bm25Retriever", "FilterConfig", "FilterStats", "load_corpus", "rule_filter",
         "run_filters",
     ),
-    "instructions": ("generate_for_concepts", "generate_instances"),
+    "instructions": ("GenerationError", "generate_for_concepts", "generate_instances"),
     "teacher": (
         "HttpEmbeddingBackend", "HttpTeacherBackend", "MockTeacherBackend",
-        "ReferenceEmbeddingBackend", "SimulatedTeacherBackend", "TeacherClient",
+        "ReferenceEmbeddingBackend", "SimulatedTeacherBackend", "TeacherClient", "fan_out",
     ),
 }
-_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+_LAZY_NAMES = {name: module for module, names in LAZY_MODULES.items() for name in names}
+
+
+def lazy_attribute(namespace: dict, name: str):
+    """``namespace[name]``, where ``namespace`` is a module's globals.
+
+    A ``LAZY_MODULES`` name not there yet is imported from its module and
+    kept there first, so a value set there under that name, like a tracing
+    wrapper, is the one returned.
+    """
+    if name not in namespace:
+        if name not in _LAZY_NAMES:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}"
+            )
+        module = import_module(f"{__name__}.{_LAZY_NAMES[name]}")
+        namespace[name] = getattr(module, name)
+    return namespace[name]
 
 
 def __getattr__(name: str):
     """Import a teacher-side name on first use and keep it here (PEP 562)."""
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
-    return value
+    return lazy_attribute(globals(), name)
 
 
 __version__ = "0.1.0"

@@ -45,9 +45,11 @@ import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
+from functools import partial
 from importlib import import_module
 from typing import TYPE_CHECKING, Callable, get_args, get_type_hints
 
+from . import lazy_attribute
 from .batching import analyze as analyze_batches
 from .catalog import parse_catalog
 from .dataset_io import (
@@ -101,34 +103,11 @@ class CliError(RuntimeError):
     """Raised for bad configs, missing artifacts, and locked workdirs."""
 
 
-# The names this module takes from the teacher-side modules, by module.  A
-# module loads when one of its names is first looked up: as an attribute of
-# this module (``__getattr__``), or by ``_use``, through which the stages
-# and ``_backend`` call them.  Either way a value set on this module under
-# such a name, like a tracing wrapper, is the one that runs.
-LAZY_MODULES = {
-    "concepts": ("dedup_concepts", "extract_concepts", "refine_description"),
-    "filtering": ("Bm25Retriever", "FilterConfig", "load_corpus", "run_filters"),
-    "instructions": ("GenerationError", "generate_for_concepts"),
-    "teacher": (
-        "HttpEmbeddingBackend", "HttpTeacherBackend", "MockTeacherBackend",
-        "ReferenceEmbeddingBackend", "SimulatedTeacherBackend", "TeacherClient", "fan_out",
-    ),
-}
-LAZY_NAMES = {name: module for module, names in LAZY_MODULES.items() for name in names}
-
-
-def __getattr__(name: str):
-    """Import a ``LAZY_NAMES`` name on first use and keep it here (PEP 562)."""
-    if name not in LAZY_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f".{LAZY_NAMES[name]}", __package__), name)
-    return value
-
-
-def _use(name: str):
-    """What this module holds under ``name`` now, importing it if need be."""
-    return globals()[name] if name in globals() else __getattr__(name)
+# The teacher-side names this module uses (``corgi.LAZY_MODULES``) load on
+# first use: as an attribute of this module, or through ``_use``, by which
+# the stages and ``_backend`` call them.  Either way a value set on this
+# module under such a name, like a tracing wrapper, is the one that runs.
+__getattr__ = _use = partial(lazy_attribute, globals())
 
 
 def _scripted_backend(script: str | None = None) -> MockTeacherBackend:
@@ -178,6 +157,7 @@ class RunConfig:
     required_yes: int = 1
     passages_per_question: int = 3
     max_failure_fraction: float = 0.25
+    # The threads an HTTP teacher's calls fan out over (teacher.TeacherClient):
     # teacher.DEFAULT_MAX_CONCURRENCY, written out so that loading a config
     # imports no teacher code.
     max_workers: int = 8
@@ -354,7 +334,7 @@ class Stage:
     the workdir artifacts named in ``reads`` and the paths of outside files
     ``sources`` gives (None where unset); it returns ``{artifact: value}`` for
     the artifacts named in ``writes``, in the order they are to be written.
-    ``modules`` are the ``LAZY_MODULES`` whose names ``run`` uses."""
+    ``modules`` are the ``corgi.LAZY_MODULES`` whose names ``run`` uses."""
 
     name: str
     run: Callable[..., dict]
@@ -890,7 +870,18 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
     }
 
 
+# corgi's BLAS work, dedup's matrix-vector screen, is small per call, so a
+# BLAS thread pool only spins beside it.  A value the user set wins.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def main(argv: list[str] | None = None) -> int:
+    """The ``corgi`` command.  Before numpy is first imported, it sets each
+    of ``BLAS_THREAD_VARS`` that is unset to 1, so BLAS runs on the calling
+    thread; once numpy is loaded its pool is made, and nothing is set."""
+    if "numpy" not in sys.modules:
+        for name in BLAS_THREAD_VARS:
+            os.environ.setdefault(name, "1")
     args = _build_parser().parse_args(argv)
     try:
         run_pipeline(load_config(args.config, _overrides_from_args(args)), args.command)

@@ -182,6 +182,8 @@ class HttpTeacherBackend(_HttpBackend):
     """Chat-completion endpoint speaking the common messages schema."""
 
     service, base_env, key_env = "teacher", TEACHER_API_BASE_ENV, TEACHER_API_KEY_ENV
+    # Each call waits on the endpoint, so calls overlap on threads.
+    waits = True
 
     def __init__(
         self,
@@ -226,6 +228,7 @@ class MockTeacherBackend:
     """Strict scripted mock: sha256(prompt) -> reply, unknown prompts raise."""
 
     model_name = "scripted-mock"
+    waits = False
 
     def __init__(self, scripts: dict[str, str]):
         self.scripts = dict(scripts)
@@ -294,6 +297,8 @@ class SimulatedTeacherBackend:
     """
 
     model_name = "simulated-teacher"
+    # Replies are pure-Python work under the GIL, which threads cannot overlap.
+    waits = False
 
     def __init__(
         self,
@@ -395,8 +400,9 @@ def fan_out(fn: Callable, items: Sequence, workers: int) -> list:
 
     Results come back in submission order whatever the completion order, so
     output never depends on the worker count.  With one worker (or at most
-    one item) no thread starts.  The first exception in submission order
-    propagates, and items that have not started yet are cancelled.
+    one item) no thread starts: a ``TeacherClient`` whose backend never
+    waits passes one.  The first exception in submission order propagates,
+    and items that have not started yet are cancelled.
     """
     workers = min(workers, len(items))
     if workers <= 1:
@@ -407,11 +413,22 @@ def fan_out(fn: Callable, items: Sequence, workers: int) -> list:
 
 @dataclass
 class TeacherClient:
-    """Front door for pipeline code: defaults, concurrency, and judging."""
+    """Front door for pipeline code: defaults, concurrency, and judging.
+
+    ``max_concurrency`` is the number of threads a ``fan_out`` of this
+    client's calls runs on.  Threads pay only where calls wait, so it is 1,
+    whatever was asked, for a backend whose ``waits`` is false: the
+    simulated and scripted ones compute each reply under the GIL.  A backend
+    that does not say is taken to wait.
+    """
 
     backend: object
     generation_temperature: float = DEFAULT_GENERATION_TEMPERATURE
     max_concurrency: int = DEFAULT_MAX_CONCURRENCY
+
+    def __post_init__(self):
+        if not getattr(self.backend, "waits", True):
+            self.max_concurrency = 1
 
     @property
     def model_name(self) -> str:

@@ -5,17 +5,20 @@ import contextlib
 import errno
 import fcntl
 import hashlib
+import http.server
 import itertools
 import json
 import os
 import shutil
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import pytest
 
 import corgi
+import corgi.teacher as teacher_module
 from corgi import cli
 from corgi.cli import (
     BATCH_REPORT_FILE,
@@ -54,6 +57,7 @@ from corgi.dataset_io import (
 from corgi.scheduler import STRATEGIES, OrderingConfig, dataset_digest, order
 from corgi.teacher import (
     DEFAULT_MAX_CONCURRENCY,
+    CompletionRequest,
     HttpEmbeddingBackend,
     HttpTeacherBackend,
     MockTeacherBackend,
@@ -135,6 +139,42 @@ def clock():
     """A ``_now_utc`` that gives a new stamp on every call."""
     seconds = itertools.count()
     return lambda: f"2026-01-01T00:00:{next(seconds):02d}Z"
+
+
+class SimulatedTeacherHandler(http.server.BaseHTTPRequestHandler):
+    """A chat-completion endpoint whose replies are those of the simulated
+    teacher at the seed ``write_config`` sets."""
+
+    teacher = SimulatedTeacherBackend(seed=5)
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        prompt = payload["messages"][-1]["content"]
+        reply = self.teacher.complete(CompletionRequest(prompt=prompt))
+        choice = {"message": {"content": reply}, "finish_reason": "stop"}
+        body = json.dumps({"choices": [choice]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def simulated_teacher_server():
+    """Serve ``SimulatedTeacherHandler`` on a loopback port; yields its base URL."""
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), SimulatedTeacherHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
 
 
 class Interrupted(BaseException):
@@ -450,10 +490,12 @@ class TestBuildBackends:
         return RunConfig(workdir="w", catalog="c", **kw)
 
     def test_simulated_is_the_default(self):
+        """Its calls never wait, so they run on the calling thread, whatever
+        ``max_workers`` (default 8) asks."""
         client = build_teacher(self.config(seed=7))
         assert isinstance(client.backend, SimulatedTeacherBackend)
         assert client.backend.seed == 7
-        assert client.max_concurrency == 8
+        assert client.max_concurrency == 1
         assert client.generation_temperature == 0.7
 
     def test_a_null_seed_is_the_run_seed(self):
@@ -481,8 +523,17 @@ class TestBuildBackends:
         assert client.backend.seed == 3
         assert client.backend.refusal_rate == 0.1
         assert client.backend.relevance_yes_rate == 0.5
-        assert client.max_concurrency == 2
+        assert client.max_concurrency == 1
         assert client.generation_temperature == 0.3
+
+    @pytest.mark.parametrize("workers", [None, 1, 3])
+    def test_an_http_client_keeps_max_workers(self, workers):
+        values = {} if workers is None else {"max_workers": workers}
+        client = build_teacher(self.config(
+            teacher={"backend": "http", "base_url": "http://127.0.0.1:9"}, **values
+        ))
+        assert isinstance(client.backend, HttpTeacherBackend)
+        assert client.max_concurrency == (workers or DEFAULT_MAX_CONCURRENCY)
 
     def test_scripted_backend(self, tmp_path):
         script = tmp_path / "scripts.json"
@@ -490,9 +541,10 @@ class TestBuildBackends:
             json.dumps({prompt_digest("p"): "r"}), encoding="utf-8"
         )
         client = build_teacher(
-            self.config(teacher={"backend": "scripted", "script": str(script)})
+            self.config(teacher={"backend": "scripted", "script": str(script)}, max_workers=4)
         )
         assert isinstance(client.backend, MockTeacherBackend)
+        assert client.max_concurrency == 1
 
     def test_scripted_backend_needs_a_script(self):
         with pytest.raises(CliError):
@@ -629,18 +681,69 @@ class TestFullRun:
         for name, blob in before.items():
             assert read_bytes(cfg.artifact(name)) == blob, name
 
-    def test_teacher_stages_do_not_depend_on_max_workers(self, tmp_path, capsys):
-        outputs = {}
-        for workers in (1, 4):
-            path = write_config(tmp_path / str(workers), max_workers=workers)
-            for stage in ("ingest", "refine", "concepts"):
-                assert main([stage, "--config", path]) == 0
-            cfg = load_config(path)
-            outputs[workers] = [
-                read_bytes(cfg.artifact(name)) for name in (REFINED_FILE, RAW_CONCEPTS_FILE)
-            ]
+    def test_teacher_stages_do_not_depend_on_max_workers(self, tmp_path, capsys, monkeypatch):
+        """An HTTP teacher's calls wait, so they fan out over ``max_workers``
+        threads: one worker starts no pool and four start one per stage.
+        The artifacts are the same either way, and the same as those of the
+        in-process simulated teacher that the server answers with."""
+        pools = []
+        real_pool = teacher_module.ThreadPoolExecutor
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(teacher_module, "ThreadPoolExecutor", pool)
+        outputs, started = {}, {}
+        with simulated_teacher_server() as url:
+            http = {"backend": "http", "base_url": url}
+            configs = {
+                "http-1": {"max_workers": 1, "teacher": http},
+                "http-4": {"max_workers": 4, "teacher": http},
+                "local-4": {"max_workers": 4},
+            }
+            for label, values in configs.items():
+                path = write_config(tmp_path / label, **values)
+                for stage in ("ingest", "refine", "concepts"):
+                    assert main([stage, "--config", path]) == 0, capsys.readouterr().err
+                started[label], pools[:] = pools[:], []
+                cfg = load_config(path)
+                outputs[label] = [
+                    read_bytes(cfg.artifact(name)) for name in (REFINED_FILE, RAW_CONCEPTS_FILE)
+                ]
         capsys.readouterr()
-        assert outputs[1] == outputs[4]
+        assert started == {"http-1": [], "http-4": [CATALOG_COURSES] * 2, "local-4": []}
+        assert outputs["http-1"] == outputs["http-4"] == outputs["local-4"]
+
+    def test_default_runs_start_no_thread_pool(self, tmp_path, capsys, monkeypatch):
+        """A simulated ``run`` and a scripted one, each at the default
+        ``max_workers``, construct no ``ThreadPoolExecutor``.  The script
+        holds the simulated run's replies, so both give one training file."""
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a ThreadPoolExecutor was constructed")
+
+        monkeypatch.setattr(teacher_module, "ThreadPoolExecutor", no_pool)
+        replies = {}
+        simulated_complete = SimulatedTeacherBackend.complete
+
+        def recording(backend, req):
+            reply = replies[prompt_digest(req.prompt)] = simulated_complete(backend, req)
+            return reply
+
+        monkeypatch.setattr(SimulatedTeacherBackend, "complete", recording)
+        simulated = write_config(tmp_path / "simulated")
+        assert load_config(simulated).max_workers == DEFAULT_MAX_CONCURRENCY
+        assert main(["run", "--config", simulated]) == 0, capsys.readouterr().err
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(replies), encoding="utf-8")
+        scripted = write_config(
+            tmp_path / "scripted", teacher={"backend": "scripted", "script": str(script)}
+        )
+        assert main(["run", "--config", scripted]) == 0, capsys.readouterr().err
+        capsys.readouterr()
+        assert read_bytes(load_config(scripted).artifact(TRAINING_FILE)) == read_bytes(
+            load_config(simulated).artifact(TRAINING_FILE)
+        )
 
     def test_training_manifest_copies_the_ordering_keys(self, tmp_path, capsys):
         cfg, _ = self.run_pipeline(
@@ -1674,3 +1777,61 @@ class TestInterruptedWrites:
         assert read_bytes(cfg.artifact(TURNS_FILE)) == clean
         assert not os.path.exists(cfg.artifact(TURNS_FILE + ".tmp"))
         assert_lock_free(cfg.artifact(LOCK_FILE))
+
+
+# Run in a child process: a one-stage dedup on the config sys.argv[1], then
+# the BLAS thread variables and the number of this process's threads.
+BLAS_DEDUP = """
+import json, os, sys
+from corgi import cli
+assert "numpy" not in sys.modules
+assert cli.main(["dedup", "--config", sys.argv[1]]) == 0
+assert "numpy" in sys.modules
+task = "/proc/self/task"
+seen = {name: os.environ.get(name) for name in cli.BLAS_THREAD_VARS}
+seen["threads"] = len(os.listdir(task)) if os.path.isdir(task) else None
+print(json.dumps(seen))
+"""
+
+
+class TestBlasThreads:
+    """``corgi`` runs BLAS on the calling thread unless the user says otherwise."""
+
+    @staticmethod
+    def child(code, *args, **env):
+        base = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+        result = subprocess.run(
+            [sys.executable, "-c", code, *args],
+            env={**base, "PYTHONPATH": SRC, **env},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout.splitlines()[-1])
+
+    @pytest.fixture
+    def config(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        for stage in ("ingest", "refine", "concepts"):
+            assert main([stage, "--config", path]) == 0
+        capsys.readouterr()
+        return path
+
+    def test_an_unset_variable_becomes_one(self, config):
+        seen = self.child(BLAS_DEDUP, config)
+        assert seen["OPENBLAS_NUM_THREADS"] == seen["MKL_NUM_THREADS"] == "1"
+        if seen["threads"] is not None and len(os.sched_getaffinity(0)) >= 2:
+            assert seen["threads"] == 1
+
+    def test_a_preset_variable_is_kept(self, config):
+        seen = self.child(BLAS_DEDUP, config, OPENBLAS_NUM_THREADS="2")
+        assert seen["OPENBLAS_NUM_THREADS"] == "2"
+        assert seen["MKL_NUM_THREADS"] == "1"
+
+    def test_importing_the_package_sets_no_variable(self):
+        code = (
+            "import json, os\nbefore = dict(os.environ)\nimport corgi, corgi.cli\n"
+            "print(json.dumps(dict(os.environ) == before))"
+        )
+        assert self.child(code) is True
