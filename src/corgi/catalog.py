@@ -151,7 +151,8 @@ def parse_catalog(path: str) -> list[Course]:
     """Parse a CSV or JSONL catalog into Course records.
 
     A ``.jsonl`` or ``.json`` path is read as JSONL, any other as CSV.
-    Duplicate (subject, course_title) pairs are rejected.
+    Two courses whose (subject, course_title) slug to one course id, as a
+    repeated pair does, are rejected.
     """
     if path.endswith((".jsonl", ".json")):
         courses = _parse_jsonl(path)
@@ -161,15 +162,16 @@ def parse_catalog(path: str) -> list[Course]:
         except UnicodeDecodeError as exc:
             raise CatalogError(f"{path}: not UTF-8: {exc}") from None
 
-    seen: dict[tuple[str, str], int] = {}
+    seen: dict[str, int] = {}
     for i, course in enumerate(courses):
-        key = (course.subject, course.title)
-        if key in seen:
+        if course.id in seen:
+            first = courses[seen[course.id]]
             raise CatalogError(
-                f"{path}: duplicate course {course.title!r} under subject "
-                f"{course.subject!r} (records {seen[key] + 1} and {i + 1})"
+                f"{path}: records {seen[course.id] + 1} and {i + 1} share course id "
+                f"{course.id!r}: {first.title!r} under subject {first.subject!r} "
+                f"and {course.title!r} under subject {course.subject!r}"
             )
-        seen[key] = i
+        seen[course.id] = i
     return courses
 
 

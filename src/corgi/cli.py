@@ -58,9 +58,7 @@ from .dataset_io import (
     load_concepts,
     load_courses,
     load_dataset,
-    load_turns,
     load_view,
-    manifest_path,
     parse_view_lines,
     save_concepts,
     save_courses,
@@ -433,15 +431,7 @@ def _stage_analyze(cfg: RunConfig, run: dict, ordered: DatasetLines) -> dict:
 def _stage_export(cfg: RunConfig, run: dict, ordered: DatasetLines, filtered: DatasetLines,
                   turns: list[bytes]) -> dict:
     """The ordered view carrying the training lines of its items: those of
-    the filtered items, permuted as ``ordered`` permutes them.  A view
-    rebuilt from ``instances.jsonl`` brings its own."""
-    if filtered.turns is not None:
-        turns = filtered.turns
-    elif len(turns) != len(filtered):
-        raise CliError(
-            f"{cfg.artifact(TURNS_FILE)} holds {len(turns)} training lines for the "
-            f"{len(filtered)} items of {cfg.artifact(FILTERED_FILE)}"
-        )
+    the filtered items, permuted as ``ordered`` permutes them."""
     place = {item.line: i for i, item in enumerate(filtered.items)}
     positions = [place.get(item.line) for item in ordered.items]
     if len(positions) != len(place) or set(positions) != set(range(len(place))):
@@ -561,19 +551,11 @@ ARTIFACT_IO = {
     TRAINING_FILE: (None, "export_training_order"),
 }
 
-# The artifacts that the order, analyze and export stages read, each read
-# in one piece: the filtered and ordered views, whose value is a
-# ``DatasetLines``, and the training lines of the filtered items.
-HELD_FILES = frozenset({FILTERED_FILE, ORDERED_FILE, TURNS_FILE})
-
-
-def _decoded(loader: Callable, path: str, *args):
-    """``loader(path, *args)``, whose ``DatasetFormatError`` for a bad line
-    of ``path`` becomes a ``CliError`` with the same message."""
-    try:
-        return loader(path, *args)
-    except DatasetFormatError as exc:
-        raise CliError(str(exc)) from None
+# The artifacts that the order, analyze and export stages read: the
+# filtered and ordered views, whose value is a ``DatasetLines``, and the
+# training lines of the filtered items.  Each is trusted as its lines when
+# ``_Artifacts.wrote_outputs`` holds for the stage that writes it.
+VIEW_FILES = frozenset({FILTERED_FILE, ORDERED_FILE, TURNS_FILE})
 
 
 class _Artifacts:
@@ -585,15 +567,15 @@ class _Artifacts:
     workdir meanwhile; the next invocation digests every file afresh, so a
     hand edit between runs is still found by content.
 
-    A ``HELD_FILES`` artifact is read in one piece, which gives both its
-    digest and its bytes, held until it is loaded.  It is as a save of this
-    engine left it when its digest, and its manifest sidecar's if it has
-    one, equal those that the record of the stage writing it names: its
-    lines are then its value, with nothing decoded, and its items have
-    passed ``validate`` when they were built.  Any other view, even one
-    with the same records, is decoded, joined with ``instances.jsonl``,
-    validated and encoded again, and any other training-line file is
-    decoded and encoded again.
+    One rule decides which files are as this engine wrote them:
+    ``wrote_outputs(stage)``.  ``first_pending_stage`` re-runs a stage for
+    which it fails, and a ``VIEW_FILES`` artifact is trusted when it holds
+    for the stage that writes it: a view's lines are then its value, with
+    nothing decoded, and its items passed ``validate`` when they were
+    built; the training lines are the file's lines.  Otherwise a view, even
+    one with the same records, is decoded, joined with ``instances.jsonl``,
+    validated and encoded again, and the training lines are those of the
+    filtered view so rebuilt.
     """
 
     def __init__(self, cfg: RunConfig, run: dict):
@@ -601,77 +583,54 @@ class _Artifacts:
         self.run = run
         self.digests: dict[str, str] = {}
         self.values: dict[str, object] = {}
-        self.held_paths = {cfg.artifact(name) for name in HELD_FILES}
-        self.held: dict[str, bytes] = {}
 
     def digest(self, path: str) -> str:
         if path not in self.digests:
-            if path in self.held_paths:
-                self.held[path] = self._read(path)
-            else:
-                self.digests[path] = _file_digest(path)
+            self.digests[path] = _file_digest(path)
         return self.digests[path]
 
-    def _read(self, path: str) -> bytes:
-        """The bytes of ``path``, read in one piece; their digest is kept."""
-        with open(path, "rb") as handle:
-            data = handle.read()
-        self.digests[path] = hashlib.sha256(data).hexdigest()
-        return data
+    def wrote_outputs(self, stage: Stage) -> bool:
+        """Whether the record of ``stage`` names a digest of every artifact
+        it writes, and every file the record names exists with that digest."""
+        recorded = (self.run["stages"].get(stage.name) or {}).get("outputs") or {}
+        outputs = {self.cfg.artifact(name): digest for name, digest in recorded.items()}
+        return (
+            all(name in recorded for name in stage.writes)
+            and all(os.path.exists(path) for path in outputs)
+            and all(self.digest(path) == digest for path, digest in outputs.items())
+        )
 
     def load(self, name: str):
         if name not in self.values:
             path = self.cfg.artifact(name)
-            if name in HELD_FILES:
-                self.values[name] = self._held(name, path)
-            else:
+            if name not in VIEW_FILES:
                 self.values[name] = globals()[ARTIFACT_IO[name][0]](path)
+            elif self.wrote_outputs(next(s for s in STAGES if name in s.writes)):
+                with open(path, "rb") as handle:
+                    data = handle.read()
+                self.values[name] = (data.splitlines(keepends=True) if name == TURNS_FILE
+                                     else parse_view_lines(data, path))
+            elif name == TURNS_FILE:
+                self.values[name] = self.load(FILTERED_FILE).turns
+            else:
+                try:
+                    dataset = load_view(path, self.load(INSTANCES_FILE))
+                except DatasetFormatError as exc:
+                    raise CliError(str(exc)) from None
+                require_valid(dataset)
+                self.values[name] = view_lines(dataset)
         return self.values[name]
-
-    def _held(self, name: str, path: str):
-        data = self.held.pop(path, None)
-        if data is None:
-            data = self._read(path)
-        if not self._saved(name, path):
-            return self._rebuilt(name, path)
-        if name == TURNS_FILE:
-            return data.splitlines(keepends=True)
-        return parse_view_lines(data, path)
-
-    def _saved(self, name: str, path: str) -> bool:
-        """Whether ``path`` and its sidecar hold what the record of the stage
-        that writes ``name`` names, and that record names every artifact
-        the stage writes."""
-        stage = next(stage for stage in STAGES if name in stage.writes)
-        outputs = (self.run["stages"].get(stage.name) or {}).get("outputs") or {}
-        side = manifest_path(name)
-        side_path = self.cfg.artifact(side)
-        return (
-            all(written in outputs for written in stage.writes)
-            and outputs[name] == self.digests[path]
-            and (side not in outputs
-                 or (os.path.exists(side_path) and self.digest(side_path) == outputs[side]))
-        )
-
-    def _rebuilt(self, name: str, path: str):
-        if name == TURNS_FILE:
-            return _decoded(load_turns, path)
-        dataset = _decoded(load_view, path, self.load(INSTANCES_FILE))
-        require_valid(dataset)
-        return view_lines(dataset)
 
     def save(self, name: str, value) -> dict[str, str]:
         path = self.cfg.artifact(name)
         written = globals()[ARTIFACT_IO.get(name, (None, "_save_json"))[1]](value, path)
         self.digests.update(written)
-        self.held.pop(path, None)
         self.values[name] = value
         return written
 
     def keep(self, names: set[str]) -> None:
-        """Drop the values and held bytes of every artifact not in ``names``."""
+        """Drop the value of every artifact not in ``names``."""
         self.values = {n: v for n, v in self.values.items() if n in names}
-        self.held = {p: b for p, b in self.held.items() if os.path.basename(p) in names}
 
     def input_digest(self, stage: Stage) -> str:
         """Digest of the files ``stage`` reads and of its parameters; a
@@ -788,22 +747,17 @@ def first_pending_stage(cfg: RunConfig, run: dict,
                         artifacts: _Artifacts | None = None) -> str | None:
     """Name of the first stage that must re-run, or None when all is fresh.
 
-    A stage must re-run when its record names no digest of an artifact it
-    writes (it never ran, or an older version with other artifacts ran it),
-    an output it recorded is gone or no longer matches its digest
-    (truncated, hand-edited), or its inputs changed.
+    A stage must re-run when its inputs changed, or when ``wrote_outputs``
+    fails for it: its record names no digest of an artifact it writes (it
+    never ran, or an older version with other artifacts ran it), or an
+    output it recorded is gone or no longer matches its digest (truncated,
+    hand-edited).
     """
     artifacts = artifacts or _Artifacts(cfg, run)
     for stage in STAGES:
         entry = run["stages"].get(stage.name) or {}
-        recorded = entry.get("outputs") or {}
-        outputs = {cfg.artifact(name): digest for name, digest in recorded.items()}
-        if (
-            not all(name in recorded for name in stage.writes)
-            or not all(os.path.exists(out) for out in outputs)
-            or entry.get("input_digest") != artifacts.input_digest(stage)
-            or any(artifacts.digest(out) != digest for out, digest in outputs.items())
-        ):
+        if (entry.get("input_digest") != artifacts.input_digest(stage)
+                or not artifacts.wrote_outputs(stage)):
             return stage.name
     return None
 

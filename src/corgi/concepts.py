@@ -87,15 +87,23 @@ def extract_concepts(course: Course, client: TeacherClient) -> list[Concept]:
         )
     concepts: list[Concept] = []
     used_slugs: dict[str, int] = {}
+    given: set[str] = set()
     for _, name, explanation in parsed:
         try:
             slug = slugify(name)
         except SlugError:
             log.warning("course %s: concept name %r has no slug; skipped", course.id, name)
             continue
-        used_slugs[slug] = used_slugs.get(slug, 0) + 1
-        if used_slugs[slug] > 1:
-            slug = f"{slug}-{used_slugs[slug]}"
+        # The nth use of a slug takes the suffix -n, moved on past any id
+        # already given ("Limits", "Limits", "Limits 2").
+        count = used_slugs.get(slug, 0) + 1
+        unique = slug if count == 1 else f"{slug}-{count}"
+        while unique in given:
+            count += 1
+            unique = f"{slug}-{count}"
+        used_slugs[slug] = count
+        given.add(unique)
+        slug = unique
         concepts.append(
             Concept(
                 id=f"{course.id}/{slug}",

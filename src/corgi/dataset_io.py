@@ -309,14 +309,6 @@ def save_turns(turns: Iterable[bytes], path: str) -> dict[str, str]:
     return write_bytes(path, turns)
 
 
-def load_turns(path: str) -> list[bytes]:
-    """The training lines of ``path``, a file of JSON objects that no save
-    wrote: each decoded and encoded again as ``training_line`` encodes one,
-    with ``json.dumps``."""
-    return [(json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
-            for _line, record in read_jsonl(path)]
-
-
 def _load_manifest(path: str) -> dict | None:
     """The manifest sidecar of the dataset file ``path``, or None if it has none."""
     side = manifest_path(path)

@@ -118,19 +118,39 @@ class TestParseCatalog:
         assert parse_catalog(str(path)) == []
 
     def test_duplicate_subject_title_rejected(self, tmp_path):
-        path = tmp_path / "dup.csv"
-        _write_csv(
-            path,
-            [
-                '"Higher Education - Law","Contracts","First offering.","a",""',
-                '"Higher Education - Law","Torts","Another course.","a",""',
-                '"Higher Education - Law","Contracts","Second offering.","b",""',
-            ],
-        )
-        with pytest.raises(CatalogError) as err:
-            parse_catalog(str(path))
-        assert "Contracts" in str(err.value)
-        assert "Higher Education - Law" in str(err.value)
+        """A repeated pair, and two titles that slug to one course id, name
+        both records and both titles."""
+        cases = {
+            "dup.csv": (
+                [
+                    '"Higher Education - Law","Contracts","First offering.","a",""',
+                    '"Higher Education - Law","Torts","Another course.","a",""',
+                    '"Higher Education - Law","Contracts","Second offering.","b",""',
+                ],
+                "records 1 and 3 share course id 'higher-education-law/contracts': "
+                "'Contracts' under subject 'Higher Education - Law' and 'Contracts' "
+                "under subject 'Higher Education - Law'",
+            ),
+            "slug.csv": (
+                [
+                    '"Higher Education - Computer and Info Science","C++ Basics",'
+                    '"Templates and classes.","a",""',
+                    '"Higher Education - Computer and Info Science","C Basics",'
+                    '"Pointers and arrays.","a",""',
+                ],
+                "records 1 and 2 share course id "
+                "'higher-education-computer-and-info-science/c-basics': "
+                "'C++ Basics' under subject 'Higher Education - Computer and Info "
+                "Science' and 'C Basics' under subject 'Higher Education - Computer "
+                "and Info Science'",
+            ),
+        }
+        for name, (rows, message) in cases.items():
+            path = tmp_path / name
+            _write_csv(path, rows)
+            with pytest.raises(CatalogError) as err:
+                parse_catalog(str(path))
+            assert str(err.value) == f"{path}: {message}"
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "cols.csv"

@@ -1163,11 +1163,13 @@ class TestResume:
     def test_a_process_loads_and_digests_each_file_at_most_once(
         self, tmp_path, capsys, monkeypatch
     ):
+        """Every file is digested by ``_file_digest``, views included, and
+        every file a command decodes goes through one of the loaders."""
         loaded, digested = [], []
-        for name in ("load_courses", "load_concepts", "load_dataset"):
-            def loader(path, real=getattr(cli, name)):
+        for name in ("load_courses", "load_concepts", "load_dataset", "load_view"):
+            def loader(path, *args, real=getattr(cli, name)):
                 loaded.append(os.path.basename(path))
-                return real(path)
+                return real(path, *args)
 
             monkeypatch.setattr(cli, name, loader)
         real_digest = cli._file_digest
@@ -1177,13 +1179,6 @@ class TestResume:
             return real_digest(path)
 
         monkeypatch.setattr(cli, "_file_digest", file_digest)
-        real_read = cli._Artifacts._read
-
-        def read(self, path):
-            digested.append(path)
-            return real_read(self, path)
-
-        monkeypatch.setattr(cli._Artifacts, "_read", read)
         path = write_config(tmp_path)
         assert main(["run", "--config", path]) == 0
         assert loaded == []
@@ -1198,8 +1193,8 @@ class TestResume:
             assert main(["resume", "--config", path, "--strategy", "block"]) == 0
             out = capsys.readouterr().out
             assert ("[order] wrote" in out) is replays
-            # The canonical filtered file is read once, as lines, and
-            # never decoded.
+            # The saved filtered file is digested once, by _file_digest,
+            # and never decoded.
             assert loaded == []
             assert load_config(path).artifact(FILTERED_FILE) in digested
             assert len(digested) == len(set(digested)), out
@@ -1471,8 +1466,9 @@ def reference_training(cfg):
 
 
 class TestViewFaults:
-    """Views and training lines that a hand edit left inconsistent fail with
-    a ``CliError`` naming the file; consistent ones give the clean outputs."""
+    """Views that a hand edit left inconsistent fail with a ``CliError``
+    naming the file; consistent ones, and training lines that no longer
+    match their record, give the clean outputs."""
 
     def fails(self, capsys, path, command):
         capsys.readouterr()
@@ -1515,15 +1511,18 @@ class TestViewFaults:
         assert message == (f"{ordered} is not a permutation of the items of "
                            f"{cfg.artifact(FILTERED_FILE)}")
 
-    def test_training_lines_of_another_count_are_named(self, tmp_path, capsys):
+    def test_training_lines_of_another_count_are_rebuilt(self, tmp_path, capsys):
+        """A ``turns.jsonl`` with a line dropped no longer matches the filter's
+        record, so export rebuilds the view and its training lines from
+        ``instances.jsonl`` and writes the clean training file."""
         path = write_config(tmp_path)
         assert main(["run", "--config", path]) == 0
         cfg = load_config(path)
-        count = len(jsonl_records(cfg.artifact(FILTERED_FILE)))
+        clean = read_bytes(cfg.artifact(TRAINING_FILE))
         edit_lines(cfg.artifact(TURNS_FILE), lambda lines: lines.pop(3))
-        message = self.fails(capsys, path, "export")
-        assert message == (f"{cfg.artifact(TURNS_FILE)} holds {count - 1} training lines "
-                           f"for the {count} items of {cfg.artifact(FILTERED_FILE)}")
+        assert main(["export", "--config", path]) == 0
+        capsys.readouterr()
+        assert read_bytes(cfg.artifact(TRAINING_FILE)) == clean
 
     def test_a_view_rewritten_in_another_order_brings_its_own_turns(self, tmp_path, capsys):
         """The stored training lines follow the view as it was saved; a view

@@ -191,14 +191,28 @@ class TestExtractConcepts:
         assert concepts[0].stage == HIGHER
 
     def test_repeated_names_get_distinct_ids(self):
+        """A repeated name takes the next free suffix, also where another
+        name already slugs to that suffix."""
         course = make_course()
-        reply = "1. Energy: First sense.\n2. Energy: Second sense."
-        client = scripted_client({build_concept_prompt(course): reply})
-        concepts = extract_concepts(course, client)
-        assert [c.id for c in concepts] == [
-            "physics/mechanics/energy",
-            "physics/mechanics/energy-2",
-        ]
+        cases = {
+            "1. Energy: First sense.\n2. Energy: Second sense.": [
+                "physics/mechanics/energy",
+                "physics/mechanics/energy-2",
+            ],
+            "1. Limits: One.\n2. Limits: Two.\n3. Limits 2: Three.": [
+                "physics/mechanics/limits",
+                "physics/mechanics/limits-2",
+                "physics/mechanics/limits-2-2",
+            ],
+            "1. Limits 2: One.\n2. Limits: Two.\n3. Limits: Three.": [
+                "physics/mechanics/limits-2",
+                "physics/mechanics/limits",
+                "physics/mechanics/limits-3",
+            ],
+        }
+        for reply, ids in cases.items():
+            client = scripted_client({build_concept_prompt(course): reply})
+            assert [c.id for c in extract_concepts(course, client)] == ids
 
     def test_unsluggable_name_is_dropped(self):
         course = make_course()
