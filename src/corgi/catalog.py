@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import re
 
-from .dataset_io import DatasetFormatError, _optional_str, read_jsonl
+from .dataset_io import DatasetFormatError, _require, read_jsonl
 from .model import HIGHER, SECONDARY, Course, EducationalStage
 
 CSV_COLUMNS = ("subject", "course_title", "course_description", "source", "stage_hint")
@@ -119,20 +119,13 @@ def course_id_for(subject: str, title: str) -> str:
     return f"{slugify(subject)}/{slugify(title)}"
 
 
-def _course_from_fields(
-    subject: str,
-    title: str,
-    description: str,
-    source: str,
-    stage_hint: str | None,
-    where: str,
-) -> Course:
-    if not subject.strip():
-        raise CatalogError(f"{where}: empty subject")
-    if not title.strip():
-        raise CatalogError(f"{where}: empty course_title")
-    if not description.strip():
-        raise CatalogError(f"{where}: empty course_description")
+def _course_from_fields(fields: dict[str, str], where: str) -> Course:
+    """The course of one catalog row, given as ``{column: stripped string}``
+    with every column of ``CSV_COLUMNS``; ``where`` names the row."""
+    for column in REQUIRED_COLUMNS:
+        if not fields[column]:
+            raise CatalogError(f"{where}: empty {column}")
+    subject, title = fields["subject"], fields["course_title"]
     try:
         cid = course_id_for(subject, title)
     except SlugError as exc:
@@ -140,10 +133,10 @@ def _course_from_fields(
     return Course(
         id=cid,
         subject=subject,
-        stage=assign_stage(subject, stage_hint),
+        stage=assign_stage(subject, fields["stage_hint"]),
         title=title,
-        description=description,
-        source=source,
+        description=fields["course_description"],
+        source=fields["source"],
     )
 
 
@@ -176,46 +169,33 @@ def parse_catalog(path: str) -> list[Course]:
 
 
 def _parse_csv(path: str) -> list[Course]:
-    with open(path, encoding="utf-8", newline="") as handle:
+    """A missing or empty cell reads as empty.  A UTF-8 byte-order mark, as
+    spreadsheet programs write, is dropped."""
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
         missing = [col for col in REQUIRED_COLUMNS if col not in header]
         if missing:
             raise CatalogError(f"{path}: missing required column(s) {missing}")
-        courses = []
-        for line_no, row in enumerate(reader, start=2):
-            courses.append(
-                _course_from_fields(
-                    subject=(row.get("subject") or "").strip(),
-                    title=(row.get("course_title") or "").strip(),
-                    description=(row.get("course_description") or "").strip(),
-                    source=(row.get("source") or "").strip(),
-                    stage_hint=row.get("stage_hint"),
-                    where=f"{path}:{line_no}",
-                )
+        return [
+            _course_from_fields(
+                {name: (row.get(name) or "").strip() for name in CSV_COLUMNS},
+                f"{path}:{line_no}",
             )
-    return courses
+            for line_no, row in enumerate(reader, start=2)
+        ]
 
 
 def _parse_jsonl(path: str) -> list[Course]:
     """Each field is a string or null; a null or missing field reads as empty."""
     try:
-        courses = []
-        for line_no, record in read_jsonl(path):
-            fields = {
-                name: (_optional_str(record, path, line_no, name) or "").strip()
-                for name in CSV_COLUMNS
-            }
-            courses.append(
-                _course_from_fields(
-                    subject=fields["subject"],
-                    title=fields["course_title"],
-                    description=fields["course_description"],
-                    source=fields["source"],
-                    stage_hint=fields["stage_hint"],
-                    where=f"{path}:{line_no}",
-                )
+        return [
+            _course_from_fields(
+                {name: (_require(record, path, line_no, name, None) or "").strip()
+                 for name in CSV_COLUMNS},
+                f"{path}:{line_no}",
             )
-        return courses
+            for line_no, record in read_jsonl(path)
+        ]
     except DatasetFormatError as exc:
         raise CatalogError(str(exc)) from exc

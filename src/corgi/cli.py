@@ -55,6 +55,7 @@ from .catalog import parse_catalog
 from .dataset_io import (
     DatasetFormatError,
     DatasetLines,
+    corpus_files,
     load_concepts,
     load_courses,
     load_dataset,
@@ -328,19 +329,29 @@ def _file_digest(path: str) -> str:
 
 @dataclass(frozen=True)
 class Stage:
-    """A pipeline step: ``run(cfg, run, *values, *paths)`` takes the values of
-    the workdir artifacts named in ``reads`` and the paths of outside files
-    ``sources`` gives (None where unset); it returns ``{artifact: value}`` for
-    the artifacts named in ``writes``, in the order they are to be written.
-    ``modules`` are the ``corgi.LAZY_MODULES`` whose names ``run`` uses."""
+    """A pipeline step: ``run(cfg, run, *values)`` takes the values of the
+    workdir artifacts named in ``reads`` and returns ``{artifact: value}``
+    for the artifacts named in ``writes``, in the order they are to be
+    written.  ``sources(cfg)`` maps a digest key to each file outside the
+    workdir that what ``run`` returns depends on: the catalog, the corpus
+    files the filter reads, a scripted teacher's script.  ``modules`` are
+    the ``corgi.LAZY_MODULES`` whose names ``run`` uses."""
 
     name: str
     run: Callable[..., dict]
     writes: tuple[str, ...]
     reads: tuple[str, ...] = ()
-    sources: Callable[[RunConfig], list] = lambda cfg: []
+    sources: Callable[[RunConfig], dict[str, str]] = lambda cfg: {}
     params: Callable[[RunConfig], dict] = lambda cfg: {}
     modules: tuple[str, ...] = ()
+
+
+def _teacher_sources(cfg: RunConfig) -> dict[str, str]:
+    """The script of a scripted teacher, whose replies are what a teacher
+    stage makes.  Its key holds a '/', which no file name does, so no
+    artifact, catalog or corpus file takes it."""
+    script = cfg.teacher.get("script")
+    return {"teacher/script": script} if script else {}
 
 
 def _stage_refine(cfg: RunConfig, run: dict, courses: list[Course]) -> dict:
@@ -392,15 +403,15 @@ def _stage_generate(
     }
 
 
-def _stage_filter(cfg: RunConfig, run: dict, instances: Dataset, corpus: str | None) -> dict:
+def _stage_filter(cfg: RunConfig, run: dict, instances: Dataset) -> dict:
     """The kept items are validated here, where they are built, and handed
     on as a view carrying their turns: the order, analyze and export stages
     validate nothing."""
-    if not corpus:
+    if not cfg.corpus:
         raise CliError("filter stage requires 'corpus' in the config")
     filtered, stats = _use("run_filters")(
         instances,
-        _use("Bm25Retriever")(_use("load_corpus")(corpus)),
+        _use("Bm25Retriever")(_use("load_corpus")(cfg.corpus)),
         build_teacher(cfg),
         _use("FilterConfig")(
             required_yes=cfg.required_yes,
@@ -446,14 +457,15 @@ STAGES = (
     Stage(
         name="ingest",
         writes=(COURSES_FILE,),
-        sources=lambda cfg: [cfg.catalog],
-        run=lambda cfg, run, catalog: {COURSES_FILE: parse_catalog(catalog)},
+        sources=lambda cfg: {os.path.basename(cfg.catalog): cfg.catalog},
+        run=lambda cfg, run: {COURSES_FILE: parse_catalog(cfg.catalog)},
     ),
     Stage(
         name="refine",
         writes=(REFINED_FILE,),
         modules=("concepts",),
         reads=(COURSES_FILE,),
+        sources=_teacher_sources,
         params=_teacher_params,
         run=_stage_refine,
     ),
@@ -462,6 +474,7 @@ STAGES = (
         writes=(RAW_CONCEPTS_FILE,),
         modules=("concepts",),
         reads=(REFINED_FILE,),
+        sources=_teacher_sources,
         params=_teacher_params,
         run=_stage_concepts,
     ),
@@ -482,6 +495,7 @@ STAGES = (
         writes=(INSTANCES_FILE, FAILURES_FILE),
         modules=("instructions",),
         reads=(CONCEPTS_FILE, REFINED_FILE),
+        sources=_teacher_sources,
         params=lambda cfg: {
             "seed": cfg.seed,
             "max_failure_fraction": cfg.max_failure_fraction,
@@ -494,7 +508,9 @@ STAGES = (
         writes=(FILTERED_FILE, TURNS_FILE, FILTER_STATS_FILE),
         modules=("filtering",),
         reads=(INSTANCES_FILE,),
-        sources=lambda cfg: [cfg.corpus],
+        sources=lambda cfg: {
+            **(corpus_files(cfg.corpus) if cfg.corpus else {}), **_teacher_sources(cfg)
+        },
         params=lambda cfg: {
             "required_yes": cfg.required_yes,
             "passages_per_question": cfg.passages_per_question,
@@ -633,20 +649,15 @@ class _Artifacts:
         self.values = {n: v for n, v in self.values.items() if n in names}
 
     def input_digest(self, stage: Stage) -> str:
-        """Digest of the files ``stage`` reads and of its parameters; a
-        directory contributes every file under it."""
-        paths = [self.cfg.artifact(name) for name in stage.reads]
-        files: dict[str, str] = {}
-        for path in paths + [p for p in stage.sources(self.cfg) if p]:
-            if os.path.isdir(path):
-                for root, _dirs, names in os.walk(path):
-                    for name in sorted(names):
-                        full = os.path.join(root, name)
-                        files[os.path.relpath(full, path)] = self.digest(full)
-            elif os.path.exists(path):
-                files[os.path.basename(path)] = self.digest(path)
-            else:
+        """Digest of the parameters of ``stage`` and of the files its
+        outputs depend on: the artifacts in ``reads``, keyed by name, and
+        the outside files ``sources`` names, by their keys.  No directory is
+        walked: a corpus directory counts only the files the filter reads."""
+        paths = {name: self.cfg.artifact(name) for name in stage.reads} | stage.sources(self.cfg)
+        for path in paths.values():
+            if not os.path.isfile(path):
                 raise CliError(f"missing input file: {path}")
+        files = {key: self.digest(path) for key, path in paths.items()}
         payload = {"files": files, "params": stage.params(self.cfg)}
         blob = json.dumps(payload, ensure_ascii=False, sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -693,7 +704,7 @@ def run_stage(stage: Stage, cfg: RunConfig, run: dict, artifacts: _Artifacts) ->
     anything is saved.
     """
     input_digest = artifacts.input_digest(stage)
-    values = stage.run(cfg, run, *map(artifacts.load, stage.reads), *stage.sources(cfg))
+    values = stage.run(cfg, run, *map(artifacts.load, stage.reads))
     for name, value in values.items():
         if name in ARTIFACT_IO and not value:
             raise CliError(f"stage {stage.name!r} produced an empty {name}")

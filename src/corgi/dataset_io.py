@@ -1,4 +1,4 @@
-"""Strict JSONL serialization for courses, concepts, and datasets.
+"""Strict JSONL serialization for courses, concepts and datasets; corpus listing.
 
 Records are written with a fixed key order so that save -> load -> save is
 byte-identical.  Every dataset file gets a ``<path>.manifest`` JSON sidecar
@@ -20,6 +20,7 @@ from .model import (
     Dataset,
     EducationalStage,
     InstructionInstance,
+    ModelError,
     Provenance,
     build_manifest,
 )
@@ -44,54 +45,21 @@ def manifest_path(path: str) -> str:
 _JSON_TYPE_NAMES = {str: "string", int: "integer", dict: "object"}
 
 
-def _require(record: dict, path: str, line: int, field: str, kind: type) -> Any:
-    """``record[field]``, which must be there and of the JSON type ``kind``."""
+def _require(record: dict, path: str, line: int, field: str, kind: type | None) -> Any:
+    """``record[field]``, which must be there and of the JSON type ``kind``;
+    a ``kind`` of None takes a string, or None for a null or missing field."""
+    value = record.get(field)
+    if type(value) is kind or (kind is None and (value is None or type(value) is str)):
+        return value
     if field not in record:
         raise DatasetFormatError(path, line, field, "missing required field")
-    value = record[field]
-    if type(value) is not kind:
-        raise DatasetFormatError(
-            path, line, field, f"expected {_JSON_TYPE_NAMES[kind]}, got {type(value).__name__}"
-        )
-    return value
-
-
-def _optional_str(record: dict, path: str, line: int, field: str) -> str | None:
-    """``record[field]`` if it is a string, or None if it is null or missing."""
-    value = record.get(field)
-    if value is not None and type(value) is not str:
-        raise DatasetFormatError(
-            path, line, field, f"expected string or null, got {type(value).__name__}"
-        )
-    return value
+    expected = "string or null" if kind is None else _JSON_TYPE_NAMES[kind]
+    raise DatasetFormatError(path, line, field, f"expected {expected}, got {type(value).__name__}")
 
 
 def instance_to_record(item: InstructionInstance) -> dict[str, Any]:
-    """The instance as a JSON record; ``instance_line`` is its encoding."""
-    return {
-        "id": item.id,
-        "stage": item.stage.value,
-        "stage_level": item.stage.level,
-        "subject": item.subject,
-        "course_id": item.course_id,
-        "concept_id": item.concept_id,
-        "cognitive_index": item.cognitive_index,
-        "cognitive_process": item.cognitive_process,
-        "cognitive_subprocess": item.cognitive_subprocess,
-        "cognitive_load": item.cognitive_load,
-        "system_message": item.system_message,
-        "question": item.question,
-        "answer": item.answer,
-        "filter_status": item.filter_status,
-        "relevance_votes": (
-            None if item.relevance_votes is None else list(item.relevance_votes)
-        ),
-        "provenance": {
-            "teacher_model": item.provenance.teacher_model,
-            "created_at": item.provenance.created_at,
-            "run_id": item.provenance.run_id,
-        },
-    }
+    """The instance as a JSON record: ``instance_line`` decoded."""
+    return json.loads(instance_line(item))
 
 
 _json_str = json.encoder.encode_basestring
@@ -116,10 +84,11 @@ def instance_line(item: InstructionInstance) -> str:
     """The canonical JSONL line of an instance, without the newline.
 
     This is the one encoder of the instance record; ``save_dataset`` writes
-    these lines and ``dataset_digest`` hashes them.  The fields are written
-    out one by one because ``json.dumps`` costs about three times as much,
-    and every ordered dataset is digested line by line.  A value of a type
-    other than the declared one raises ``TypeError``.
+    these lines, ``dataset_digest`` hashes them, and a view line and a
+    training line are cut out of them.  The fields are written out one by
+    one because ``json.dumps`` costs about three times as much, and every
+    ordered dataset is digested line by line.  A value of a type other than
+    the declared one raises ``TypeError``.
     """
     index = item.cognitive_index
     if type(index) is not int:
@@ -177,7 +146,7 @@ def instance_from_record(
     ):
         raise DatasetFormatError(path, line, "relevance_votes", "expected a list of booleans")
     prov = _require(record, path, line, "provenance", dict)
-    level = _optional_str(record, path, line, "stage_level")
+    level = _require(record, path, line, "stage_level", None)
     shared = {} if shared is None else shared
     stage = shared.get((stage_value, level))
     if stage is None:
@@ -236,6 +205,16 @@ def _undecodable_line(path: str) -> NoReturn:
             except UnicodeDecodeError as exc:
                 raise DatasetFormatError(path, line_no, None, f"not UTF-8: {exc}") from None
     raise AssertionError(f"{path}: every line decodes")
+
+
+def corpus_files(path: str) -> dict[str, str]:
+    """The files the corpus at ``path`` is read from, by name: the top-level
+    ``.txt`` files of a directory, sorted, or else ``path`` itself."""
+    if not os.path.isdir(path):
+        return {os.path.basename(path): path}
+    files = {name: os.path.join(path, name) for name in sorted(os.listdir(path))}
+    return {name: full for name, full in files.items()
+            if name.endswith(".txt") and os.path.isfile(full)}
 
 
 def write_lines(path: str, lines: Iterable[str]) -> dict[str, str]:
@@ -309,11 +288,12 @@ def save_turns(turns: Iterable[bytes], path: str) -> dict[str, str]:
     return write_bytes(path, turns)
 
 
-def _load_manifest(path: str) -> dict | None:
-    """The manifest sidecar of the dataset file ``path``, or None if it has none."""
+def _load_manifest(path: str, items) -> dict:
+    """The manifest sidecar of the dataset file ``path``, or, if it has
+    none, a manifest built for ``items``."""
     side = manifest_path(path)
     if not os.path.exists(side):
-        return None
+        return build_manifest(items, run_id="")
     try:
         with open(side, encoding="utf-8") as handle:
             manifest = json.load(handle)
@@ -333,10 +313,7 @@ def load_dataset(path: str) -> Dataset:
     """
     shared: dict = {}
     items = [instance_from_record(rec, path, line, shared) for line, rec in read_jsonl(path)]
-    manifest = _load_manifest(path)
-    if manifest is None:
-        manifest = build_manifest(items, run_id="")
-    return Dataset(items=tuple(items), manifest=manifest)
+    return Dataset(items=tuple(items), manifest=_load_manifest(path, items))
 
 
 class LineItem:
@@ -361,11 +338,11 @@ class DatasetLines:
     """A dataset as a view: the lines of a file that holds, per item, only
     the keys ordering and batch analysis read and the filter's verdict.
 
-    Each item is a ``LineItem`` whose ``line`` is ``view_line`` of the
-    instance.  The manifest of a filtered view records ``dataset_digest``
-    of its instances, which ``order_lines`` records as its input digest.
-    ``turns``, when set, holds the ``training_line`` of each item, in item
-    order.
+    Each item is a ``LineItem`` whose ``line`` is the view line of the
+    instance, as ``view_lines`` cuts it.  The manifest of a filtered view
+    records ``dataset_digest`` of its instances, which ``order_lines``
+    records as its input digest.  ``turns``, when set, holds the
+    ``training_line`` of each item, in item order.
     """
 
     items: tuple[LineItem, ...]
@@ -382,42 +359,62 @@ VIEW_FIELDS = (
     "cognitive_load", "filter_status", "relevance_votes",
 )
 
-
-def view_line(item: InstructionInstance) -> bytes:
-    """The view line of an instance in UTF-8 plus a newline:
-    ``json.dumps`` of its ``VIEW_FIELDS``, written out as ``instance_line``
-    writes them.  A value of a type other than the declared one raises
-    ``TypeError``."""
-    index = item.cognitive_index
-    if type(index) is not int:
-        raise TypeError("cognitive_index is not an int")
-    return (
-        f'{{"id": {_json_str(item.id)}, '
-        f'"stage": {_json_str(item.stage.value)}, '
-        f'"stage_level": {_json_opt_str(item.stage.level)}, '
-        f'"subject": {_json_str(item.subject)}, '
-        f'"concept_id": {_json_str(item.concept_id)}, '
-        f'"cognitive_index": {index}, '
-        f'"cognitive_load": {_json_str(item.cognitive_load)}, '
-        f'"filter_status": {_json_str(item.filter_status)}, '
-        f'"relevance_votes": {_json_votes(item.relevance_votes)}}}\n'
-    ).encode("utf-8")
+# Key markers of ``instance_line``, which writes every key but the first
+# after ', '.  A view line keeps the markers of its fields.
+_STAGE = b', "stage": '
+_COURSE = b', "course_id": '
+_CONCEPT = b', "concept_id": '
+_INDEX = b', "cognitive_index": '
+_PROCESS = b', "cognitive_process": '
+_LOAD = b', "cognitive_load": '
+_SYSTEM = b', "system_message": '
+_QUESTION = b', "question": '
+_ANSWER = b', "answer": '
+_STATUS = b', "filter_status": '
+_PROVENANCE = b', "provenance": '
 
 
 def view_lines(d: Dataset) -> DatasetLines:
-    """``d`` as a view carrying its turns: each item encoded once by
-    ``instance_line``, which gives its training line and the manifest's
-    ``dataset_digest``, and once by ``view_line``.  Nothing is validated."""
+    """``d`` as a view carrying its turns.  Each item is encoded once, by
+    ``instance_line``: that line goes into the manifest's
+    ``dataset_digest``, and ``_cut`` cuts the item's view line and training
+    line out of it.  Nothing is validated."""
     digest = hashlib.sha256()
     items, turns = [], []
     for item in d.items:
         line = instance_line(item).encode("utf-8") + b"\n"
         digest.update(line)
-        turns.append(training_line(line))
+        view, turn = _cut(line)
         items.append(LineItem(item.stage, item.subject, item.concept_id, item.cognitive_index,
-                              item.cognitive_load, view_line(item)))
+                              item.cognitive_load, view))
+        turns.append(turn)
     manifest = {**d.manifest, "dataset_digest": digest.hexdigest()}
     return DatasetLines(tuple(items), manifest, tuple(turns))
+
+
+def _cut(line: bytes) -> tuple[bytes, bytes]:
+    """The view line and the training line of the canonical ``line``, cut
+    out of it at one set of key markers; a cut there is exact, as
+    ``parse_view_lines`` explains.  The view line is the canonical line
+    with only its ``VIEW_FIELDS``, which is ``json.dumps`` of them."""
+    course = line.index(_COURSE)
+    concept = line.index(_CONCEPT, course)
+    process = line.index(_PROCESS, concept)
+    load = line.index(_LOAD, process)
+    system = line.index(_SYSTEM, load)
+    end = line.rindex(_PROVENANCE)
+    status = line.rindex(_STATUS, system, end)
+    answer = line.rindex(_ANSWER, system, status)
+    question = line.rindex(_QUESTION, system, answer)
+    view = b"".join((line[:course], line[concept:process], line[load:system],
+                     line[status:end], b"}\n"))
+    message = line[system + len(_SYSTEM):question]
+    return view, b"".join((
+        b'{"messages": [',
+        b'{"role": "system", "content": ' + message + b'}, ' if message != b'""' else b'',
+        b'{"role": "user", "content": ', line[question + len(_QUESTION):answer],
+        b'}, {"role": "assistant", "content": ', line[answer + len(_ANSWER):status], b'}]}\n',
+    ))
 
 
 def load_view(path: str, instances: Dataset) -> Dataset:
@@ -450,20 +447,7 @@ def load_view(path: str, instances: Dataset) -> Dataset:
             value = record.get(key)
             if (type(value), value) != (type(joined[key]), joined[key]):
                 raise DatasetFormatError(path, line, key, f"differs from instance {item_id!r}")
-    manifest = _load_manifest(path)
-    if manifest is None:
-        manifest = build_manifest(items, run_id="")
-    return Dataset(tuple(items), manifest)
-
-
-# Key markers of ``instance_line`` and ``view_line``, which write every key
-# but the first after ', '.
-_STAGE = b', "stage": '
-_INDEX = b', "cognitive_index": '
-_SYSTEM = b', "system_message": '
-_QUESTION = b', "question": '
-_ANSWER = b', "answer": '
-_STATUS = b', "filter_status": '
+    return Dataset(tuple(items), _load_manifest(path, items))
 
 
 def parse_view_lines(data: bytes, path: str) -> DatasetLines:
@@ -473,11 +457,12 @@ def parse_view_lines(data: bytes, path: str) -> DatasetLines:
 
     The caller vouches that ``data`` is what a save wrote, such as a file
     whose sha256 a save recorded.  A key's marker (``, "key": ``) occurs in
-    a line only where ``view_line`` writes that key.  Its quote cannot lie
-    inside an encoded string, where every quote is escaped as ``\\"``; it
-    cannot close a string, since a closing quote is followed by a comma or a
-    brace, not a letter; and the only strings that follow ``, `` are keys.
-    So whatever the strings hold, slicing at the markers is exact.
+    a canonical or view line only where ``instance_line`` writes that key.
+    Its quote cannot lie inside an encoded string, where every quote is
+    escaped as ``\\"``; it cannot close a string, since a closing quote is
+    followed by a comma or a brace, not a letter; and the only strings that
+    follow ``, `` are keys.  So whatever the strings hold, slicing at the
+    markers is exact.
 
     Each line gives two runs of keys: from the stage to the concept id,
     which the items of one concept share, and from the cognitive index to
@@ -500,10 +485,7 @@ def parse_view_lines(data: bytes, path: str) -> DatasetLines:
             keys = _run_keys(level)
             levels[level] = (keys["cognitive_index"], keys["cognitive_load"])
         items.append(LineItem(*concepts[concept], *levels[level], line))
-    manifest = _load_manifest(path)
-    if manifest is None:
-        manifest = build_manifest(items, run_id="")
-    return DatasetLines(tuple(items), manifest)
+    return DatasetLines(tuple(items), _load_manifest(path, items))
 
 
 def _run_keys(run: bytes) -> dict[str, Any]:
@@ -516,88 +498,66 @@ def training_line(line: bytes) -> bytes:
     """The ``training.jsonl`` line of the instance whose canonical line is
     ``line``, in UTF-8 plus a newline: ``json.dumps({"messages": [...]},
     ensure_ascii=False)`` of its turns, with the system turn left out when
-    the message is empty.
+    the message is empty.  Each turn is copied from ``line`` as
+    ``instance_line`` encoded it, which is how ``json.dumps`` encodes a
+    string."""
+    return _cut(line)[1]
 
-    Each turn is copied from ``line`` as ``instance_line`` encoded it, which
-    is how ``json.dumps`` encodes a string.  The markers are searched from
-    the end, past the shorter part of the line.
-    """
-    d = line.rindex(_STATUS)
-    c = line.rindex(_ANSWER, 0, d)
-    b = line.rindex(_QUESTION, 0, c)
-    system = line[line.rindex(_SYSTEM, 0, b) + len(_SYSTEM):b]
-    return b"".join((
-        b'{"messages": [',
-        b'{"role": "system", "content": ' + system + b'}, ' if system != b'""' else b'',
-        b'{"role": "user", "content": ', line[b + len(_QUESTION):c],
-        b'}, {"role": "assistant", "content": ', line[c + len(_ANSWER):d], b'}]}\n',
-    ))
+
+# The fields of a course and of a concept record, in the order they are
+# written, and the JSON type of each; "stage" stands for the stage and
+# stage_level keys, and None marks an optional string.
+_COURSE_FIELDS = (
+    ("id", str), ("subject", str), ("stage", str), ("title", str), ("description", str),
+    ("refined_description", None), ("source", str),
+)
+_CONCEPT_FIELDS = (
+    ("id", str), ("course_id", str), ("subject", str), ("stage", str), ("name", str),
+    ("explanation", str),
+)
+
+
+def _to_record(value: Course | Concept, table: tuple) -> dict[str, Any]:
+    record: dict[str, Any] = {}
+    for name, _kind in table:
+        if name == "stage":
+            record["stage"], record["stage_level"] = value.stage.value, value.stage.level
+        else:
+            record[name] = getattr(value, name)
+    return record
+
+
+def _from_record(cls: type, table: tuple, record: dict, path: str, line: int):
+    """The ``cls`` that ``record`` holds.  The stage is checked first, then
+    the other fields of ``table`` in order, and the first that fails raises
+    ``DatasetFormatError`` naming it; a value ``cls`` refuses raises one
+    naming no field."""
+    try:
+        stage = EducationalStage(
+            _require(record, path, line, "stage", str),
+            _require(record, path, line, "stage_level", None),
+        )
+        values = {name: _require(record, path, line, name, kind)
+                  for name, kind in table if name != "stage"}
+        return cls(stage=stage, **values)
+    except ModelError as exc:
+        raise DatasetFormatError(path, line, None, str(exc)) from exc
 
 
 def course_to_record(course: Course) -> dict[str, Any]:
-    return {
-        "id": course.id,
-        "subject": course.subject,
-        "stage": course.stage.value,
-        "stage_level": course.stage.level,
-        "title": course.title,
-        "description": course.description,
-        "refined_description": course.refined_description,
-        "source": course.source,
-    }
+    return _to_record(course, _COURSE_FIELDS)
 
 
 def course_from_record(record: dict, path: str = "<memory>", line: int = 0) -> Course:
-    try:
-        stage = EducationalStage(
-            _require(record, path, line, "stage", str),
-            _optional_str(record, path, line, "stage_level"),
-        )
-        return Course(
-            id=_require(record, path, line, "id", str),
-            subject=_require(record, path, line, "subject", str),
-            stage=stage,
-            title=_require(record, path, line, "title", str),
-            description=_require(record, path, line, "description", str),
-            refined_description=_optional_str(record, path, line, "refined_description"),
-            source=_require(record, path, line, "source", str),
-        )
-    except DatasetFormatError:
-        raise
-    except ValueError as exc:
-        raise DatasetFormatError(path, line, None, str(exc)) from exc
+    return _from_record(Course, _COURSE_FIELDS, record, path, line)
 
 
 def concept_to_record(concept: Concept) -> dict[str, Any]:
-    return {
-        "id": concept.id,
-        "course_id": concept.course_id,
-        "subject": concept.subject,
-        "stage": concept.stage.value,
-        "stage_level": concept.stage.level,
-        "name": concept.name,
-        "explanation": concept.explanation,
-    }
+    return _to_record(concept, _CONCEPT_FIELDS)
 
 
 def concept_from_record(record: dict, path: str = "<memory>", line: int = 0) -> Concept:
-    try:
-        stage = EducationalStage(
-            _require(record, path, line, "stage", str),
-            _optional_str(record, path, line, "stage_level"),
-        )
-        return Concept(
-            id=_require(record, path, line, "id", str),
-            course_id=_require(record, path, line, "course_id", str),
-            subject=_require(record, path, line, "subject", str),
-            stage=stage,
-            name=_require(record, path, line, "name", str),
-            explanation=_require(record, path, line, "explanation", str),
-        )
-    except DatasetFormatError:
-        raise
-    except ValueError as exc:
-        raise DatasetFormatError(path, line, None, str(exc)) from exc
+    return _from_record(Concept, _CONCEPT_FIELDS, record, path, line)
 
 
 def save_courses(courses: Iterable[Course], path: str) -> dict[str, str]:

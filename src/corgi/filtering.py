@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-from .dataset_io import DatasetFormatError, _require, read_jsonl
+from .dataset_io import DatasetFormatError, _require, corpus_files, read_jsonl
 from .model import (
     FILTER_KEPT,
     FILTER_UNFILTERED,
@@ -102,16 +102,15 @@ class CorpusDocument:
 
 
 def load_corpus(path: str) -> list[CorpusDocument]:
-    """Load a reference corpus: a directory of .txt files or a JSONL file.
+    """Load a reference corpus: a directory of .txt files (``corpus_files``)
+    or a JSONL file.
 
     Each JSONL record needs a string ``title`` and a string ``text``; any
     other value is a ``FilterError`` naming the line and the field.
     """
     documents: list[CorpusDocument] = []
     if os.path.isdir(path):
-        names = sorted(n for n in os.listdir(path) if n.endswith(".txt"))
-        for name in names:
-            full = os.path.join(path, name)
+        for name, full in corpus_files(path).items():
             try:
                 with open(full, encoding="utf-8") as handle:
                     text = handle.read()
@@ -195,6 +194,10 @@ class Bm25Retriever:
             raise FilterError("corpus produced no retrieval windows")
         self._count = len(self.windows)
         avgdl = sum(window_lengths) / self._count
+        if not avgdl:
+            raise FilterError(
+                "corpus holds no searchable word: no window has an ASCII letter or digit"
+            )
         lengths = np.array(window_lengths, dtype=np.float64)
         norms = BM25_K1 * (1.0 - BM25_B + BM25_B * lengths / avgdl)
         self._term_ids: dict[str, int] = {}

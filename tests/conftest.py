@@ -56,6 +56,35 @@ def make_instance(
     )
 
 
+def reference_record(item):
+    """The JSON record of ``item``, written out field by field: an oracle
+    for the instance encoders that shares no code with them."""
+    return {
+        "id": item.id,
+        "stage": item.stage.value,
+        "stage_level": item.stage.level,
+        "subject": item.subject,
+        "course_id": item.course_id,
+        "concept_id": item.concept_id,
+        "cognitive_index": item.cognitive_index,
+        "cognitive_process": item.cognitive_process,
+        "cognitive_subprocess": item.cognitive_subprocess,
+        "cognitive_load": item.cognitive_load,
+        "system_message": item.system_message,
+        "question": item.question,
+        "answer": item.answer,
+        "filter_status": item.filter_status,
+        "relevance_votes": (
+            None if item.relevance_votes is None else list(item.relevance_votes)
+        ),
+        "provenance": {
+            "teacher_model": item.provenance.teacher_model,
+            "created_at": item.provenance.created_at,
+            "run_id": item.provenance.run_id,
+        },
+    }
+
+
 def nine_item_fixture():
     """Two subjects, three concepts, indices {1, 5, 18}, concept-major input order."""
     items = []

@@ -1,6 +1,8 @@
 """Catalog ingestion tests: slugs, stage assignment, CSV/JSONL parsing."""
 
+import codecs
 import json
+import os
 import random
 import string
 
@@ -308,6 +310,16 @@ class TestParseCatalog:
         with pytest.raises(CatalogError) as err:
             parse_catalog(str(path))
         assert "course_description" in str(err.value)
+
+    def test_a_byte_order_mark_is_dropped(self, tmp_path):
+        """A CSV saved as spreadsheet programs' "CSV UTF-8" starts with a
+        byte-order mark, which is not part of the first column's name."""
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures", "catalog.csv")
+        with open(fixture, "rb") as handle:
+            data = handle.read()
+        path = tmp_path / "bom.csv"
+        path.write_bytes(codecs.BOM_UTF8 + data)
+        assert parse_catalog(str(path)) == parse_catalog(fixture)
 
     def test_stage_hint_column(self, tmp_path):
         path = tmp_path / "hint.csv"

@@ -19,6 +19,7 @@ import pytest
 
 import corgi
 import corgi.teacher as teacher_module
+from conftest import reference_record
 from corgi import cli
 from corgi.cli import (
     BATCH_REPORT_FILE,
@@ -47,11 +48,11 @@ from corgi.cli import (
     main,
 )
 from corgi.dataset_io import (
+    VIEW_FIELDS,
     load_dataset,
     load_view,
     manifest_path,
     save_dataset,
-    view_line,
     write_json,
 )
 from corgi.scheduler import STRATEGIES, OrderingConfig, dataset_digest, order
@@ -1234,6 +1235,69 @@ class TestResume:
         courses = jsonl_records(cfg.artifact(COURSES_FILE))
         assert len(courses) == CATALOG_COURSES + 1
 
+    def test_an_edited_teacher_script_reruns_the_teacher_stages(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A scripted teacher's replies are what the teacher stages make, so
+        a script with one reply changed makes ``resume`` re-run from refine,
+        and the filter's verdicts take the new reply."""
+        replies = {}
+        simulated_complete = SimulatedTeacherBackend.complete
+
+        def recording(backend, req):
+            reply = replies[prompt_digest(req.prompt)] = simulated_complete(backend, req)
+            return reply
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SimulatedTeacherBackend, "complete", recording)
+            assert main(["run", "--config", write_config(tmp_path / "simulated")]) == 0
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(replies), encoding="utf-8")
+        path = write_config(
+            tmp_path / "scripted", teacher={"backend": "scripted", "script": str(script)}
+        )
+        assert main(["run", "--config", path]) == 0
+        cfg = load_config(path)
+        before = read_bytes(cfg.artifact(FILTERED_FILE))
+        # The last call of a run is a judge call: flip its verdict.
+        last = list(replies)[-1]
+        replies[last] = "B" if teacher_module.parse_relevance_reply(replies[last]) else "A"
+        script.write_text(json.dumps(replies), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["resume", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert "[ingest] up to date" in out
+        assert "[refine] wrote" in out
+        assert read_bytes(cfg.artifact(FILTERED_FILE)) != before
+        assert main(["resume", "--config", path]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("nothing to do")
+
+    @pytest.mark.parametrize("extra", ["notes.md", "sub/deeper.txt"])
+    def test_a_corpus_file_the_filter_does_not_read_changes_nothing(
+        self, tmp_path, capsys, extra
+    ):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(CORPUS, corpus)
+        path = write_config(tmp_path, corpus=str(corpus))
+        assert main(["run", "--config", path]) == 0
+        (corpus / extra).parent.mkdir(exist_ok=True)
+        (corpus / extra).write_text("kepler orbit nucleus", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["resume", "--config", path]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("nothing to do")
+
+    def test_a_new_corpus_text_file_reruns_the_filter(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(CORPUS, corpus)
+        path = write_config(tmp_path, corpus=str(corpus))
+        assert main(["run", "--config", path]) == 0
+        (corpus / "extra.txt").write_text("kepler orbit nucleus", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["resume", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert "[generate] up to date" in out
+        assert "[filter] wrote" in out
+
     def test_seed_override_invalidates_teacher_stages(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["run", "--config", path]) == 0
@@ -1624,9 +1688,17 @@ class TestTailOnLines:
         assert f"[1] {records[1]['id']} filter_status:" in error["message"]
 
 
+def reference_view_line(item):
+    """The view line of ``item`` by the generic encoder."""
+    record = reference_record(item)
+    view = {key: record[key] for key in VIEW_FIELDS}
+    return (json.dumps(view, ensure_ascii=False) + "\n").encode("utf-8")
+
+
 class TestOrderedLines:
     """``ordered.jsonl`` is the lines of a saved ``instances.filtered.jsonl``
-    in the new order, byte for byte what ``view_line`` would write."""
+    in the new order, byte for byte what the generic encoder writes of each
+    item's view fields."""
 
     def test_resume_with_a_strategy_encodes_no_item(self, tmp_path, capsys, monkeypatch):
         path = write_config(tmp_path)
@@ -1643,7 +1715,6 @@ class TestOrderedLines:
 
         for module in (corgi.dataset_io, corgi.scheduler):
             monkeypatch.setattr(module, "instance_line", counting(module.instance_line))
-        monkeypatch.setattr(corgi.dataset_io, "view_line", counting(view_line))
         expected = str(tmp_path / "expected.jsonl.manifest")
         for strategy in STRATEGIES:
             assert main(["resume", "--config", path, "--strategy", strategy]) == 0
@@ -1655,7 +1726,7 @@ class TestOrderedLines:
             write_json(expected, want.manifest)
             encoded.clear()
             ordered = cfg.artifact(ORDERED_FILE)
-            assert read_bytes(ordered) == b"".join(map(view_line, want.items)), strategy
+            assert read_bytes(ordered) == b"".join(map(reference_view_line, want.items)), strategy
             assert read_bytes(manifest_path(ordered)) == read_bytes(expected)
 
     def test_order_encodes_a_rewritten_input(self, tmp_path, capsys):
@@ -1674,7 +1745,7 @@ class TestOrderedLines:
         lines = read_bytes(ordered).splitlines(keepends=True)
         assert len(lines) == len(records)
         instances = load_dataset(cfg.artifact(INSTANCES_FILE))
-        assert lines == [view_line(item) for item in load_view(ordered, instances).items]
+        assert lines == [reference_view_line(item) for item in load_view(ordered, instances).items]
 
 
 # Run in a child process: ``corgi run`` that dies with ``os._exit`` half way

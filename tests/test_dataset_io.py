@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import make_instance
+from conftest import make_instance, reference_record
 from corgi.dataset_io import (
     VIEW_FIELDS,
     DatasetFormatError,
@@ -262,7 +262,8 @@ def test_instance_line_matches_the_generic_encoder():
         replace(base, provenance=prov),
     ] + _varied_items(random.Random(43))
     for item in items:
-        assert instance_line(item) == _dump_line(instance_to_record(item))
+        assert instance_line(item) == _dump_line(reference_record(item))
+        assert instance_to_record(item) == reference_record(item)
     for bad in (
         replace(base, cognitive_index=True),
         replace(base, relevance_votes=(1, 0)),
@@ -655,7 +656,7 @@ def _keys(item):
 
 def _reference_view_line(item):
     """The view line of ``item`` by the generic encoder."""
-    record = instance_to_record(item)
+    record = reference_record(item)
     view = {key: record[key] for key in VIEW_FIELDS}
     return (json.dumps(view, ensure_ascii=False) + "\n").encode("utf-8")
 

@@ -200,6 +200,14 @@ class TestWindows:
         with pytest.raises(FilterError):
             Bm25Retriever([CorpusDocument("a.txt", "Empty", "")])
 
+    def test_a_corpus_with_no_searchable_word_is_an_error(self):
+        """Windows whose words hold no letter or digit give no token, so no
+        average window length to divide by."""
+        docs = [CorpusDocument("a.txt", "Marks", "... --- !!!"),
+                CorpusDocument("b.txt", "Accents", "\u00e9\u00e8 \u00e0")]
+        with pytest.raises(FilterError, match="corpus holds no searchable word"):
+            Bm25Retriever(docs)
+
     def test_window_words_must_be_positive(self):
         with pytest.raises(FilterError):
             Bm25Retriever(one_window_corpus(), window_words=0)
@@ -549,6 +557,12 @@ class TestLoadCorpus:
         with pytest.raises(FilterError) as err:
             load_corpus(str(tmp_path))
         assert str(err.value).startswith(f"{tmp_path / 'b.txt'}: not UTF-8: ")
+
+    def test_a_subdirectory_named_like_a_text_file_is_skipped(self, tmp_path):
+        (tmp_path / "a.txt").write_text("kepler orbit", encoding="utf-8")
+        (tmp_path / "b.txt").mkdir()
+        (tmp_path / "b.txt" / "c.txt").write_text("nucleus", encoding="utf-8")
+        assert [d.doc_id for d in load_corpus(str(tmp_path))] == ["a.txt"]
 
     def test_empty_directory(self, tmp_path):
         with pytest.raises(FilterError):
