@@ -11,7 +11,7 @@ The final batch may be smaller than ``batch_size``; it is still analyzed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .model import Dataset, InstructionInstance
@@ -39,14 +39,7 @@ class BatchStats:
     mean_cognitive_index: float
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "size": self.size,
-            "unique_subjects": self.unique_subjects,
-            "subject_coverage": self.subject_coverage,
-            "load_histogram": dict(self.load_histogram),
-            "mean_cognitive_index": self.mean_cognitive_index,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -170,20 +170,27 @@ def parse_catalog(path: str) -> list[Course]:
 
 def _parse_csv(path: str) -> list[Course]:
     """A missing or empty cell reads as empty.  A UTF-8 byte-order mark, as
-    spreadsheet programs write, is dropped."""
+    spreadsheet programs write, is dropped.  A row with a non-empty cell
+    past the header's last column, as an unquoted comma makes, and a header
+    naming a column of ``CSV_COLUMNS`` twice are errors; an empty extra
+    cell, or a repeat of a column corgi does not read, is not."""
     with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
         missing = [col for col in REQUIRED_COLUMNS if col not in header]
         if missing:
             raise CatalogError(f"{path}: missing required column(s) {missing}")
-        return [
-            _course_from_fields(
-                {name: (row.get(name) or "").strip() for name in CSV_COLUMNS},
-                f"{path}:{line_no}",
-            )
-            for line_no, row in enumerate(reader, start=2)
-        ]
+        repeated = [col for col in CSV_COLUMNS if header.count(col) > 1]
+        if repeated:
+            raise CatalogError(f"{path}: the header names column {repeated[0]!r} twice")
+        courses = []
+        for line_no, row in enumerate(reader, start=2):
+            where = f"{path}:{line_no}"
+            if any(cell.strip() for cell in row.get(None, ())):
+                raise CatalogError(f"{where}: more cells than the header's {len(header)} columns")
+            fields = {name: (row.get(name) or "").strip() for name in CSV_COLUMNS}
+            courses.append(_course_from_fields(fields, where))
+        return courses
 
 
 def _parse_jsonl(path: str) -> list[Course]:

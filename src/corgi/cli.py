@@ -27,7 +27,8 @@ Secrets never live in config files: API keys come only from the
 TEACHER_API_KEY / EMBED_API_KEY environment variables, and endpoint URLs
 fall back to TEACHER_API_BASE / EMBED_API_BASE when the config omits them.
 
-Errors print one machine-readable JSON object to stderr and exit 1.
+Errors print one machine-readable JSON object to stderr and exit 1; each
+warning is one JSON object on stderr too.
 
 A command imports only the modules its stages run: the teacher-side ones
 (``concepts``, ``filtering``, ``instructions``, ``teacher``) load only for
@@ -45,7 +46,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 from importlib import import_module
 from typing import TYPE_CHECKING, Callable, get_args, get_type_hints
 
@@ -75,7 +76,7 @@ from .scheduler import (
     STRATEGIES,
     OrderingConfig,
     export_training_order,
-    order_lines as order_dataset,
+    order as order_dataset,
     require_valid,
 )
 
@@ -176,9 +177,10 @@ def _resolve(base_dir: str, path: str | None) -> str | None:
 
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
-    """Load the JSON run config; CLI overrides win over file values."""
+    """Load the JSON run config; CLI overrides win over file values.  A
+    UTF-8 byte-order mark is dropped."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             raw = json.load(handle)
     except FileNotFoundError:
         raise CliError(f"config file not found: {path}")
@@ -354,22 +356,14 @@ def _teacher_sources(cfg: RunConfig) -> dict[str, str]:
     return {"teacher/script": script} if script else {}
 
 
-def _stage_refine(cfg: RunConfig, run: dict, courses: list[Course]) -> dict:
+def _each_course(cfg: RunConfig, step: str, courses: list[Course]) -> list:
+    """``step(course, client)`` for each course, fanned out over one teacher
+    client; ``step`` names a function that ``_use`` looks up at each call."""
     client = build_teacher(cfg)
-    refine = _use("refine_description")
-    refined = _use("fan_out")(
-        lambda course: refine(course, client), courses, client.max_concurrency
+    run_step = _use(step)
+    return _use("fan_out")(
+        lambda course: run_step(course, client), courses, client.max_concurrency
     )
-    return {REFINED_FILE: refined}
-
-
-def _stage_concepts(cfg: RunConfig, run: dict, courses: list[Course]) -> dict:
-    client = build_teacher(cfg)
-    extract = _use("extract_concepts")
-    per_course = _use("fan_out")(
-        lambda course: extract(course, client), courses, client.max_concurrency
-    )
-    return {RAW_CONCEPTS_FILE: [concept for batch in per_course for concept in batch]}
 
 
 def _stage_dedup(cfg: RunConfig, run: dict, concepts: list[Concept]) -> dict:
@@ -467,7 +461,9 @@ STAGES = (
         reads=(COURSES_FILE,),
         sources=_teacher_sources,
         params=_teacher_params,
-        run=_stage_refine,
+        run=lambda cfg, run, courses: {
+            REFINED_FILE: _each_course(cfg, "refine_description", courses)
+        },
     ),
     Stage(
         name="concepts",
@@ -476,7 +472,10 @@ STAGES = (
         reads=(REFINED_FILE,),
         sources=_teacher_sources,
         params=_teacher_params,
-        run=_stage_concepts,
+        run=lambda cfg, run, courses: {RAW_CONCEPTS_FILE: [
+            concept for batch in _each_course(cfg, "extract_concepts", courses)
+            for concept in batch
+        ]},
     ),
     Stage(
         name="dedup",
@@ -773,6 +772,27 @@ def first_pending_stage(cfg: RunConfig, run: dict,
     return None
 
 
+@cache
+def _log_json_lines() -> None:
+    """Give the ``corgi`` logger, once per process (the call is cached), a
+    handler that writes each record as one JSON object to ``sys.stderr`` as
+    that is at emit time (a test may swap it).  Only teacher-side modules
+    (``corgi.LAZY_MODULES``) log, so a command that loads none of them, like
+    ``resume --strategy``, does not import ``logging``."""
+    import logging
+
+    class JsonLines(logging.Handler):
+        def emit(self, record: logging.LogRecord) -> None:
+            try:
+                line = json.dumps({"level": record.levelname, "logger": record.name,
+                                   "message": record.getMessage()}, ensure_ascii=False)
+                print(line, file=sys.stderr)
+            except Exception:
+                self.handleError(record)
+
+    logging.getLogger(__package__).addHandler(JsonLines())
+
+
 def run_pipeline(cfg: RunConfig, command: str = "run") -> None:
     """Run every stage, the one stage ``command`` names, or (``"resume"``)
     every stage from the first stale one on; a value passes to the later
@@ -793,8 +813,11 @@ def run_pipeline(cfg: RunConfig, command: str = "run") -> None:
         # Load the code of every stage to run before the first one makes
         # any data: code loaded in between long-lived values raises the
         # peak RSS.
-        for module in dict.fromkeys(m for stage in stages for m in stage.modules):
+        modules = dict.fromkeys(m for stage in stages for m in stage.modules)
+        for module in modules:
             import_module(f".{module}", __package__)
+        if modules:
+            _log_json_lines()
         for i, stage in enumerate(stages):
             artifacts.keep({name for later in stages[i:] for name in later.reads})
             run_stage(stage, cfg, run, artifacts)
@@ -808,12 +831,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
+        # Each override's dest is the config key it sets.
         p.add_argument("--config", required=True, help="path to the run config JSON")
         p.add_argument("--strategy", choices=STRATEGIES, help="override strategy")
         p.add_argument("--seed", type=int, help="override seed")
         p.add_argument("--batch-size", type=int, help="override batch size")
         p.add_argument(
-            "--threshold", type=float, help="override the dedup similarity threshold"
+            "--threshold", type=float, dest="dedup_threshold", metavar="THRESHOLD",
+            help="override the dedup similarity threshold",
         )
         p.add_argument(
             "--required-yes", type=int, help="override the retrieval vote threshold"
@@ -823,16 +848,6 @@ def _build_parser() -> argparse.ArgumentParser:
         add_common(sub.add_parser(name, help=f"{name} stage" if name in STAGE_NAMES
                                   else f"{name} the full pipeline"))
     return parser
-
-
-def _overrides_from_args(args: argparse.Namespace) -> dict:
-    return {
-        "strategy": args.strategy,
-        "seed": args.seed,
-        "batch_size": args.batch_size,
-        "dedup_threshold": args.threshold,
-        "required_yes": args.required_yes,
-    }
 
 
 # corgi's BLAS work, dedup's matrix-vector screen, is small per call, so a
@@ -847,9 +862,10 @@ def main(argv: list[str] | None = None) -> int:
     if "numpy" not in sys.modules:
         for name in BLAS_THREAD_VARS:
             os.environ.setdefault(name, "1")
-    args = _build_parser().parse_args(argv)
+    overrides = vars(_build_parser().parse_args(argv))
+    command, config = overrides.pop("command"), overrides.pop("config")
     try:
-        run_pipeline(load_config(args.config, _overrides_from_args(args)), args.command)
+        run_pipeline(load_config(config, overrides), command)
     except Exception as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error, ensure_ascii=False), file=sys.stderr)

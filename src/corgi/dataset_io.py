@@ -176,9 +176,9 @@ def read_jsonl(path: str) -> Iterable[tuple[int, dict]]:
 
     This is the one JSONL line reader of every input, so invalid JSON and
     a line that is not an object raise ``DatasetFormatError`` naming the
-    line, whichever stage reads the file.
+    line, whichever stage reads the file.  A UTF-8 byte-order mark is dropped.
     """
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             for line_no, raw in enumerate(handle, start=1):
                 raw = raw.strip()
@@ -340,8 +340,8 @@ class DatasetLines:
 
     Each item is a ``LineItem`` whose ``line`` is the view line of the
     instance, as ``view_lines`` cuts it.  The manifest of a filtered view
-    records ``dataset_digest`` of its instances, which ``order_lines``
-    records as its input digest.  ``turns``, when set, holds the
+    records ``dataset_digest`` of its instances, which ``scheduler.order``
+    of the view records as its input digest.  ``turns``, when set, holds the
     ``training_line`` of each item, in item order.
     """
 

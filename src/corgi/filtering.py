@@ -14,7 +14,7 @@ import math
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:
@@ -103,7 +103,7 @@ class CorpusDocument:
 
 def load_corpus(path: str) -> list[CorpusDocument]:
     """Load a reference corpus: a directory of .txt files (``corpus_files``)
-    or a JSONL file.
+    or a JSONL file.  A UTF-8 byte-order mark at the start of a file is dropped.
 
     Each JSONL record needs a string ``title`` and a string ``text``; any
     other value is a ``FilterError`` naming the line and the field.
@@ -112,7 +112,7 @@ def load_corpus(path: str) -> list[CorpusDocument]:
     if os.path.isdir(path):
         for name, full in corpus_files(path).items():
             try:
-                with open(full, encoding="utf-8") as handle:
+                with open(full, encoding="utf-8-sig") as handle:
                     text = handle.read()
             except UnicodeDecodeError as exc:
                 raise FilterError(f"{full}: not UTF-8: {exc}") from None
@@ -356,14 +356,7 @@ class FilterStats:
     retrieval_failures: int = 0
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "input_count": self.input_count,
-            "rule_dropped": self.rule_dropped,
-            "retrieval_dropped": self.retrieval_dropped,
-            "kept": self.kept,
-            "rule_drop_reasons": dict(self.rule_drop_reasons),
-            "retrieval_failures": self.retrieval_failures,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ class ConceptFailure:
     error: str
     ungenerated_indices: tuple[int, ...]
 
+    # Not ``asdict``, which would keep ``ungenerated_indices`` a tuple.
     def to_dict(self) -> dict[str, Any]:
         return {
             "concept_id": self.concept_id,

@@ -21,8 +21,8 @@ Subject and concept orders are those of first appearance in the input; for
 another subject order, stably pre-sort the items by subject rank.
 Every strategy but random is one stable sort of the items by a key
 (``_order_group``), so items whose keys are equal keep their input order.
-``order`` permutes decoded instances and ``order_lines`` the lines of a
-view (``DatasetLines``), by the same function.
+``order`` permutes decoded instances, or the lines of a view
+(``DatasetLines``), by the same function.
 """
 
 from __future__ import annotations
@@ -166,50 +166,35 @@ def require_valid(d: Dataset) -> None:
     object.__setattr__(d, "validated", True)
 
 
-def order(d: Dataset, cfg: OrderingConfig) -> Dataset:
-    """Emit the curriculum permutation for one strategy.
+def order(d: Dataset | DatasetLines, cfg: OrderingConfig) -> Dataset | DatasetLines:
+    """Emit the curriculum permutation for one strategy, as a value of
+    ``d``'s type: a view is permuted with no item decoded or encoded.
 
-    The manifest keeps the input's ``run_id`` and records the ordering keys
-    ``strategy``, ``seed``, ``granularity`` and the input's digest, which is
-    ``d.digest`` when set and ``dataset_digest(d.items)`` otherwise; a
-    digest computed here is kept on ``d``, so ``d`` is validated and
-    digested once however many strategies order it.  ``granularity`` is
-    None for every strategy but interleave, the one it shapes.
+    The manifest keeps the input's ``run_id`` and records ``strategy``,
+    ``seed``, ``granularity`` (None for every strategy but interleave, the
+    one it shapes) and the input's digest.  A view is not validated, as it
+    is made from a dataset that passed ``validate``, and its digest is the
+    ``dataset_digest`` its manifest records.  A ``Dataset`` keeps the digest
+    computed here as ``d.digest``, so it is validated and digested once
+    however many strategies order it.
     """
-    require_valid(d)
-    if d.digest is None:
-        object.__setattr__(d, "digest", dataset_digest(d.items))
+    if isinstance(d, DatasetLines):
+        digest = d.manifest["dataset_digest"]
+    else:
+        require_valid(d)
+        if d.digest is None:
+            object.__setattr__(d, "digest", dataset_digest(d.items))
+        digest = d.digest
     ordered = _curriculum(d, cfg)
-    return Dataset(tuple(ordered), _ordered_manifest(ordered, d, cfg, d.digest))
-
-
-def order_lines(lines: DatasetLines, cfg: OrderingConfig) -> DatasetLines:
-    """``order`` of the dataset whose view is ``lines``: the same
-    permutation and manifest, with no item decoded or encoded.
-
-    Nothing is validated: a view is made from a dataset that has passed
-    ``validate`` (the filter stage's, or one rebuilt and checked by its
-    reader).  The input digest is the ``dataset_digest`` that the view's
-    manifest records.
-    """
-    ordered = _curriculum(lines, cfg)
-    return DatasetLines(
-        tuple(ordered), _ordered_manifest(ordered, lines, cfg, lines.manifest["dataset_digest"])
-    )
-
-
-def _ordered_manifest(
-    ordered: list, source: Dataset | DatasetLines, cfg: OrderingConfig, digest: str
-) -> dict:
-    return build_manifest(
+    return type(d)(tuple(ordered), build_manifest(
         ordered,
-        run_id=source.manifest.get("run_id", ""),
+        run_id=d.manifest.get("run_id", ""),
         strategy=cfg.strategy,
         seed=cfg.seed,
         extra={"granularity": cfg.interleave_granularity
                if cfg.strategy == STRATEGY_INTERLEAVE else None,
                "input_digest": digest},
-    )
+    ))
 
 
 def _curriculum(d: Dataset | DatasetLines, cfg: OrderingConfig) -> list:

@@ -239,9 +239,10 @@ class MockTeacherBackend:
 
     @classmethod
     def from_file(cls, path: str) -> "MockTeacherBackend":
-        """Load a JSON object mapping each prompt digest to its reply."""
+        """Load a JSON object mapping each prompt digest to its reply; a
+        UTF-8 byte-order mark is dropped."""
         try:
-            with open(path, encoding="utf-8") as handle:
+            with open(path, encoding="utf-8-sig") as handle:
                 scripts = json.load(handle)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise TeacherError(f"{path}: invalid JSON: {exc}") from None

@@ -321,6 +321,55 @@ class TestParseCatalog:
         path.write_bytes(codecs.BOM_UTF8 + data)
         assert parse_catalog(str(path)) == parse_catalog(fixture)
 
+    def test_a_jsonl_byte_order_mark_is_dropped(self, tmp_path):
+        record = json.dumps({
+            "subject": ASTRONOMY_SUBJECT,
+            "course_title": ASTRONOMY_TITLE,
+            "course_description": "Stars and planets.",
+        }).encode("utf-8") + b"\n"
+        plain, bom = tmp_path / "plain.jsonl", tmp_path / "bom.jsonl"
+        plain.write_bytes(record)
+        bom.write_bytes(codecs.BOM_UTF8 + record)
+        assert parse_catalog(str(bom)) == parse_catalog(str(plain))
+
+    def test_a_row_with_an_extra_cell_is_an_error(self, tmp_path):
+        """An unquoted comma in a description shifts the row's later cells;
+        the last one falls past the header."""
+        path = tmp_path / "cat.csv"
+        path.write_text(
+            "subject,course_title,course_description,source\n"
+            "Higher Education - Law,Contracts,Offer, acceptance and consideration,Penn\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(CatalogError) as err:
+            parse_catalog(str(path))
+        assert str(err.value) == f"{path}:2: more cells than the header's 4 columns"
+
+    def test_a_repeated_column_is_an_error(self, tmp_path):
+        path = tmp_path / "cat.csv"
+        path.write_text(
+            "subject,course_title,course_description,course_description\n"
+            "Higher Education - Law,Contracts,A,B\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(CatalogError) as err:
+            parse_catalog(str(path))
+        assert str(err.value) == f"{path}: the header names column 'course_description' twice"
+
+    def test_empty_extra_cells_and_unread_repeated_columns_parse(self, tmp_path):
+        """Trailing empty cells and repeats of columns corgi does not read,
+        as spreadsheets write them, are not errors."""
+        path = tmp_path / "cat.csv"
+        path.write_text(
+            f"{CSV_HEADER},,notes,notes\n"
+            f"{ASTRONOMY_SUBJECT},{ASTRONOMY_TITLE},Stars.,src,,,a,b, ,\n",
+            encoding="utf-8",
+        )
+        [course] = parse_catalog(str(path))
+        assert (course.title, course.description, course.source) == (
+            ASTRONOMY_TITLE, "Stars.", "src"
+        )
+
     def test_stage_hint_column(self, tmp_path):
         path = tmp_path / "hint.csv"
         _write_csv(

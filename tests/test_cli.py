@@ -309,6 +309,14 @@ class TestLoadConfig:
             load_config(str(bad))
         assert str(err.value).startswith(f"{bad} is not valid JSON: ")
 
+    def test_a_byte_order_mark_is_dropped(self, tmp_path):
+        path = write_config(tmp_path)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + data)
+        assert load_config(str(bom)) == load_config(path)
+
     def test_keys_no_backend_reads_are_rejected(self, tmp_path):
         cases = (
             ("teacher", {"backend": "simulated", "max_concurrency": 2}, "max_concurrency"),
@@ -409,6 +417,25 @@ class TestLoadConfig:
         assert cfg.batch_size == 64
         assert cfg.dedup_threshold == 0.5
         assert cfg.required_yes == 1
+
+    @pytest.mark.parametrize("flag, value, key, want", [
+        ("--strategy", "block", "strategy", "block"),
+        ("--seed", "9", "seed", 9),
+        ("--batch-size", "64", "batch_size", 64),
+        ("--threshold", "0.5", "dedup_threshold", 0.5),
+        ("--required-yes", "2", "required_yes", 2),
+    ])
+    def test_each_flag_sets_its_config_key(self, tmp_path, monkeypatch, flag, value, key, want):
+        runs = []
+        monkeypatch.setattr(cli, "run_pipeline", lambda cfg, command: runs.append((cfg, command)))
+        path = write_config(tmp_path)
+        assert main(["order", "--config", path, flag, value]) == 0
+        assert runs == [(replace(load_config(path), **{key: want}), "order")]
+
+    def test_help_names_the_threshold_flag_by_its_own_name(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        assert "--threshold THRESHOLD" in capsys.readouterr().out
 
     def test_validation_of_values(self, tmp_path):
         with pytest.raises(CliError):
@@ -991,6 +1018,35 @@ class TestErrorsAndLocking:
         captured = capsys.readouterr()
         assert rc == 1
         assert json.loads(captured.err.strip())["error"] == "CliError"
+
+    def test_a_warning_reaches_stderr_as_a_json_line(self, tmp_path):
+        """A child ``corgi`` run whose concept reply holds an entry it cannot
+        parse writes that warning, and nothing else, to stderr as JSON."""
+        from corgi.catalog import parse_catalog
+        from corgi.dataset_io import save_courses
+        from corgi.prompts import build_concept_prompt
+
+        course = replace(parse_catalog(CATALOG)[0], refined_description="Refined.")
+        reply = "1. Energy: The capacity to do work.\n2. No separator"
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({prompt_digest(build_concept_prompt(course)): reply}))
+        path = write_config(tmp_path, teacher={"backend": "scripted", "script": str(script)})
+        workdir = load_config(path).workdir
+        os.makedirs(workdir)
+        save_courses([course], os.path.join(workdir, REFINED_FILE))
+        child = subprocess.run(
+            [sys.executable, "-m", "corgi", "concepts", "--config", path],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert [json.loads(line) for line in child.stderr.splitlines()] == [{
+            "level": "WARNING",
+            "logger": "corgi.concepts",
+            "message": f"course {course.id}: skipping unparseable concept entry 'No separator'",
+        }]
 
 
 # Run in a child process: a corgi command that dies (as if killed) when it

@@ -209,6 +209,12 @@ class TestExtractConcepts:
                 "physics/mechanics/limits",
                 "physics/mechanics/limits-3",
             ],
+            "1. X 3: One.\n2. X: Two.\n3. X: Three.\n4. X: Four.": [
+                "physics/mechanics/x-3",
+                "physics/mechanics/x",
+                "physics/mechanics/x-2",
+                "physics/mechanics/x-4",
+            ],
         }
         for reply, ids in cases.items():
             client = scripted_client({build_concept_prompt(course): reply})

@@ -733,9 +733,9 @@ def test_a_bad_view_line_is_named(tmp_path, edit, line, field, message):
 
 
 def test_lines_order_and_export_like_the_decoded_dataset(tmp_path):
-    """``order_lines`` gives ``order``'s permutation and manifest, and the
-    export of the ordered view carrying its turns is byte-identical to the
-    decoded dataset's and the generic encoder's."""
+    """``order`` of a view gives the decoded dataset's permutation and
+    manifest, and the export of the ordered view carrying its turns is
+    byte-identical to the decoded dataset's and the generic encoder's."""
     from dataclasses import replace
 
     from corgi.dataset_io import parse_view_lines, view_lines
@@ -746,7 +746,7 @@ def test_lines_order_and_export_like_the_decoded_dataset(tmp_path):
         _curriculum,
         dataset_digest,
         export_training_order,
-        order_lines,
+        order,
     )
 
     rng = random.Random(2306)
@@ -764,7 +764,7 @@ def test_lines_order_and_export_like_the_decoded_dataset(tmp_path):
             # The slicer items are not valid instances, so the permutation
             # is taken from the one ``order`` runs after ``validate``.
             want = _curriculum(d, cfg)
-            got = order_lines(lines, cfg)
+            got = order(lines, cfg)
             assert [it.line for it in got.items] == list(map(_reference_view_line, want))
             assert got.manifest["input_digest"] == dataset_digest(items)
             ordered = make_dataset(want, run_id="lines", strategy=strategy, seed=11,

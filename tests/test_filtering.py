@@ -1,5 +1,6 @@
 """Filtering tests: rule table, BM25 retrieval, vote logic, full passes."""
 
+import codecs
 import json
 import math
 import random
@@ -511,6 +512,15 @@ class TestLoadCorpus:
         documents = load_corpus(str(path))
         assert [d.title for d in documents] == ["Solar System", "Cells"]
         assert documents[1].doc_id == f"{path}:3"
+
+    @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
+    def test_a_byte_order_mark_is_dropped(self, tmp_path, bom):
+        (tmp_path / "doc.txt").write_bytes(bom + b"kepler orbit")
+        (tmp_path / "corpus.jsonl").write_bytes(
+            bom + json.dumps({"title": "Solar", "text": "kepler orbit"}).encode("utf-8")
+        )
+        assert [d.text for d in load_corpus(str(tmp_path))] == ["kepler orbit"]
+        assert [d.text for d in load_corpus(str(tmp_path / "corpus.jsonl"))] == ["kepler orbit"]
 
     def test_invalid_json_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

@@ -435,6 +435,24 @@ def test_order_returns_a_dataset_with_the_ordering_manifest():
     assert interleaved.manifest["granularity"] == "per_load_tier"
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_order_returns_a_value_of_its_input_type(strategy):
+    """``order`` of a view is a view of the items that ``order`` of the
+    dataset gives, with an equal manifest."""
+    from corgi.dataset_io import DatasetLines, view_lines
+    from corgi.model import Dataset
+
+    d = random_dataset(random.Random(3006), max_items=40)
+    cfg = OrderingConfig(strategy=strategy, seed=9)
+    of_view = order(view_lines(d), cfg)
+    of_dataset = order(d, cfg)
+    assert type(of_view) is DatasetLines and type(of_dataset) is Dataset
+    assert of_view.manifest == of_dataset.manifest
+    assert [it.line for it in of_view.items] == [
+        it.line for it in view_lines(of_dataset).items
+    ]
+
+
 def test_per_load_tier_discriminates():
     """Indices 5 and 6 share the medium tier, so tier interleaving alternates
     subjects where per-index interleaving finishes level 5 first."""

@@ -146,6 +146,12 @@ class TestMockBackend:
         backend = MockTeacherBackend.from_file(str(path))
         assert backend.complete(CompletionRequest(prompt="hello")) == "scripted hello"
 
+    def test_from_file_drops_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "scripts.json"
+        script = json.dumps({prompt_digest("hello"): "scripted hello"}).encode("utf-8")
+        path.write_bytes(b"\xef\xbb\xbf" + script)
+        assert MockTeacherBackend.from_file(str(path)).scripts == json.loads(script)
+
     @pytest.mark.parametrize(
         "text, message",
         [
