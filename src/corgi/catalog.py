@@ -144,36 +144,39 @@ def parse_catalog(path: str) -> list[Course]:
     """Parse a CSV or JSONL catalog into Course records.
 
     A ``.jsonl`` or ``.json`` path is read as JSONL, any other as CSV.
-    Two courses whose (subject, course_title) slug to one course id, as a
-    repeated pair does, are rejected.
+    An error about a row names it as ``path:line``.  Two courses whose
+    (subject, course_title) slug to one course id, as a repeated pair does,
+    are rejected.
     """
     if path.endswith((".jsonl", ".json")):
-        courses = _parse_jsonl(path)
+        rows = _parse_jsonl(path)
     else:
         try:
-            courses = _parse_csv(path)
+            rows = _parse_csv(path)
         except UnicodeDecodeError as exc:
             raise CatalogError(f"{path}: not UTF-8: {exc}") from None
 
-    seen: dict[str, int] = {}
-    for i, course in enumerate(courses):
+    seen: dict[str, tuple[str, Course]] = {}
+    for where, course in rows:
         if course.id in seen:
-            first = courses[seen[course.id]]
+            first_where, first = seen[course.id]
             raise CatalogError(
-                f"{path}: records {seen[course.id] + 1} and {i + 1} share course id "
-                f"{course.id!r}: {first.title!r} under subject {first.subject!r} "
+                f"{where}: shares course id {course.id!r} with {first_where}: "
+                f"{first.title!r} under subject {first.subject!r} "
                 f"and {course.title!r} under subject {course.subject!r}"
             )
-        seen[course.id] = i
-    return courses
+        seen[course.id] = where, course
+    return [course for _, course in rows]
 
 
-def _parse_csv(path: str) -> list[Course]:
-    """A missing or empty cell reads as empty.  A UTF-8 byte-order mark, as
-    spreadsheet programs write, is dropped.  A row with a non-empty cell
-    past the header's last column, as an unquoted comma makes, and a header
-    naming a column of ``CSV_COLUMNS`` twice are errors; an empty extra
-    cell, or a repeat of a column corgi does not read, is not."""
+def _parse_csv(path: str) -> list[tuple[str, Course]]:
+    """Each row's ``path:line``, naming the line the row ends on, and its
+    course.  A missing or empty cell reads as empty.  A UTF-8 byte-order
+    mark, as spreadsheet programs write, is dropped.  A row with a
+    non-empty cell past the header's last column, as an unquoted comma
+    makes, and a header naming a column of ``CSV_COLUMNS`` twice are
+    errors; an empty extra cell, or a repeat of a column corgi does not
+    read, is not."""
     with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
@@ -183,26 +186,26 @@ def _parse_csv(path: str) -> list[Course]:
         repeated = [col for col in CSV_COLUMNS if header.count(col) > 1]
         if repeated:
             raise CatalogError(f"{path}: the header names column {repeated[0]!r} twice")
-        courses = []
-        for line_no, row in enumerate(reader, start=2):
-            where = f"{path}:{line_no}"
+        rows = []
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
             if any(cell.strip() for cell in row.get(None, ())):
                 raise CatalogError(f"{where}: more cells than the header's {len(header)} columns")
             fields = {name: (row.get(name) or "").strip() for name in CSV_COLUMNS}
-            courses.append(_course_from_fields(fields, where))
-        return courses
+            rows.append((where, _course_from_fields(fields, where)))
+        return rows
 
 
-def _parse_jsonl(path: str) -> list[Course]:
-    """Each field is a string or null; a null or missing field reads as empty."""
+def _parse_jsonl(path: str) -> list[tuple[str, Course]]:
+    """Each record's ``path:line`` and its course.  Each field is a string
+    or null; a null or missing field reads as empty."""
+    rows = []
     try:
-        return [
-            _course_from_fields(
-                {name: (_require(record, path, line_no, name, None) or "").strip()
-                 for name in CSV_COLUMNS},
-                f"{path}:{line_no}",
-            )
-            for line_no, record in read_jsonl(path)
-        ]
+        for line_no, record in read_jsonl(path):
+            where = f"{path}:{line_no}"
+            fields = {name: (_require(record, path, line_no, name, None) or "").strip()
+                      for name in CSV_COLUMNS}
+            rows.append((where, _course_from_fields(fields, where)))
     except DatasetFormatError as exc:
         raise CatalogError(str(exc)) from exc
+    return rows

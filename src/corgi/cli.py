@@ -196,14 +196,14 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
             raise CliError(f"{path}: config is missing {required!r}")
 
     for section in BACKENDS:
-        if raw.get(section) is None:
-            raw[section] = {}
-        _backend(section, raw[section], path)
+        spec = {} if raw.get(section) is None else raw[section]
+        _, args = _backend(section, spec, path)
+        raw[section] = {**spec, **args}
 
     cfg = RunConfig(**raw)
     if overrides:
         cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    _check_types(path, cfg)
+    cfg = _check_types(path, cfg)
     if cfg.strategy not in STRATEGIES:
         raise CliError(f"unknown strategy: {cfg.strategy!r}")
     if cfg.interleave_granularity not in (GRANULARITY_PER_INDEX, GRANULARITY_PER_LOAD_TIER):
@@ -242,18 +242,25 @@ _JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number",
                     dict: "a JSON object", type(None): "null"}
 
 
-def _check_type(path: str, name: str, value, kinds: tuple) -> None:
-    """``value`` has one of the JSON types ``kinds``; an int is also a
-    float, and a bool is never a number."""
-    if type(value) not in kinds and not (float in kinds and type(value) is int):
-        expected = " or ".join(_JSON_TYPE_NAMES[k] for k in kinds)
-        raise CliError(f"{path}: {name} must be {expected}, got {value!r}")
+def _check_type(path: str, name: str, value, kinds: tuple):
+    """``value``, which has one of the JSON types ``kinds``.  An int is also
+    a float, and one given for a float is returned as a float, so that ``1``
+    and ``1.0`` give one value, one digest and one artifact; a bool is never
+    a number."""
+    if type(value) in kinds:
+        return value
+    if float in kinds and type(value) is int:
+        return float(value)
+    expected = " or ".join(_JSON_TYPE_NAMES[k] for k in kinds)
+    raise CliError(f"{path}: {name} must be {expected}, got {value!r}")
 
 
-def _check_types(path: str, cfg: RunConfig) -> None:
-    """Every config value has its field's JSON type."""
-    for name, kind in get_type_hints(RunConfig).items():
-        _check_type(path, name, getattr(cfg, name), get_args(kind) or (kind,))
+def _check_types(path: str, cfg: RunConfig) -> RunConfig:
+    """``cfg`` with every value checked, and converted, by ``_check_type``."""
+    return replace(cfg, **{
+        name: _check_type(path, name, getattr(cfg, name), get_args(kind) or (kind,))
+        for name, kind in get_type_hints(RunConfig).items()
+    })
 
 
 def _teacher_params(cfg: RunConfig) -> dict:
@@ -272,8 +279,8 @@ def _teacher_params(cfg: RunConfig) -> dict:
 def _backend(section: str, spec, path: str = "config") -> tuple[str, dict]:
     """The name of the constructor ``spec`` names, and its arguments.
 
-    ``spec`` and its values are type-checked as top-level keys are; an int
-    given for a float is handed over as a float.
+    ``spec`` and its values are checked, and converted, as top-level keys
+    are, by ``_check_type``.
     """
     default, backends = BACKENDS[section]
     _check_type(path, section, spec, (dict,))
@@ -291,8 +298,7 @@ def _backend(section: str, spec, path: str = "config") -> tuple[str, dict]:
     args = {}
     for key, json_type in types.items():
         if spec.get(key) is not None:
-            _check_type(path, f"{section}.{key}", spec[key], (json_type,))
-            args[key] = float(spec[key]) if json_type is float else spec[key]
+            args[key] = _check_type(path, f"{section}.{key}", spec[key], (json_type,))
     return constructor, args
 
 

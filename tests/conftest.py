@@ -4,10 +4,12 @@ Everything here constructs plain domain values; no fixtures with hidden
 state. Tests import these helpers directly.
 """
 
+import json
+import os
+
 from corgi.catalog import slugify
 from corgi.model import (
     HIGHER,
-    Dataset,
     EducationalStage,
     InstructionInstance,
     make_dataset,
@@ -83,6 +85,31 @@ def reference_record(item):
             "run_id": item.provenance.run_id,
         },
     }
+
+
+def reference_training_line(record):
+    """The ``training.jsonl`` line of the instance record ``record``, built
+    with ``json.dumps``: an oracle for the training encoder that shares no
+    code with it."""
+    system = record["system_message"]
+    turns = [{"role": "system", "content": system}] if system else []
+    turns += [{"role": "user", "content": record["question"]},
+              {"role": "assistant", "content": record["answer"]}]
+    return (json.dumps({"messages": turns}, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def reference_training(workdir):
+    """The ``training.jsonl`` of ``workdir``, built from its
+    ``instances.jsonl`` records, taken in the order of the ids in its
+    ``ordered.jsonl``, by ``reference_training_line``."""
+    def records(name):
+        with open(os.path.join(workdir, name), encoding="utf-8") as handle:
+            return [json.loads(line) for line in handle]
+
+    instances = {record["id"]: record for record in records("instances.jsonl")}
+    return b"".join(
+        reference_training_line(instances[view["id"]]) for view in records("ordered.jsonl")
+    )
 
 
 def nine_item_fixture():

@@ -11,7 +11,6 @@ import json
 import math
 import os
 import random
-import re
 import time
 from collections import Counter
 
@@ -37,7 +36,7 @@ from corgi.filtering import (
     run_filters,
 )
 from corgi.instructions import generate_instances
-from corgi.model import Concept, Course, EducationalStage, make_dataset
+from corgi.model import Concept, EducationalStage, make_dataset
 from corgi.prompts import (
     build_concept_prompt,
     build_question_prompt,
@@ -48,6 +47,15 @@ from corgi.scheduler import OrderingConfig, order
 from corgi.taxonomy import COGNITIVE_TEMPLATES
 from corgi.teacher import SimulatedTeacherBackend, TeacherClient
 from reference_orderings import ref_order
+from test_filtering import naive_top_windows
+from test_prompts import (
+    COMET_QUESTION,
+    KEPLER_PASSAGE,
+    SUBJECT,
+    TITLE,
+    astronomy_course,
+    solar_system_concept,
+)
 
 FIVE_STRATEGIES = ("block", "cluster", "interleave", "spiral", "random")
 
@@ -473,78 +481,9 @@ def test_criterion_07_dedup_postcondition():
     assert verdict(7, ok, detail), detail
 
 
-SUBJECT = "Higher Education - Astronomy"
-
-TITLE = "A Survey of the Universe"
-
-RAW_DESCRIPTION = (
-    "A general survey, designed for the non-major, of the facts and theories "
-    "of the astronomical universe, from the solar system to stars to galaxies "
-    "and cosmology. Topics include planets, satellites, small objects in the "
-    "solar system, and extraterrestrial life; stars, their evolution, and "
-    "their final state as white dwarfs, neutron stars, or black holes; "
-    "galaxies, quasars, large structures, background radiation, and big bang "
-    "cosmology. Elementary algebra and geometry will be used. This course is "
-    "not recommended for physical science majors or engineering students. "
-    "Engineering students receive no credit for this course. Fulfills "
-    "quantitative data analysis requirements."
-)
-
-CONCEPT_EXPLANATION = (
-    "The solar system refers to the collection of celestial bodies, "
-    "including the sun, planets, satellites, asteroids, comets, and other "
-    "smaller objects that are bound together by gravitational forces. This "
-    "concept involves the study of the formation, characteristics, and "
-    "dynamics of these objects within the system, as well as their "
-    "interactions with each other."
-)
-
-COMET_QUESTION = (
-    "Suppose you are studying the solar system, and you observe that a comet "
-    "is moving in a highly elliptical orbit around the Sun. Construct a "
-    "cause-and-effect model to explain the factors that could have "
-    "influenced the comet's orbit."
-)
-
-KEPLER_PASSAGE = (
-    "the case of the four giant planets, by planetary rings, thin bands of "
-    "tiny particles that orbit them in unison. Most of the largest natural "
-    "satellites are in synchronous rotation, with one face permanently "
-    "turned toward their parent. Kepler's laws of planetary motion describe "
-    "the orbits of objects about the Sun. Following Kepler's laws, each "
-    "object travels along an ellipse with the Sun at one focus. Objects "
-    "closer to the Sun (with smaller semi-major axes) travel more quickly "
-    "because they are more affected by the Sun's gravity. On an elliptical "
-    "orbit, a body's distance from the Sun varies over the"
-)
-
-
 def golden_bytes(name):
     with open(os.path.join(GOLDEN_DIR, name), "rb") as handle:
         return handle.read()
-
-
-def astronomy_course(refined=None):
-    return Course(
-        id="higher-education-astronomy/a-survey-of-the-universe",
-        subject=SUBJECT,
-        stage=EducationalStage("higher"),
-        title=TITLE,
-        description=RAW_DESCRIPTION,
-        refined_description=refined,
-        source="catalog.example.edu",
-    )
-
-
-def solar_system_concept():
-    return Concept(
-        id="higher-education-astronomy/a-survey-of-the-universe/solar-system",
-        course_id="higher-education-astronomy/a-survey-of-the-universe",
-        subject=SUBJECT,
-        stage=EducationalStage("higher"),
-        name="Solar System",
-        explanation=CONCEPT_EXPLANATION,
-    )
 
 
 def test_criterion_08_prompt_goldens():
@@ -623,39 +562,6 @@ RETRIEVER_VOCAB = (
 ).split()
 
 
-def exhaustive_bm25_top(documents, question, k, window_words):
-    """Score every window directly and return the top-k (doc_id, window)."""
-    k1 = 1.2
-    b = 0.75
-    token_re = re.compile(r"[a-z0-9]+")
-    windows = []
-    for doc in documents:
-        words = doc.text.split()
-        for number, start in enumerate(range(0, len(words), window_words)):
-            chunk = words[start : start + window_words]
-            if chunk:
-                windows.append(
-                    (doc.doc_id, number, token_re.findall(" ".join(chunk).lower()))
-                )
-    total = len(windows)
-    avgdl = sum(len(tokens) for _, _, tokens in windows) / total
-    df = Counter()
-    for _, _, tokens in windows:
-        df.update(set(tokens))
-    ranked = []
-    for position, (doc_id, number, tokens) in enumerate(windows):
-        score = 0.0
-        for term in token_re.findall(question.lower()):
-            tf = tokens.count(term)
-            if tf:
-                idf = math.log(1.0 + (total - df[term] + 0.5) / (df[term] + 0.5))
-                norm = k1 * (1.0 - b + b * len(tokens) / avgdl)
-                score += idf * tf * (k1 + 1.0) / (tf + norm)
-        ranked.append((score, position, doc_id, number))
-    ranked.sort(key=lambda row: (-row[0], row[1]))
-    return [(doc_id, number) for _, _, doc_id, number in ranked[: min(k, total)]]
-
-
 def test_criterion_10_retriever_matches_exhaustive_oracle():
     rng = random.Random(ACCEPT_SEED)
     mismatches = []
@@ -676,9 +582,10 @@ def test_criterion_10_retriever_matches_exhaustive_oracle():
                 (p.doc_id, p.window_index)
                 for p in retriever.retrieve(question, k=3)
             ]
-            want = exhaustive_bm25_top(
-                documents, question, 3, RETRIEVER_WINDOW_WORDS
-            )
+            want = [
+                (doc_id, number) for _, _, doc_id, number
+                in naive_top_windows(documents, question, 3, RETRIEVER_WINDOW_WORDS)
+            ]
             checked += 1
             if got != want:
                 mismatches.append((case, question))

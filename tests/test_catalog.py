@@ -121,7 +121,7 @@ class TestParseCatalog:
 
     def test_duplicate_subject_title_rejected(self, tmp_path):
         """A repeated pair, and two titles that slug to one course id, name
-        both records and both titles."""
+        both rows as ``path:line`` and both titles."""
         cases = {
             "dup.csv": (
                 [
@@ -129,7 +129,7 @@ class TestParseCatalog:
                     '"Higher Education - Law","Torts","Another course.","a",""',
                     '"Higher Education - Law","Contracts","Second offering.","b",""',
                 ],
-                "records 1 and 3 share course id 'higher-education-law/contracts': "
+                "{path}:4: shares course id 'higher-education-law/contracts' with {path}:2: "
                 "'Contracts' under subject 'Higher Education - Law' and 'Contracts' "
                 "under subject 'Higher Education - Law'",
             ),
@@ -140,8 +140,8 @@ class TestParseCatalog:
                     '"Higher Education - Computer and Info Science","C Basics",'
                     '"Pointers and arrays.","a",""',
                 ],
-                "records 1 and 2 share course id "
-                "'higher-education-computer-and-info-science/c-basics': "
+                "{path}:3: shares course id "
+                "'higher-education-computer-and-info-science/c-basics' with {path}:2: "
                 "'C++ Basics' under subject 'Higher Education - Computer and Info "
                 "Science' and 'C Basics' under subject 'Higher Education - Computer "
                 "and Info Science'",
@@ -152,7 +152,37 @@ class TestParseCatalog:
             _write_csv(path, rows)
             with pytest.raises(CatalogError) as err:
                 parse_catalog(str(path))
-            assert str(err.value) == f"{path}: {message}"
+            assert str(err.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("text", [
+        # A quoted cell that spans lines 2-3.
+        'Higher Education - Law,Contracts,"Offer\nand acceptance"\n',
+        'Higher Education - Law,Contracts,Offer and acceptance.\n\n',
+    ], ids=["multiline-cell", "blank-line"])
+    def test_a_csv_error_names_the_line_of_its_row(self, tmp_path, text):
+        """The bad row is on line 4 of either file."""
+        path = tmp_path / "cat.csv"
+        path.write_text("subject,course_title,course_description\n" + text
+                        + "Higher Education - Law,Torts,\n", encoding="utf-8")
+        with pytest.raises(CatalogError) as err:
+            parse_catalog(str(path))
+        assert str(err.value) == f"{path}:4: empty course_description"
+
+    def test_a_jsonl_duplicate_names_both_lines(self, tmp_path):
+        record = json.dumps({
+            "subject": "Higher Education - Ethics",
+            "course_title": "Intro",
+            "course_description": "Moral reasoning.",
+        })
+        path = tmp_path / "dup.jsonl"
+        path.write_text(record + "\n\n" + record + "\n", encoding="utf-8")
+        with pytest.raises(CatalogError) as err:
+            parse_catalog(str(path))
+        assert str(err.value) == (
+            f"{path}:3: shares course id 'higher-education-ethics/intro' with {path}:1: "
+            "'Intro' under subject 'Higher Education - Ethics' and 'Intro' under "
+            "subject 'Higher Education - Ethics'"
+        )
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "cols.csv"

@@ -19,7 +19,7 @@ import pytest
 
 import corgi
 import corgi.teacher as teacher_module
-from conftest import reference_record
+from conftest import reference_record, reference_training
 from corgi import cli
 from corgi.cli import (
     BATCH_REPORT_FILE,
@@ -464,8 +464,15 @@ class TestLoadConfig:
         assert f": {key} must be " in str(err.value)
 
     def test_an_int_is_a_number(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, dedup_threshold=1, max_failure_fraction=0))
-        assert (cfg.dedup_threshold, cfg.max_failure_fraction) == (1, 0)
+        """And is read as a float, at the top level and in a backend."""
+        cfg = load_config(write_config(
+            tmp_path, dedup_threshold=1, max_failure_fraction=0,
+            teacher={"relevance_yes_rate": 1, "temperature": 0},
+        ))
+        got = (cfg.dedup_threshold, cfg.max_failure_fraction,
+               cfg.teacher["relevance_yes_rate"], cfg.teacher["temperature"])
+        assert got == (1.0, 0.0, 1.0, 0.0)
+        assert {type(value) for value in got} == {float}
         assert load_config(write_config(tmp_path, corpus=None)).corpus is None
 
     @pytest.mark.parametrize(
@@ -1104,6 +1111,18 @@ class TestResume:
         assert "nothing to do" in out
         assert "[ingest] up to date" in out
 
+    def test_an_int_for_a_float_names_the_same_run(self, tmp_path, capsys):
+        """A config giving ``1`` for a float key builds what ``1.0`` builds,
+        so a resume with the float has nothing to do."""
+        path = write_config(tmp_path, dedup_threshold=1, teacher={"temperature": 0})
+        assert main(["run", "--config", path]) == 0
+        report = load_config(path).artifact(DEDUP_REPORT_FILE)
+        assert b'"threshold": 1.0,' in read_bytes(report)
+        capsys.readouterr()
+        write_config(tmp_path, dedup_threshold=1, teacher={"temperature": 0.0})
+        assert main(["resume", "--config", path, "--threshold", "1"]) == 0
+        assert "nothing to do" in capsys.readouterr().out.splitlines()
+
     def test_missing_output_pends_that_stage(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["run", "--config", path]) == 0
@@ -1447,34 +1466,6 @@ def test_fixture_training_files_per_strategy_match_the_pins(tmp_path, capsys):
     assert got == TRAINING_PINS
 
 
-# Run in a child process: the corgi command sys.argv[2:] on a built workdir,
-# then fail if it imported any module named in sys.argv[1] (comma-separated).
-COMMAND_IMPORTS_NONE_OF = """
-import sys
-import corgi.cli as cli
-assert cli.main(sys.argv[2:]) == 0
-imported = [name for name in sys.argv[1].split(",") if name in sys.modules]
-assert not imported, f"{sys.argv[2:]} imported {imported}"
-"""
-
-TEACHER_SIDE = ("corgi.teacher", "corgi.filtering", "corgi.concepts", "corgi.instructions",
-                "corgi.prompts")
-
-
-def run_importing_none_of(modules, argv):
-    """Run the corgi command ``argv`` in a child process that fails if it
-    imported any of ``modules``; return the child's stdout."""
-    child = subprocess.run(
-        [sys.executable, "-c", COMMAND_IMPORTS_NONE_OF, ",".join(modules), *argv],
-        env={**os.environ, "PYTHONPATH": SRC},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert child.returncode == 0, child.stderr
-    return child.stdout
-
-
 def filtered_items(cfg):
     """The filtered items, rebuilt from the view and ``instances.jsonl``."""
     instances = load_dataset(cfg.artifact(INSTANCES_FILE))
@@ -1544,24 +1535,6 @@ class TestOrderInputDigest:
         ordered = cli.order_dataset(loaded, OrderingConfig(strategy="block", seed=5))
         assert ordered.manifest["input_digest"] == expected
 
-    def test_resume_with_a_strategy_imports_no_numpy(self, tmp_path, capsys):
-        """Nor any teacher-side module."""
-        path = write_config(tmp_path)
-        assert main(["run", "--config", path]) == 0
-        out = run_importing_none_of(
-            ("numpy",) + TEACHER_SIDE, ["resume", "--config", path, "--strategy", "block"]
-        )
-        assert "[order] wrote" in out
-
-    def test_dedup_imports_neither_filtering_nor_instructions(self, tmp_path, capsys):
-        path = write_config(tmp_path)
-        assert main(["run", "--config", path]) == 0
-        out = run_importing_none_of(
-            ("corgi.filtering", "corgi.instructions"),
-            ["dedup", "--config", path, "--threshold", "0.61"],
-        )
-        assert "[dedup] wrote" in out
-
 
 def edit_lines(path, edit):
     """Apply ``edit`` to the list of ``path``'s lines, as bytes."""
@@ -1569,20 +1542,6 @@ def edit_lines(path, edit):
     edit(lines)
     with open(path, "wb") as handle:
         handle.writelines(lines)
-
-
-def reference_training(cfg):
-    """``training.jsonl`` built from the ``instances.jsonl`` records, taken
-    in the order of the ids in ``ordered.jsonl``, with ``json.dumps``."""
-    records = {r["id"]: r for r in jsonl_records(cfg.artifact(INSTANCES_FILE))}
-    out = []
-    for view in jsonl_records(cfg.artifact(ORDERED_FILE)):
-        r = records[view["id"]]
-        turns = [{"role": "system", "content": r["system_message"]}] if r["system_message"] else []
-        turns += [{"role": "user", "content": r["question"]},
-                  {"role": "assistant", "content": r["answer"]}]
-        out.append(json.dumps({"messages": turns}, ensure_ascii=False) + "\n")
-    return "".join(out).encode("utf-8")
 
 
 class TestViewFaults:
@@ -1654,7 +1613,7 @@ class TestViewFaults:
         for stage in ("order", "export"):
             assert main([stage, "--config", path]) == 0
         capsys.readouterr()
-        assert read_bytes(cfg.artifact(TRAINING_FILE)) == reference_training(cfg)
+        assert read_bytes(cfg.artifact(TRAINING_FILE)) == reference_training(cfg.workdir)
 
     def test_rewritten_training_lines_are_encoded_again(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -1928,7 +1887,7 @@ class TestBlasThreads:
         base = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
         result = subprocess.run(
             [sys.executable, "-c", code, *args],
-            env={**base, "PYTHONPATH": SRC, **env},
+            env={**base, "PYTHONPATH": SRC, "PYTHONWARNINGS": "error", **env},
             capture_output=True,
             text=True,
             timeout=120,
@@ -1947,7 +1906,7 @@ class TestBlasThreads:
     def test_an_unset_variable_becomes_one(self, config):
         seen = self.child(BLAS_DEDUP, config)
         assert seen["OPENBLAS_NUM_THREADS"] == seen["MKL_NUM_THREADS"] == "1"
-        if seen["threads"] is not None and len(os.sched_getaffinity(0)) >= 2:
+        if seen["threads"] is not None:
             assert seen["threads"] == 1
 
     def test_a_preset_variable_is_kept(self, config):

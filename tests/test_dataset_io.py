@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import make_instance, reference_record
+from conftest import make_instance, reference_record, reference_training_line
 from corgi.dataset_io import (
     VIEW_FIELDS,
     DatasetFormatError,
@@ -293,12 +293,7 @@ def _awkward_items():
 
 def _reference_training_line(item):
     """The ``training.jsonl`` line of ``item`` by the generic encoder."""
-    turns = [{"role": "system", "content": item.system_message}] if item.system_message else []
-    turns += [
-        {"role": "user", "content": item.question},
-        {"role": "assistant", "content": item.answer},
-    ]
-    return (json.dumps({"messages": turns}, ensure_ascii=False) + "\n").encode("utf-8")
+    return reference_training_line(reference_record(item))
 
 
 def test_conversation_line_matches_the_generic_encoder():

@@ -31,17 +31,11 @@ from corgi.filtering import (
 )
 from corgi.model import FILTER_KEPT, FILTER_UNFILTERED, make_dataset
 from corgi.teacher import REFUSAL_TEXT, TeacherAuthError, TeacherError
+from test_prompts import COMET_QUESTION
 
 ORACLE_ROUNDS = 50
 
 CLEAN_ANSWER = "Gravity holds the orbit closed."
-
-COMET_QUESTION = (
-    "Suppose you are studying the solar system, and you observe that a comet "
-    "is moving in a highly elliptical orbit around the Sun. Construct a "
-    "cause-and-effect model to explain the factors that could have "
-    "influenced the comet's orbit."
-)
 
 KEPLER_TEXT = (
     "Kepler's laws of planetary motion describe the orbits of objects about "
