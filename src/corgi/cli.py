@@ -21,7 +21,11 @@ per stage, a digest of the inputs and parameters the stage saw plus digests
 of what it wrote.  ``resume`` replays from the first stage whose outputs are
 missing or no longer match their recorded digests, or whose recorded input
 digest no longer matches, so editing the catalog or changing the seed
-invalidates exactly the stages that depend on it.
+invalidates exactly the stages that depend on it.  A digest is read from
+the workdir's stat memo (``STAT_MEMO_FILE``) while the file's size, mtime,
+ctime and inode are as the memo recorded them, as git's index does, so a
+command hashes only the files that changed since the last one; the memo is
+in no digest, and deleting it only makes the next command hash every file.
 
 Secrets never live in config files: API keys come only from the
 TEACHER_API_KEY / EMBED_API_KEY environment variables, and endpoint URLs
@@ -67,6 +71,7 @@ from .dataset_io import (
     save_dataset,
     save_turns,
     view_lines,
+    write_bytes,
     write_json,
 )
 from .model import DEDUP_SCOPES, Concept, Course, Dataset, Provenance, make_dataset
@@ -98,6 +103,9 @@ BATCH_REPORT_FILE = "batch_report.json"
 TRAINING_FILE = "training.jsonl"
 RUN_MANIFEST_FILE = "run.json"
 LOCK_FILE = ".lock"
+# Per file a command digested or saved, its ``_stat_key`` and sha256, so that
+# the next command hashes only the files whose stat changed (``_Artifacts``).
+STAT_MEMO_FILE = ".stat-memo.json"
 
 class CliError(RuntimeError):
     """Raised for bad configs, missing artifacts, and locked workdirs."""
@@ -333,6 +341,39 @@ def _file_digest(path: str) -> str:
         for chunk in iter(lambda: handle.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _stat_key(path: str) -> list[int]:
+    """The stat fields by which the stat memo tells that a file changed: its
+    size, mtime, ctime and inode.  An edit whose mtime is set back still
+    moves the ctime, which no process can set, and a file moved over
+    another has another inode."""
+    st = os.stat(path)
+    return [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino]
+
+
+def _load_stat_memo(path: str) -> dict[str, list]:
+    """The entries of the stat memo at ``path`` that may be trusted: those
+    whose mtime and ctime are strictly older than the memo's mtime.  A file
+    changed in the timestamp tick the memo was written in may have kept its
+    stat (git's "racy git" case); the ctime counts too, since a copy or a
+    restored mtime leaves the mtime older than the last change.  An entry
+    dropped here is hashed again, so no later write of the memo trusts it
+    unchecked.  A memo that is missing, torn, not JSON or not a memo gives
+    no entries."""
+    try:
+        written = _stat_key(path)[1]
+        with open(path, "rb") as handle:
+            memo = json.loads(handle.read())
+    except (OSError, ValueError, RecursionError):  # RecursionError: nested too deep
+        return {}
+    if not isinstance(memo, dict) or not all(
+        type(entry) is list and len(entry) == 5 and type(entry[4]) is str
+        and all(type(n) is int for n in entry[:4])
+        for entry in memo.values()
+    ):
+        return {}
+    return {file: entry for file, entry in memo.items() if max(entry[1:3]) < written}
 
 
 @dataclass(frozen=True)
@@ -585,8 +626,14 @@ class _Artifacts:
     A file written in this process is never parsed or digested again, and
     any other file is digested at most once and loaded at most once.  That
     is sound because the workdir lock keeps other runs from writing the
-    workdir meanwhile; the next invocation digests every file afresh, so a
-    hand edit between runs is still found by content.
+    workdir meanwhile.  Between invocations the stat memo
+    (``STAT_MEMO_FILE``) carries, per file digested or saved, its
+    ``_stat_key`` and sha256.  The next invocation takes a file at its
+    recorded digest only while its stat is as recorded and older than the
+    memo (``_load_stat_memo``), and hashes any other file, so a hand edit
+    between runs is still found: it changes the size, the mtime, the ctime
+    or the inode.  No digest covers the memo and no artifact depends on it,
+    so a deleted memo only makes the next invocation hash every file.
 
     One rule decides which files are as this engine wrote them:
     ``wrote_outputs(stage)``.  ``first_pending_stage`` re-runs a stage for
@@ -604,11 +651,29 @@ class _Artifacts:
         self.run = run
         self.digests: dict[str, str] = {}
         self.values: dict[str, object] = {}
+        self.memo = _load_stat_memo(cfg.artifact(STAT_MEMO_FILE))
+        self.memo_changed = False
 
     def digest(self, path: str) -> str:
         if path not in self.digests:
-            self.digests[path] = _file_digest(path)
+            key = _stat_key(path)
+            entry = self.memo.get(path)
+            if entry is not None and entry[:4] == key:
+                self.digests[path] = entry[4]
+            else:
+                self.digests[path] = _file_digest(path)
+                self.remember(path, key)
         return self.digests[path]
+
+    def remember(self, path: str, key: list[int]) -> None:
+        self.memo[path] = [*key, self.digests[path]]
+        self.memo_changed = True
+
+    def save_memo(self) -> None:
+        """Write the stat memo, if an entry changed since it was loaded."""
+        if self.memo_changed:
+            blob = json.dumps(self.memo, sort_keys=True).encode("utf-8")
+            write_bytes(self.cfg.artifact(STAT_MEMO_FILE), [blob])
 
     def wrote_outputs(self, stage: Stage) -> bool:
         """Whether the record of ``stage`` names a digest of every artifact
@@ -646,6 +711,8 @@ class _Artifacts:
         path = self.cfg.artifact(name)
         written = globals()[ARTIFACT_IO.get(name, (None, "_save_json"))[1]](value, path)
         self.digests.update(written)
+        for written_path in written:
+            self.remember(written_path, _stat_key(written_path))
         self.values[name] = value
         return written
 
@@ -827,6 +894,7 @@ def run_pipeline(cfg: RunConfig, command: str = "run") -> None:
         for i, stage in enumerate(stages):
             artifacts.keep({name for later in stages[i:] for name in later.reads})
             run_stage(stage, cfg, run, artifacts)
+        artifacts.save_memo()
 
 
 def _build_parser() -> argparse.ArgumentParser:

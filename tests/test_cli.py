@@ -36,6 +36,7 @@ from corgi.cli import (
     REFINED_FILE,
     RUN_MANIFEST_FILE,
     STAGE_NAMES,
+    STAT_MEMO_FILE,
     TRAINING_FILE,
     TURNS_FILE,
     CliError,
@@ -49,6 +50,7 @@ from corgi.cli import (
 )
 from corgi.dataset_io import (
     VIEW_FIELDS,
+    corpus_files,
     load_dataset,
     load_view,
     manifest_path,
@@ -110,7 +112,23 @@ def read_bytes(path):
 
 
 def workdir_bytes(workdir):
-    return {name: read_bytes(os.path.join(workdir, name)) for name in os.listdir(workdir)}
+    """The bytes of every file in ``workdir`` but the stat memo, whose
+    entries hold the inodes and times of the files it records."""
+    return {name: read_bytes(os.path.join(workdir, name))
+            for name in os.listdir(workdir) if name != STAT_MEMO_FILE}
+
+
+def hashed_files(monkeypatch):
+    """The paths ``cli._file_digest`` hashes from now on, in call order."""
+    hashed = []
+    real_digest = cli._file_digest
+
+    def file_digest(path):
+        hashed.append(path)
+        return real_digest(path)
+
+    monkeypatch.setattr(cli, "_file_digest", file_digest)
+    return hashed
 
 
 @contextlib.contextmanager
@@ -185,6 +203,7 @@ class Interrupted(BaseException):
 class _WriteHandle:
     def __init__(self, handle, stop_at):
         self.handle = handle
+        self.name = os.path.basename(handle.name)
         self.stop_at = stop_at
         self.size = 0
 
@@ -1239,22 +1258,17 @@ class TestResume:
     def test_a_process_loads_and_digests_each_file_at_most_once(
         self, tmp_path, capsys, monkeypatch
     ):
-        """Every file is digested by ``_file_digest``, views included, and
-        every file a command decodes goes through one of the loaders."""
-        loaded, digested = [], []
+        """Every file the stat memo does not cover is digested by
+        ``_file_digest``, views included, and every file a command decodes
+        goes through one of the loaders."""
+        loaded = []
         for name in ("load_courses", "load_concepts", "load_dataset", "load_view"):
             def loader(path, *args, real=getattr(cli, name)):
                 loaded.append(os.path.basename(path))
                 return real(path, *args)
 
             monkeypatch.setattr(cli, name, loader)
-        real_digest = cli._file_digest
-
-        def file_digest(path):
-            digested.append(path)
-            return real_digest(path)
-
-        monkeypatch.setattr(cli, "_file_digest", file_digest)
+        digested = hashed_files(monkeypatch)
         path = write_config(tmp_path)
         assert main(["run", "--config", path]) == 0
         assert loaded == []
@@ -1266,11 +1280,12 @@ class TestResume:
         for replays in (True, False):
             loaded.clear()
             digested.clear()
+            os.unlink(load_config(path).artifact(STAT_MEMO_FILE))
             assert main(["resume", "--config", path, "--strategy", "block"]) == 0
             out = capsys.readouterr().out
             assert ("[order] wrote" in out) is replays
-            # The saved filtered file is digested once, by _file_digest,
-            # and never decoded.
+            # With no stat memo, the saved filtered file is digested once,
+            # by _file_digest, and never decoded.
             assert loaded == []
             assert load_config(path).artifact(FILTERED_FILE) in digested
             assert len(digested) == len(set(digested)), out
@@ -1810,10 +1825,13 @@ class TestInterruptedWrites:
         clean = workdir_bytes(cfg.workdir)
         run = json.loads(clean[RUN_MANIFEST_FILE])
         artifacts = sum(len(entry["outputs"]) for entry in run["stages"].values())
-        # Every write is an artifact or a save of run.json: one at creation
-        # and one after each stage.
+        # Every write is an artifact, a save of run.json (one at creation
+        # and one after each stage) or, last, the save of the stat memo.
         sizes = [handle.size for handle in recorder.files]
-        assert len(sizes) == artifacts + 1 + len(STAGE_NAMES)
+        assert len(sizes) == artifacts + 1 + len(STAGE_NAMES) + 1
+        names = [handle.name for handle in recorder.files]
+        assert names.count(f"{STAT_MEMO_FILE}.tmp") == 1
+        assert names[-1] == f"{STAT_MEMO_FILE}.tmp"
         # The filter stage's training lines are one of the writes cut below.
         assert TURNS_FILE in run["stages"]["filter"]["outputs"]
 
@@ -1862,6 +1880,159 @@ class TestInterruptedWrites:
         assert read_bytes(cfg.artifact(TURNS_FILE)) == clean
         assert not os.path.exists(cfg.artifact(TURNS_FILE + ".tmp"))
         assert_lock_free(cfg.artifact(LOCK_FILE))
+
+
+def edit_in_place(path, index):
+    """Change byte ``index`` of ``path`` in place and set its mtime back: its
+    size, mtime and inode stay as they were, and only its ctime moves."""
+    before = os.stat(path)
+    data = bytearray(read_bytes(path))
+    data[index] = ord("0") if data[index] != ord("0") else ord("1")
+    with open(path, "r+b") as handle:
+        handle.write(data)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+
+
+def trusted_entries(cfg):
+    """The paths whose stat memo entry matches the file's stat and whose
+    mtime and ctime are older than the memo's mtime, read from the memo
+    without ``cli``'s reader."""
+    memo_path = cfg.artifact(STAT_MEMO_FILE)
+    written = os.stat(memo_path).st_mtime_ns
+    trusted = set()
+    for path, (size, mtime, ctime, inode, _) in read_json(memo_path).items():
+        if os.path.exists(path):
+            st = os.stat(path)
+            if [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino] == [
+                    size, mtime, ctime, inode] and max(mtime, ctime) < written:
+                trusted.add(path)
+    return trusted
+
+
+class TestStatMemo:
+    """The stat memo saves hashing and changes nothing else: a file whose
+    stat moved is hashed, and a memo that is missing, torn or not a memo
+    makes a command hash every file it digests."""
+
+    @pytest.fixture
+    def built(self, tmp_path, capsys, monkeypatch):
+        """A clean run, then a resume with another strategy and one back to
+        the config's, after which the memo trusts every file a resume
+        digests.  Where file times are coarse, the files the last command
+        wrote can share the memo's tick; a resume hashes them again and
+        writes the memo anew, in a later tick."""
+        monkeypatch.setattr(cli, "_now_utc", lambda: STAMP)
+        path = write_config(tmp_path / "built")
+        assert main(["run", "--config", path]) == 0
+        assert main(["resume", "--config", path, "--strategy", "block"]) == 0
+        cfg = load_config(path)
+        for _ in range(100):
+            assert main(["resume", "--config", path]) == 0
+            if self.digested_files(cfg) <= trusted_entries(cfg):
+                break
+        capsys.readouterr()
+        return path
+
+    @staticmethod
+    def digested_files(cfg):
+        """Every file a no-op ``resume`` digests: the catalog, the corpus
+        files the filter reads, and every output ``run.json`` records."""
+        run = read_json(cfg.artifact(RUN_MANIFEST_FILE))
+        outputs = {cfg.artifact(name) for entry in run["stages"].values()
+                   for name in entry["outputs"]}
+        return outputs | {cfg.catalog} | set(corpus_files(cfg.corpus).values())
+
+    def test_a_second_resume_hashes_no_file_the_memo_covers(self, built, capsys, monkeypatch):
+        cfg = load_config(built)
+        assert self.digested_files(cfg) <= trusted_entries(cfg)
+        hashed = hashed_files(monkeypatch)
+        assert main(["resume", "--config", built, "--strategy", "cluster"]) == 0
+        assert "[order] wrote" in capsys.readouterr().out
+        assert hashed == []
+        trusted = trusted_entries(cfg)
+        assert main(["resume", "--config", built, "--strategy", "cluster"]) == 0
+        assert "nothing to do" in capsys.readouterr().out
+        assert set(hashed) & trusted == set()
+
+    def test_a_hand_edit_that_keeps_size_and_mtime_is_hashed(self, built, capsys, monkeypatch):
+        cfg = load_config(built)
+        clean = workdir_bytes(cfg.workdir)
+        report = cfg.artifact(BATCH_REPORT_FILE)
+        assert report in trusted_entries(cfg)
+        before = os.stat(report)
+        edit_in_place(report, 0)
+        after = os.stat(report)
+        assert (after.st_size, after.st_mtime_ns, after.st_ino) == (
+            before.st_size, before.st_mtime_ns, before.st_ino)
+        hashed = hashed_files(monkeypatch)
+        assert main(["resume", "--config", built]) == 0
+        out = capsys.readouterr().out
+        assert report in hashed
+        assert "[order] up to date" in out and "[analyze] wrote" in out
+        assert workdir_bytes(cfg.workdir) == clean
+
+    @pytest.mark.parametrize("spoil", ["absent", "cut at its last byte", "not JSON", "a JSON list",
+                                       "nested too deep to parse"])
+    def test_a_spoiled_memo_hashes_every_file(self, built, capsys, monkeypatch, spoil):
+        cfg = load_config(built)
+        clean = workdir_bytes(cfg.workdir)
+        memo = cfg.artifact(STAT_MEMO_FILE)
+        data = read_bytes(memo)
+        os.unlink(memo)
+        if spoil != "absent":
+            with open(memo, "wb") as handle:
+                handle.write({
+                    "cut at its last byte": data[:-1],
+                    "not JSON": b"\xff{not json",
+                    "a JSON list": json.dumps(list(json.loads(data).items())).encode(),
+                    "nested too deep to parse": b"[" * 100_000,
+                }[spoil])
+        hashed = hashed_files(monkeypatch)
+        assert main(["resume", "--config", built]) == 0
+        assert "nothing to do" in capsys.readouterr().out
+        assert sorted(hashed) == sorted(self.digested_files(cfg))
+        assert workdir_bytes(cfg.workdir) == clean
+        assert cfg.catalog in trusted_entries(cfg)
+
+    def test_entries_for_paths_that_no_longer_exist_are_not_used(
+        self, built, tmp_path, capsys, monkeypatch
+    ):
+        """A workdir moved elsewhere: every entry of its memo names a path
+        that no longer exists, so each of its files is hashed."""
+        cfg = load_config(built)
+        clean = workdir_bytes(cfg.workdir)
+        moved = write_config(tmp_path / "moved")
+        os.rename(cfg.workdir, load_config(moved).workdir)
+        cfg = load_config(moved)
+        hashed = hashed_files(monkeypatch)
+        assert main(["resume", "--config", moved]) == 0
+        assert "nothing to do" in capsys.readouterr().out
+        in_workdir = {p for p in self.digested_files(cfg) if os.path.dirname(p) == cfg.workdir}
+        assert in_workdir <= set(hashed)
+        assert workdir_bytes(cfg.workdir) == clean
+        os.unlink(cfg.artifact(TRAINING_FILE))
+        assert main(["resume", "--config", moved]) == 0
+        assert "[export] wrote" in capsys.readouterr().out
+        assert workdir_bytes(cfg.workdir) == clean
+
+    def test_run_json_does_not_depend_on_the_memo(self, tmp_path, capsys, monkeypatch):
+        """The same commands on two workdirs, the memo deleted before each
+        command on one of them, leave the same bytes, ``run.json`` included."""
+        monkeypatch.setattr(cli, "_now_utc", lambda: STAMP)
+        commands = (["run"], ["resume", "--strategy", "spiral"], ["dedup", "--threshold", "0.61"],
+                    ["resume"], ["order", "--strategy", "random"], ["resume", "--seed", "6"])
+        workdirs = {}
+        for forgets in (False, True):
+            path = write_config(tmp_path / str(forgets))
+            cfg = load_config(path)
+            for command in commands:
+                if forgets and os.path.exists(cfg.artifact(STAT_MEMO_FILE)):
+                    os.unlink(cfg.artifact(STAT_MEMO_FILE))
+                assert main([command[0], "--config", path, *command[1:]]) == 0, command
+            workdirs[forgets] = workdir_bytes(cfg.workdir)
+        capsys.readouterr()
+        assert RUN_MANIFEST_FILE in workdirs[False]
+        assert workdirs[True] == workdirs[False]
 
 
 # Run in a child process: a one-stage dedup on the config sys.argv[1], then

@@ -4,9 +4,15 @@ workdir as a clean ``run`` of the final config leaves it.
 Each seed draws one sequence from stdlib ``random``: commands with
 overrides, hand edits that keep a file valid (other separators, a dropped
 line, two lines swapped), a deleted artifact or sidecar, a truncated file, a
-write interrupted part way, and a config edit of a key some stage digests.
-After a final ``resume`` every file but ``run.json`` and ``.lock`` must
-equal a clean run's.  A failure prints the sequence, so it can be replayed.
+write interrupted part way, a config edit of a key some stage digests, and
+edits that keep a file's size and mtime: one in place, found only by the
+ctime, and one copied over the file, which also changes its inode.  Each
+sequence also draws the timestamp tick at which ``cli`` sees file times:
+the filesystem's own, or a coarser one, at which a file edited in the tick
+the stat memo was written keeps its stat (git's "racy git" case).  After a
+final ``resume`` every file but ``run.json``, ``.lock`` and the stat memo
+must equal a clean run's.  A failure prints the sequence, so it can be
+replayed.
 """
 
 import json
@@ -18,9 +24,24 @@ from dataclasses import MISSING, fields
 import pytest
 
 from corgi import cli
-from corgi.cli import LOCK_FILE, RUN_MANIFEST_FILE, STAGE_NAMES, RunConfig, load_config, main
+from corgi.cli import (
+    LOCK_FILE,
+    RUN_MANIFEST_FILE,
+    STAGE_NAMES,
+    STAT_MEMO_FILE,
+    RunConfig,
+    load_config,
+    main,
+)
 from corgi.scheduler import STRATEGIES
-from test_cli import STAMP, Interrupted, WriteFaults, workdir_bytes, write_config
+from test_cli import (
+    STAMP,
+    Interrupted,
+    WriteFaults,
+    edit_in_place,
+    workdir_bytes,
+    write_config,
+)
 
 SEEDS = range(40)
 
@@ -55,7 +76,22 @@ EDITED_KEYS = sorted(CONFIG_EDITS) + [
     "strategy", "interleave_granularity", "batch_size", "required_yes"
 ]
 
-UNCOMPARED = {RUN_MANIFEST_FILE, LOCK_FILE}
+UNCOMPARED = {RUN_MANIFEST_FILE, LOCK_FILE, STAT_MEMO_FILE}
+
+# The ticks, in nanoseconds, that ``cli._stat_key`` rounds file times down
+# to: none (the filesystem's own), or 1 s, as ext3 and HFS+ keep them.
+TICKS_NS = (None, 10**9)
+
+
+def stat_key_at(tick):
+    """``cli._stat_key`` with the mtime and ctime rounded down to ``tick``."""
+    real = cli._stat_key
+
+    def stat_key(path):
+        size, mtime, ctime, inode = real(path)
+        return [size, mtime - mtime % tick, ctime - ctime % tick, inode]
+
+    return stat_key
 
 
 def artifacts(workdir):
@@ -193,6 +229,40 @@ class Sequence:
         os.truncate(path, size)
         self.steps.append(f"truncate {name} to {size} bytes")
 
+    def edit_keeping_mtime(self):
+        """One byte changed in place and the mtime set back: the size, mtime
+        and inode are as they were, and only the ctime moved."""
+        target = self.byte_to_change()
+        if target:
+            name, index = target
+            edit_in_place(os.path.join(self.workdir, name), index)
+            self.steps.append(f"change byte {index} of {name} in place, keeping its mtime")
+
+    def replace_with_copy(self):
+        """An edited copy, made with ``shutil.copy2``, moved over the file:
+        the size and mtime are as they were, and the inode and ctime are
+        the copy's."""
+        target = self.byte_to_change()
+        if target:
+            name, index = target
+            path = os.path.join(self.workdir, name)
+            copy = os.path.join(self.directory, "edited.copy")
+            shutil.copy2(path, copy)
+            edit_in_place(copy, index)
+            os.replace(copy, path)
+            self.steps.append(
+                f"replace {name} by a copy with byte {index} changed, keeping its mtime")
+
+    def byte_to_change(self):
+        """A non-empty artifact chosen by ``pick`` and the index of one of its
+        bytes, or None if there is none."""
+        names = [n for n in artifacts(self.workdir)
+                 if os.path.getsize(os.path.join(self.workdir, n))]
+        if not names:
+            return None
+        name = pick(self.rng, names)
+        return name, self.rng.randrange(os.path.getsize(os.path.join(self.workdir, name)))
+
     def edit_config(self):
         key = self.rng.choice(EDITED_KEYS)
         self.config[key] = self.rng.choice(
@@ -201,8 +271,10 @@ class Sequence:
         self.save_config()
         self.steps.append(f"set config {key} to {json.dumps(self.config[key])}")
 
+    STAT_EDITS = ("edit_keeping_mtime", "replace_with_copy")
     STEPS = ("command",) * 3 + ("interrupted_command", "rewrite_separators", "drop_line",
-                                "swap_lines", "delete", "truncate") + ("edit_config",) * 4
+                                "swap_lines", "delete", "truncate") + STAT_EDITS + (
+        "edit_config",) * 4
 
     def resume(self):
         rc = main(["resume", "--config", self.path])
@@ -269,15 +341,30 @@ def test_resume_after_a_drawn_sequence_equals_a_clean_run(
 ):
     monkeypatch.setattr(cli, "_now_utc", lambda: STAMP)
     rng = random.Random(seed)
+    tick = rng.choice(TICKS_NS)
+    if tick:
+        monkeypatch.setattr(cli, "_stat_key", stat_key_at(tick))
     directory = str(tmp_path)
     config = dict(built, workdir=os.path.join(directory, "work"))
     shutil.copytree(built["workdir"], config["workdir"])
     sequence = Sequence(rng, directory, config, monkeypatch)
+    sequence.steps.append(f"file times at a tick of {tick} ns" if tick else
+                          "file times at the filesystem's tick")
     sequence.save_config()
-    # The drawn steps, then one config edit of a workdir that the first
-    # resume left fresh: only the stages that read the edited key rerun.
+    # The copy's files are not the ones the copied stat memo records: a
+    # first resume records them, as a workdir's last command has.
+    assert sequence.resume() == 0
+    # The drawn steps and a resume; then one config edit of the workdir
+    # that resume left fresh, so that only the stages that read the edited
+    # key rerun; then one edit that keeps a file's size and mtime, of the
+    # workdir the second resume left fresh, so that only the stat memo's
+    # ctime, inode and racy rule tell the last resume that the file changed.
     length = rng.randint(2, 5)
-    for phase in (lambda: sequence.run(length), lambda: sequence.edit_config() or sequence.resume()):
+    for phase in (
+        lambda: sequence.run(length),
+        lambda: sequence.edit_config() or sequence.resume(),
+        lambda: getattr(sequence, rng.choice(Sequence.STAT_EDITS))() or sequence.resume(),
+    ):
         rc = phase()
         capsys.readouterr()
         replay = f"seed {seed}:\n  " + "\n  ".join(sequence.steps)
