@@ -352,6 +352,16 @@ def _stat_key(path: str) -> list[int]:
     return [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino]
 
 
+def _exists(path: str) -> bool:
+    """False only where ``os.stat`` finds no file at ``path``; an entry of a
+    path that cannot be stat'ed for another reason is kept."""
+    try:
+        os.stat(path)
+    except (FileNotFoundError, NotADirectoryError):
+        return False
+    return True
+
+
 def _load_stat_memo(path: str) -> dict[str, list]:
     """The entries of the stat memo at ``path`` that may be trusted: those
     whose mtime and ctime are strictly older than the memo's mtime.  A file
@@ -670,9 +680,12 @@ class _Artifacts:
         self.memo_changed = True
 
     def save_memo(self) -> None:
-        """Write the stat memo, if an entry changed since it was loaded."""
+        """Write the stat memo, if an entry changed since it was loaded,
+        without the entries of paths that no longer exist: those of a moved
+        workdir or of an earlier config's inputs."""
         if self.memo_changed:
-            blob = json.dumps(self.memo, sort_keys=True).encode("utf-8")
+            memo = {path: entry for path, entry in self.memo.items() if _exists(path)}
+            blob = json.dumps(memo, sort_keys=True).encode("utf-8")
             write_bytes(self.cfg.artifact(STAT_MEMO_FILE), [blob])
 
     def wrote_outputs(self, stage: Stage) -> bool:

@@ -13,8 +13,9 @@ import hashlib
 import json
 import math
 import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -396,8 +397,96 @@ class SimulatedTeacherBackend:
         )
 
 
+class _Ran:
+    """The handle of a call run inline, or of one an aborted pool never runs."""
+
+    __slots__ = ("value", "error")
+
+    def __init__(self, value=None, error: BaseException | None = None):
+        self.value, self.error = value, error
+
+    def result(self):
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+class _Queued:
+    """The handle of a call handed to a pool thread."""
+
+    __slots__ = ("pool", "future")
+
+    def __init__(self, pool: "CallPool", future):
+        self.pool, self.future = pool, future
+
+    def result(self):
+        try:
+            return self.future.result()
+        except CancelledError:
+            raise self.pool.error from None
+
+
+class CallPool:
+    """Teacher calls run on up to ``workers`` threads, one pool per stage.
+
+    ``submit(fn, *args)`` returns a handle whose ``result()`` waits for
+    ``fn(*args)`` and gives its value or raises what it raised.  A call may
+    submit further calls but must not wait for one, since a thread held
+    waiting for a queued call can stall the pool.  A call that submits
+    others must be waited for inside the ``with`` block, since a closing
+    pool takes no new calls.
+    With one worker no thread starts and ``submit`` runs the call before it
+    returns, so calls run in submission order.  Threaded calls start in
+    submission order too.
+
+    An exception that escapes a call aborts the pool and is kept in
+    ``error``: queued calls are cancelled, later submissions never run, and
+    their handles raise that exception.  Leaving the ``with`` block waits
+    for running calls, then raises ``error`` if nothing else is raised.
+    """
+
+    def __init__(self, workers: int):
+        self.error: BaseException | None = None
+        self._lock = threading.Lock()
+        self._executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+
+    def __enter__(self) -> "CallPool":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+        if exc_type is None and self.error is not None:
+            raise self.error
+
+    def submit(self, fn: Callable, *args):
+        if self._executor is None:
+            if self.error is not None:
+                return _Ran(error=self.error)
+            try:
+                return _Ran(fn(*args))
+            except Exception as exc:
+                self.error = exc
+                return _Ran(error=exc)
+        with self._lock:
+            if self.error is not None:
+                return _Ran(error=self.error)
+            return _Queued(self, self._executor.submit(self._run, fn, args))
+
+    def _run(self, fn: Callable, args: tuple):
+        try:
+            return fn(*args)
+        except BaseException as exc:
+            with self._lock:
+                if self.error is None:
+                    self.error = exc
+                    self._executor.shutdown(wait=False, cancel_futures=True)
+            raise
+
+
 def fan_out(fn: Callable, items: Sequence, workers: int) -> list:
-    """``[fn(item) for item in items]`` on up to ``workers`` threads.
+    """``[fn(item) for item in items]`` as a ``CallPool`` of up to
+    ``workers`` threads, one call per item.
 
     Results come back in submission order whatever the completion order, so
     output never depends on the worker count.  With one worker (or at most
@@ -405,21 +494,21 @@ def fan_out(fn: Callable, items: Sequence, workers: int) -> list:
     waits passes one.  The first exception in submission order propagates,
     and items that have not started yet are cancelled.
     """
-    workers = min(workers, len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    with CallPool(min(workers, len(items))) as pool:
+        handles = [pool.submit(fn, item) for item in items]
+        return [handle.result() for handle in handles]
 
 
 @dataclass
 class TeacherClient:
     """Front door for pipeline code: defaults, concurrency, and judging.
 
-    ``max_concurrency`` is the number of threads a ``fan_out`` of this
-    client's calls runs on.  Threads pay only where calls wait, so it is 1,
-    whatever was asked, for a backend whose ``waits`` is false: the
-    simulated and scripted ones compute each reply under the GIL.  A backend
+    ``max_concurrency`` is the number of threads a ``CallPool`` of this
+    client's calls runs on: a ``fan_out`` of refine, concept or judge calls,
+    or the generate stage's one pool of question chains and answers.
+    Threads pay only where calls wait, so it is 1, whatever was asked, for a
+    backend whose ``waits`` is false: the simulated and scripted ones
+    compute each reply under the GIL.  A backend
     that does not say is taken to wait.
     """
 

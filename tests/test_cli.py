@@ -737,9 +737,12 @@ class TestFullRun:
 
     def test_teacher_stages_do_not_depend_on_max_workers(self, tmp_path, capsys, monkeypatch):
         """An HTTP teacher's calls wait, so they fan out over ``max_workers``
-        threads: one worker starts no pool and four start one per stage.
-        The artifacts are the same either way, and the same as those of the
-        in-process simulated teacher that the server answers with."""
+        threads: one worker starts no pool, and more start one per teacher
+        stage (refine and concepts at most one thread per course).  A whole
+        run leaves the same files at every worker count, and the teacher
+        stages' files are those of the in-process simulated teacher that the
+        server answers with; ``instances.jsonl`` differs from it only in the
+        teacher model its provenance names."""
         pools = []
         real_pool = teacher_module.ThreadPoolExecutor
 
@@ -748,26 +751,39 @@ class TestFullRun:
             return real_pool(max_workers=max_workers)
 
         monkeypatch.setattr(teacher_module, "ThreadPoolExecutor", pool)
+        monkeypatch.setattr(cli, "_now_utc", lambda: STAMP)
+        compared = (REFINED_FILE, RAW_CONCEPTS_FILE, INSTANCES_FILE, FAILURES_FILE,
+                    FILTER_STATS_FILE, TRAINING_FILE)
         outputs, started = {}, {}
         with simulated_teacher_server() as url:
             http = {"backend": "http", "base_url": url}
             configs = {
-                "http-1": {"max_workers": 1, "teacher": http},
-                "http-4": {"max_workers": 4, "teacher": http},
+                **{f"http-{n}": {"max_workers": n, "teacher": http} for n in (1, 2, 4, 8)},
                 "local-4": {"max_workers": 4},
             }
             for label, values in configs.items():
                 path = write_config(tmp_path / label, **values)
-                for stage in ("ingest", "refine", "concepts"):
-                    assert main([stage, "--config", path]) == 0, capsys.readouterr().err
+                assert main(["run", "--config", path]) == 0, capsys.readouterr().err
                 started[label], pools[:] = pools[:], []
                 cfg = load_config(path)
-                outputs[label] = [
-                    read_bytes(cfg.artifact(name)) for name in (REFINED_FILE, RAW_CONCEPTS_FILE)
-                ]
+                outputs[label] = {name: read_bytes(cfg.artifact(name)) for name in compared}
         capsys.readouterr()
-        assert started == {"http-1": [], "http-4": [CATALOG_COURSES] * 2, "local-4": []}
-        assert outputs["http-1"] == outputs["http-4"] == outputs["local-4"]
+        survivors = len(jsonl_records(load_config(path).artifact(FILTERED_FILE)))
+        assert survivors > 8
+        assert started == {
+            "http-1": [],
+            **{f"http-{n}": [min(n, CATALOG_COURSES)] * 2 + [n, n] for n in (2, 4, 8)},
+            "local-4": [],
+        }
+        assert outputs["http-1"] == outputs["http-2"] == outputs["http-4"] == outputs["http-8"]
+        local, http_1 = outputs["local-4"], outputs["http-1"]
+        assert local[INSTANCES_FILE] != http_1[INSTANCES_FILE]
+        assert local[INSTANCES_FILE] == http_1[INSTANCES_FILE].replace(
+            b'"teacher_model": "teacher"', b'"teacher_model": "simulated-teacher"'
+        )
+        assert {name: blob for name, blob in local.items() if name != INSTANCES_FILE} == {
+            name: blob for name, blob in http_1.items() if name != INSTANCES_FILE
+        }
 
     def test_default_runs_start_no_thread_pool(self, tmp_path, capsys, monkeypatch):
         """A simulated ``run`` and a scripted one, each at the default
@@ -1998,22 +2014,32 @@ class TestStatMemo:
         self, built, tmp_path, capsys, monkeypatch
     ):
         """A workdir moved elsewhere: every entry of its memo names a path
-        that no longer exists, so each of its files is hashed."""
+        that no longer exists, so each of its files is hashed, and the
+        rewritten memo holds no entry under the old workdir."""
         cfg = load_config(built)
         clean = workdir_bytes(cfg.workdir)
+        old_workdir = cfg.workdir
         moved = write_config(tmp_path / "moved")
         os.rename(cfg.workdir, load_config(moved).workdir)
         cfg = load_config(moved)
+
+        def old_entries():
+            memo = read_json(cfg.artifact(STAT_MEMO_FILE))
+            return [path for path in memo if path.startswith(old_workdir + os.sep)]
+
+        assert old_entries()
         hashed = hashed_files(monkeypatch)
         assert main(["resume", "--config", moved]) == 0
         assert "nothing to do" in capsys.readouterr().out
         in_workdir = {p for p in self.digested_files(cfg) if os.path.dirname(p) == cfg.workdir}
         assert in_workdir <= set(hashed)
         assert workdir_bytes(cfg.workdir) == clean
+        assert old_entries() == []
         os.unlink(cfg.artifact(TRAINING_FILE))
         assert main(["resume", "--config", moved]) == 0
         assert "[export] wrote" in capsys.readouterr().out
         assert workdir_bytes(cfg.workdir) == clean
+        assert old_entries() == []
 
     def test_run_json_does_not_depend_on_the_memo(self, tmp_path, capsys, monkeypatch):
         """The same commands on two workdirs, the memo deleted before each

@@ -1,6 +1,10 @@
 """Instance generation tests: 19 templates per concept, chained questions."""
 
 import random
+import sys
+import threading
+import time
+from collections import Counter
 
 import pytest
 
@@ -93,6 +97,61 @@ class DigestClient:
         if "### Question ###" in prompt:
             return f"Question: What governs {digest}?"
         return f"The governing factor is {digest}."
+
+
+class WaitingClient:
+    """Thread-safe fake whose every call sleeps ``delay``, so threaded calls
+    overlap; it records the calls in flight.
+
+    A concept's questions are asked in template order, so its k-th question
+    call is template k's.  The reply names the concept and k, so an answer
+    call knows both from its prompt.  ``plant`` maps (concept name, "question"
+    or "answer", k) to the exception type that call raises after its sleep.
+    """
+
+    model_name = "waiting-fake"
+
+    def __init__(self, max_concurrency, names, plant=None, delay=0.0005):
+        self.max_concurrency = max_concurrency
+        self.names = names
+        self.plant = plant or {}
+        self.delay = delay
+        self.lock = threading.Lock()
+        self.questions_asked = Counter()
+        self.in_flight = []
+        self.peak = 0
+        self.overlapped = False
+        self.calls = []  # (kind, concept name, k, thread), in start order
+        self.raised_at = None
+
+    def ask(self, prompt, system_message="", temperature=None):
+        with self.lock:
+            if "### Question ###" in prompt:
+                kind = "question"
+                name = next(n for n in self.names if f"{n}: " in prompt)
+                self.questions_asked[name] += 1
+                k = self.questions_asked[name]
+            else:
+                kind = "answer"
+                name, k = prompt.split()[:2]
+                k = int(k)
+            self.calls.append((kind, name, k, threading.current_thread()))
+            self.in_flight.append(kind)
+            self.peak = max(self.peak, len(self.in_flight))
+            self.overlapped |= {"question", "answer"} <= set(self.in_flight)
+        try:
+            time.sleep(self.delay)
+            error = self.plant.get((name, kind, k))
+            if error is not None:
+                self.raised_at = len(self.calls)
+                raise error(f"planted {kind} failure at {k}")
+            digest = prompt_digest(prompt)[:10]
+            if kind == "question":
+                return f"Question: {name} {k} governs {digest}?"
+            return f"The governing factor is {digest}."
+        finally:
+            with self.lock:
+                self.in_flight.remove(kind)
 
 
 class FailForConceptClient(DigestClient):
@@ -370,3 +429,146 @@ class TestGenerateForConcepts:
 
     def test_empty_input(self):
         assert generate_for_concepts([], {}, DigestClient(), 7, PROVENANCE) == ([], [])
+
+
+THREE_TITLES = {
+    "physics/mechanics": "Mechanics",
+    "physics/waves": "Waves",
+    "physics/optics": "Optics",
+}
+THREE_NAMES = ("Momentum", "Interference", "Refraction")
+
+
+def three_concepts():
+    return [
+        make_concept("Momentum"),
+        make_concept("Interference", course="physics/waves"),
+        make_concept("Refraction", course="physics/optics"),
+    ]
+
+
+def generate_three(workers, plant=None, delay=0.0005):
+    client = WaitingClient(workers, THREE_NAMES, plant, delay)
+    return generate_for_concepts(three_concepts(), THREE_TITLES, client, 7, PROVENANCE), client
+
+
+class TestThreadedFailures:
+    """At four workers a concept's questions run ahead of its answers, yet
+    the records are those of one worker: the first failure in the serial
+    call order Q1 A1 Q2 A2 ..., with that call's error."""
+
+    @pytest.mark.parametrize("kind", ["question", "answer"])
+    @pytest.mark.parametrize("index", range(1, 20))
+    def test_one_planted_failure_gives_the_serial_outcome(self, kind, index):
+        plant = {("Interference", kind, index): RuntimeError}
+        serial, client = generate_three(1, plant)
+        threaded, _ = generate_three(4, plant)
+        assert threaded == serial
+        serial_order = [(kind, k) for k in range(1, 20) for kind in ("question", "answer")]
+        asked = [(kind, k) for kind, name, k, _ in client.calls if name == "Interference"]
+        assert asked == serial_order[: serial_order.index((kind, index)) + 1]
+        instances, failures = serial
+        assert len(instances) == 38
+        assert failures == [
+            ConceptFailure(
+                "physics/waves/interference",
+                index,
+                f"planted {kind} failure at {index}",
+                tuple(range(index, 20)),
+            )
+        ]
+
+    @pytest.mark.parametrize("index", range(1, 19))
+    def test_an_answer_failing_behind_a_later_question_is_the_one_reported(self, index):
+        """Answer k fails after question k+1 has failed: the record is k's."""
+        plant = {
+            ("Refraction", "answer", index): RuntimeError,
+            ("Refraction", "question", index + 1): ValueError,
+        }
+        serial, _ = generate_three(1, plant)
+        threaded, _ = generate_three(4, plant, delay=0.002)
+        assert threaded == serial
+        assert [(f.failed_index, f.error) for f in serial[1]] == [
+            (index, f"planted answer failure at {index}")
+        ]
+
+    def test_many_workers_and_a_short_switch_interval_change_nothing(self):
+        """Eight threads on a shortened switch interval, calls that do not
+        sleep and failures planted in four of twelve concepts: the outcome
+        is still that of one worker."""
+        names = tuple(f"Topic{i:02d}" for i in range(12))
+        concepts = [make_concept(name) for name in names]
+        plant = {
+            ("Topic01", "answer", 1): RuntimeError,
+            ("Topic04", "question", 19): RuntimeError,
+            ("Topic07", "answer", 9): RuntimeError,
+            ("Topic07", "question", 12): ValueError,
+            ("Topic10", "answer", 19): RuntimeError,
+        }
+
+        def generate(workers):
+            client = WaitingClient(workers, names, plant, delay=0)
+            return generate_for_concepts(concepts, THREE_TITLES, client, 7, PROVENANCE)
+
+        serial = generate(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = [generate(8) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(outcome == serial for outcome in threaded)
+        assert [(f.concept_id, f.failed_index) for f in serial[1]] == [
+            (f"physics/mechanics/topic{n:02d}", index)
+            for n, index in ((1, 1), (4, 19), (7, 9), (10, 19))
+        ]
+
+    def test_an_answer_auth_error_aborts_the_stage_at_four_workers(self):
+        names = tuple(f"Topic{i}" for i in range(6))
+        concepts = [make_concept(name) for name in names]
+        plant = {("Topic1", "answer", 5): TeacherAuthError}
+        client = WaitingClient(4, names, plant)
+        with pytest.raises(TeacherAuthError, match="planted answer failure at 5"):
+            generate_for_concepts(concepts, THREE_TITLES, client, 7, PROVENANCE)
+        # Each of the other three threads may start one call it had begun
+        # to make when the error was raised; nothing queued starts.
+        assert len(client.calls) - client.raised_at <= 3
+        assert len(client.calls) < len(concepts) * 38
+
+    @pytest.mark.parametrize("count", [4, 40])
+    def test_a_question_auth_error_starts_no_queued_call(self, count):
+        concepts = [make_concept(f"Topic{i}") for i in range(count)]
+        client, posts = rejecting_teacher()
+        client.max_concurrency = 4
+        with pytest.raises(TeacherAuthError):
+            generate_for_concepts(concepts, THREE_TITLES, client, 7, PROVENANCE)
+        assert 1 <= len(posts) <= 4
+
+
+class TestCallScheduling:
+    """Generate schedules teacher calls, not concepts."""
+
+    def test_a_question_and_an_answer_of_one_concept_overlap_at_two_workers(self):
+        client = WaitingClient(2, ("Momentum",), delay=0.002)
+        instances, failures = generate_for_concepts(
+            [make_concept("Momentum")], THREE_TITLES, client, 7, PROVENANCE
+        )
+        assert len(instances) == 19 and failures == []
+        assert client.overlapped
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_calls_in_flight_never_exceed_max_concurrency(self, workers):
+        (instances, failures), client = generate_three(workers, delay=0.001)
+        assert len(instances) == 57 and failures == []
+        assert client.peak == workers
+
+    def test_one_worker_asks_in_serial_order_on_the_calling_thread(self):
+        (instances, _), client = generate_three(1, delay=0)
+        assert len(instances) == 57
+        assert [(kind, name, k) for kind, name, k, _ in client.calls] == [
+            (kind, name, k)
+            for name in THREE_NAMES
+            for k in range(1, 20)
+            for kind in ("question", "answer")
+        ]
+        assert {thread for *_, thread in client.calls} == {threading.current_thread()}

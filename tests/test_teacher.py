@@ -27,6 +27,7 @@ from corgi.teacher import (
     DEFAULT_JUDGE_TEMPERATURE,
     EMBEDDING_DIMENSION,
     REFUSAL_TEXT,
+    CallPool,
     CompletionRequest,
     HttpEmbeddingBackend,
     HttpTeacherBackend,
@@ -581,6 +582,72 @@ class TestFanOut:
             fan_out(fail_at_three, range(200), workers)
         assert str(err.value) == "item 3"
         assert len(calls) < 20
+
+
+class TestCallPool:
+    def test_one_worker_runs_each_call_as_it_is_submitted(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a ThreadPoolExecutor was constructed")
+
+        monkeypatch.setattr(teacher_module, "ThreadPoolExecutor", no_pool)
+        ran = []
+        with CallPool(1) as pool:
+            first = pool.submit(ran.append, 1)
+            assert ran == [1]
+            second = pool.submit(lambda: threading.current_thread())
+        assert first.result() is None
+        assert second.result() is threading.main_thread()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_call_may_submit_calls(self, workers):
+        with CallPool(workers) as pool:
+
+            def chain(n):
+                return [pool.submit(lambda i: i * i, i) for i in range(n)]
+
+            handles = pool.submit(chain, 5).result()
+        assert [handle.result() for handle in handles] == [0, 1, 4, 9, 16]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_escaped_exception_aborts_the_pool(self, workers):
+        ran = []
+        with pytest.raises(ValueError, match="boom") as err:
+            with CallPool(workers) as pool:
+                failed = pool.submit(self.raise_value_error)
+                with pytest.raises(ValueError):
+                    failed.result()
+                late = pool.submit(ran.append, 1)
+        assert pool.error is err.value
+        assert ran == []
+        with pytest.raises(ValueError, match="boom"):
+            late.result()
+
+    @staticmethod
+    def raise_value_error():
+        raise ValueError("boom")
+
+    def test_queued_calls_are_cancelled_and_raise_the_first_error(self):
+        gate, release = threading.Event(), threading.Event()
+        ran = []
+
+        def wait_then_fail():
+            gate.wait(5)
+            raise ValueError("first")
+
+        with pytest.raises(ValueError, match="first"):
+            with CallPool(2) as pool:
+                failing = pool.submit(wait_then_fail)
+                blocker = pool.submit(release.wait, 5)
+                queued = [pool.submit(ran.append, i) for i in range(10)]
+                gate.set()
+                with pytest.raises(ValueError, match="first"):
+                    failing.result()
+                release.set()
+        assert blocker.result() is True
+        assert ran == []
+        for handle in queued:
+            with pytest.raises(ValueError, match="first"):
+                handle.result()
 
 
 class TestSimulatedBackend:
