@@ -43,6 +43,7 @@ the ``order``, ``analyze`` and ``export`` stages never import them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import fcntl
 import hashlib
 import json
@@ -415,34 +416,41 @@ def _teacher_sources(cfg: RunConfig) -> dict[str, str]:
 
 def _each_course(cfg: RunConfig, step: str, courses: list[Course]) -> list:
     """``step(course, client)`` for each course, fanned out over one teacher
-    client; ``step`` names a function that ``_use`` looks up at each call."""
-    client = build_teacher(cfg)
-    run_step = _use(step)
-    return _use("fan_out")(
-        lambda course: run_step(course, client), courses, client.max_concurrency
-    )
+    client; ``step`` names a function that ``_use`` looks up at each call.
+    Each teacher stage closes its client when its calls are done."""
+    with contextlib.closing(build_teacher(cfg)) as client:
+        run_step = _use(step)
+        return _use("fan_out")(
+            lambda course: run_step(course, client), courses, client.max_concurrency
+        )
 
 
 def _stage_dedup(cfg: RunConfig, run: dict, concepts: list[Concept]) -> dict:
-    kept, report = _use("dedup_concepts")(
-        concepts, build_embedder(cfg), threshold=cfg.dedup_threshold, scope=cfg.dedup_scope
-    )
+    embedder = build_embedder(cfg)
+    try:
+        kept, report = _use("dedup_concepts")(
+            concepts, embedder, threshold=cfg.dedup_threshold, scope=cfg.dedup_scope
+        )
+    finally:
+        # The HTTP embedder's connections; the reference embedder keeps none.
+        if hasattr(embedder, "close"):
+            embedder.close()
     return {CONCEPTS_FILE: kept, DEDUP_REPORT_FILE: report.to_dict()}
 
 
 def _stage_generate(
     cfg: RunConfig, run: dict, concepts: list[Concept], courses: list[Course]
 ) -> dict:
-    client = build_teacher(cfg)
     titles = {course.id: course.title for course in courses}
-    provenance = Provenance(
-        teacher_model=client.model_name,
-        created_at=run["started_at"],
-        run_id=run["run_id"],
-    )
-    instances, failures = _use("generate_for_concepts")(
-        concepts, titles, client, seed=cfg.seed, provenance=provenance
-    )
+    with contextlib.closing(build_teacher(cfg)) as client:
+        provenance = Provenance(
+            teacher_model=client.model_name,
+            created_at=run["started_at"],
+            run_id=run["run_id"],
+        )
+        instances, failures = _use("generate_for_concepts")(
+            concepts, titles, client, seed=cfg.seed, provenance=provenance
+        )
     if concepts and len(failures) / len(concepts) > cfg.max_failure_fraction:
         raise _use("GenerationError")(
             f"systematic backend failure: {len(failures)}/{len(concepts)} "
@@ -460,16 +468,18 @@ def _stage_filter(cfg: RunConfig, run: dict, instances: Dataset) -> dict:
     validate nothing."""
     if not cfg.corpus:
         raise CliError("filter stage requires 'corpus' in the config")
-    filtered, stats = _use("run_filters")(
-        instances,
-        _use("Bm25Retriever")(_use("load_corpus")(cfg.corpus)),
-        build_teacher(cfg),
-        _use("FilterConfig")(
-            required_yes=cfg.required_yes,
-            passages_per_question=cfg.passages_per_question,
-            max_failure_fraction=cfg.max_failure_fraction,
-        ),
-    )
+    with contextlib.closing(build_teacher(cfg)) as client:
+        # The index is an argument only, so it is freed before the view is built.
+        filtered, stats = _use("run_filters")(
+            instances,
+            _use("Bm25Retriever")(_use("load_corpus")(cfg.corpus)),
+            client,
+            _use("FilterConfig")(
+                required_yes=cfg.required_yes,
+                passages_per_question=cfg.passages_per_question,
+                max_failure_fraction=cfg.max_failure_fraction,
+            ),
+        )
     require_valid(filtered)
     view = view_lines(filtered)
     return {FILTERED_FILE: view, TURNS_FILE: view.turns, FILTER_STATS_FILE: stats.to_dict()}

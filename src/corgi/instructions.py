@@ -104,14 +104,6 @@ def _answer(question: str, system_message: str, client: TeacherClient) -> str:
     return answer
 
 
-def generate_answer(
-    question: str, load: str, rng: random.Random, client: TeacherClient
-) -> tuple[str, str]:
-    """Answer the question under a drawn system message; returns both."""
-    system_message = pick_system_message(load, rng)
-    return system_message, _answer(question, system_message, client)
-
-
 class _ConceptCalls:
     """One concept's 38 teacher calls, scheduled on a ``CallPool``.
 

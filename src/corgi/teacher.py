@@ -1,10 +1,11 @@
 """Teacher-model access: completions, embeddings, and relevance judging.
 
 Three completion backends share one interface: an HTTP chat-completion
-endpoint with retry/backoff, a strict scripted mock keyed by prompt digest,
-and a deterministic simulated teacher for offline end-to-end runs.  The
-reference embedding backend hashes character trigrams into 256 dimensions
-so deduplication works without any model service.
+endpoint with retry/backoff over kept-alive connections, a strict scripted
+mock keyed by prompt digest, and a deterministic simulated teacher for
+offline end-to-end runs.  The reference embedding backend hashes character
+trigrams into 256 dimensions so deduplication works without any model
+service.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ import math
 import os
 import threading
 import time
+import weakref
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
+from urllib.parse import unquote, urlsplit
 
 from .model import frozen_record
 from .prompts import build_retrieval_check_prompt
@@ -85,25 +88,155 @@ def parse_relevance_reply(reply: str) -> bool:
     return "yes" in first_line.lower()
 
 
-def _default_post(url: str, headers: dict, payload: dict, timeout: float):
-    """POST ``payload`` as JSON; return the status and the decoded JSON body.
+class _Connections:
+    """The HTTP connections of one backend to its one endpoint.
+
+    Calling the pool is a ``post(url, headers, payload, timeout) -> (status,
+    body)`` that sends through ``_default_post``.  Idle connections wait in
+    a lock-guarded LIFO: a call takes one, or opens a new one, and gives it
+    back after reading the whole reply, unless the reply said the connection
+    closes.  ``close`` closes the idle ones; a later call opens a new one.
+
+    A server such as ``http.server`` writes a reply's headers and body in two
+    sends.  With Nagle's algorithm on the server, the body waits for the ACK
+    of the headers, and on a kept connection the client delays that ACK by
+    about 40 ms (RFC 1122 4.2.3.2).  ``TCP_QUICKACK``, set after each
+    request, makes the client ACK at once.  It does not last, so it is set
+    on every request.  Where the platform lacks it (it is Linux's), each
+    connection is closed after its reply.
+
+    The proxy is found once, here, from ``http_proxy``, ``https_proxy`` and
+    ``no_proxy`` as urllib finds it.  An HTTP endpoint behind a proxy gets
+    absolute-URI requests on connections to the proxy; an HTTPS one is
+    tunnelled through it with CONNECT.  Proxy credentials in the proxy's URL
+    are sent as ``Proxy-Authorization``.
+    """
+
+    def __init__(self, base_url: str):
+        import http.client
+        import socket
+        import urllib.request
+
+        # Where it is None, ``send`` closes every connection after its reply.
+        self._quickack = (
+            (socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+            if hasattr(socket, "TCP_QUICKACK") else None
+        )
+        parts = urlsplit(base_url)
+        if parts.scheme not in ("http", "https"):
+            raise TeacherError(f"unsupported URL scheme in {base_url!r}: use http or https")
+        connection = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+        self._class, self._host = connection[parts.scheme], parts.netloc
+        self._tunnel, self._absolute, self._proxy_headers = None, False, {}
+        proxy = urllib.request.getproxies().get(parts.scheme)
+        if proxy and not urllib.request.proxy_bypass(parts.netloc):
+            # A proxy given as host:port alone is an HTTP proxy, as urllib reads it.
+            proxy_parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if proxy_parts.username and proxy_parts.password:
+                import base64
+
+                credentials = f"{unquote(proxy_parts.username)}:{unquote(proxy_parts.password)}"
+                self._proxy_headers["Proxy-Authorization"] = "Basic " + base64.b64encode(
+                    credentials.encode("utf-8")
+                ).decode("ascii")
+            self._host = proxy_parts.netloc.rpartition("@")[2]
+            if parts.scheme == "https":
+                self._tunnel = parts.netloc
+            else:
+                self._class = connection.get(proxy_parts.scheme, http.client.HTTPConnection)
+                self._absolute = True
+        self._idle: list = []
+        self._lock = threading.Lock()
+        # A pool dropped unclosed (its backend's owner never called close)
+        # closes its idle connections as it goes, so none is left open for
+        # the garbage collector to warn about.
+        weakref.finalize(self, _close_each, self._idle)
+
+    def __call__(self, url: str, headers: dict, payload: dict, timeout: float):
+        # Looked up at each call, so a wrapper put on the module's
+        # ``_default_post`` (``bench/spans.py`` traces it) sees every POST.
+        return _default_post(self, url, headers, payload, timeout)
+
+    def target(self, url: str) -> str:
+        """The request target of ``url``: the URL itself for an HTTP proxy,
+        else its path and query."""
+        if self._absolute:
+            return url
+        parts = urlsplit(url)
+        return (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+
+    def take(self, timeout: float):
+        """An idle connection, with ``timeout`` set, or None."""
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is not None:
+            conn.sock.settimeout(timeout)
+        return conn
+
+    def open(self, timeout: float):
+        """A new connection; it connects when it sends its first request."""
+        conn = self._class(self._host, timeout=timeout)
+        if self._tunnel:
+            conn.set_tunnel(self._tunnel, headers=self._proxy_headers)
+        return conn
+
+    def send(self, conn, url: str, headers: dict, body: bytes):
+        """POST ``body`` on ``conn`` and read the whole reply: ``(status,
+        raw body)``.  ``conn`` goes back to the pool, or is closed."""
+        if self._absolute:
+            headers = {**headers, **self._proxy_headers}
+        try:
+            conn.request("POST", self.target(url), body, headers)
+            if self._quickack is not None:
+                conn.sock.setsockopt(*self._quickack)
+            with conn.getresponse() as response:
+                status, raw = response.status, response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close or self._quickack is None:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        return status, raw
+
+    def close(self) -> None:
+        with self._lock:
+            idle = self._idle[:]
+            self._idle.clear()
+        _close_each(idle)
+
+
+def _close_each(connections: list) -> None:
+    for conn in connections:
+        conn.close()
+
+
+def _default_post(
+    connections: _Connections, url: str, headers: dict, payload: dict, timeout: float
+):
+    """POST ``payload`` as JSON on a connection of ``connections``; return the
+    status and the decoded JSON body.
 
     A body that is not JSON reads as ``{}``.  An error status is returned,
-    not raised; transport failures raise ``OSError`` (``URLError``, timeouts)
-    or ``http.client.HTTPException``.  ``urllib.request`` is imported here
-    because only the HTTP backends need it.
+    not raised; transport failures raise ``OSError`` (refused, timed out) or
+    ``http.client.HTTPException``.  A kept connection may have been closed
+    by the server while it sat idle, which shows as ``BrokenPipeError`` or
+    ``ConnectionResetError`` (``RemoteDisconnected`` is one): the request is
+    then sent again at once, once, on a new connection.  A failure on a new
+    connection is raised, for the caller's retry policy.
     """
-    import urllib.error
-    import urllib.request
-
-    data = json.dumps(payload).encode("utf-8")
-    req = urllib.request.Request(url, data=data, headers=headers, method="POST")
-    try:
-        with urllib.request.urlopen(req, timeout=timeout) as response:
-            return response.status, _json_or_empty(response.read())
-    except urllib.error.HTTPError as exc:
-        with exc:
-            return exc.code, _json_or_empty(exc.read())
+    body = json.dumps(payload).encode("utf-8")
+    kept = connections.take(timeout)
+    if kept is not None:
+        try:
+            status, raw = connections.send(kept, url, headers, body)
+        except (BrokenPipeError, ConnectionResetError):
+            kept = None
+    if kept is None:
+        status, raw = connections.send(connections.open(timeout), url, headers, body)
+    return status, _json_or_empty(raw)
 
 
 def _json_or_empty(raw: bytes):
@@ -127,6 +260,8 @@ class _HttpBackend:
 
     A subclass sets ``service`` and the environment variables ``base_env``
     and ``key_env`` that give the endpoint and key the arguments leave out.
+    ``post`` defaults to the backend's own pool of kept connections
+    (``_Connections``), which ``close`` closes.
     """
 
     def __init__(
@@ -147,8 +282,13 @@ class _HttpBackend:
         self.model_name = model
         self.api_key = api_key or os.environ.get(self.key_env)
         self.timeout = timeout
-        self.post = post or _default_post
+        self._connections = _Connections(self.base_url)
+        self.post = post or self._connections
         self.sleep = sleep
+
+    def close(self) -> None:
+        """Close the idle connections; a later call opens a new one."""
+        self._connections.close()
 
     def _request(self, path: str, payload: dict) -> dict:
         from http.client import HTTPException
@@ -538,6 +678,13 @@ class TeacherClient:
         prompt = build_retrieval_check_prompt(question, passage_title, passage)
         reply = self.ask(prompt, temperature=DEFAULT_JUDGE_TEMPERATURE)
         return parse_relevance_reply(reply)
+
+    def close(self) -> None:
+        """Close the backend's idle connections; a backend without ``close``
+        keeps none."""
+        close = getattr(self.backend, "close", None)
+        if close is not None:
+            close()
 
 
 @lru_cache(maxsize=1 << 16)

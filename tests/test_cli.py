@@ -4,15 +4,18 @@ import builtins
 import contextlib
 import errno
 import fcntl
+import gc
 import hashlib
 import http.server
 import itertools
 import json
 import os
 import shutil
+import socket
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -162,16 +165,34 @@ def clock():
 
 class SimulatedTeacherHandler(http.server.BaseHTTPRequestHandler):
     """A chat-completion endpoint whose replies are those of the simulated
-    teacher at the seed ``write_config`` sets."""
+    teacher at the seed ``write_config`` sets, and an embedding endpoint
+    that answers with the reference embedder's vectors.  It keeps each
+    connection open between requests (HTTP/1.1) and writes a reply's
+    headers and body in two sends."""
 
+    protocol_version = "HTTP/1.1"
     teacher = SimulatedTeacherBackend(seed=5)
+    # The status of every judge call's reply; another than 200 has no body.
+    judge_status = 200
 
     def do_POST(self):
         payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        prompt = payload["messages"][-1]["content"]
-        reply = self.teacher.complete(CompletionRequest(prompt=prompt))
-        choice = {"message": {"content": reply}, "finish_reason": "stop"}
-        body = json.dumps({"choices": [choice]}).encode()
+        prompt = payload.get("messages", [{}])[-1].get("content", "")
+        if self.judge_status != 200 and prompt.startswith("QUESTION:"):
+            self.send_response(self.judge_status)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        if self.path.endswith("/embeddings"):
+            rows = ReferenceEmbeddingBackend().embed_many(payload["input"]).tolist()
+            reply = {"data": [{"index": i, "embedding": row} for i, row in enumerate(rows)]}
+        else:
+            choice = {
+                "message": {"content": self.teacher.complete(CompletionRequest(prompt=prompt))},
+                "finish_reason": "stop",
+            }
+            reply = {"choices": [choice]}
+        body = json.dumps(reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -784,6 +805,51 @@ class TestFullRun:
         assert {name: blob for name, blob in local.items() if name != INSTANCES_FILE} == {
             name: blob for name, blob in http_1.items() if name != INSTANCES_FILE
         }
+
+    @pytest.mark.parametrize("workers, judge_status", [(1, 200), (4, 200), (4, 401)])
+    def test_an_http_run_leaves_no_socket_to_the_collector(
+        self, tmp_path, capsys, monkeypatch, workers, judge_status
+    ):
+        """Each teacher stage closes its client's connections, and dedup its
+        HTTP embedder's, when its calls are done, so the garbage collector
+        finds no open connection to warn about; a filter stage that an auth
+        error aborts closes them too.  The pools are kept alive here, so a
+        connection a stage left open would still be idle in one."""
+        unraisable, pools = [], []
+        monkeypatch.setattr(sys, "unraisablehook", lambda hook: unraisable.append(
+            f"{hook.exc_type.__name__}: {hook.exc_value}"
+        ))
+
+        class Recorded(teacher_module._Connections):
+            def __init__(self, base_url):
+                super().__init__(base_url)
+                self.idle_at_close = None
+                pools.append(self)
+
+            def close(self):
+                self.idle_at_close = len(self._idle)
+                super().close()
+
+        monkeypatch.setattr(teacher_module, "_Connections", Recorded)
+        monkeypatch.setattr(SimulatedTeacherHandler, "judge_status", judge_status)
+        with simulated_teacher_server() as url:
+            http = {"backend": "http", "base_url": url}
+            path = write_config(tmp_path, max_workers=workers, teacher=http, embedder=http)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main(["run", "--config", path])
+                gc.collect()
+        err = capsys.readouterr().err
+        if judge_status == 200:
+            assert rc == 0, err
+            assert len(jsonl_records(load_config(path).artifact(TRAINING_FILE))) > 8
+        else:
+            assert rc == 1 and "authentication failed (401)" in err
+        # refine, concepts, dedup's embedder, generate, filter
+        assert [pool._idle for pool in pools] == [[]] * 5
+        kept = hasattr(socket, "TCP_QUICKACK")
+        assert all(bool(pool.idle_at_close) == kept for pool in pools)
+        assert unraisable == []
 
     def test_default_runs_start_no_thread_pool(self, tmp_path, capsys, monkeypatch):
         """A simulated ``run`` and a scripted one, each at the default

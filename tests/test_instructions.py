@@ -13,7 +13,6 @@ from corgi.instructions import (
     ConceptFailure,
     ConceptGenerationError,
     GenerationError,
-    generate_answer,
     generate_for_concepts,
     generate_instances,
     generate_question,
@@ -26,7 +25,7 @@ from corgi.prompts import (
     build_question_prompt,
     pick_system_message,
 )
-from corgi.taxonomy import COGNITIVE_TEMPLATES
+from corgi.taxonomy import COGNITIVE_TEMPLATES, LOAD_EASY
 from corgi.teacher import (
     MockTeacherBackend,
     TeacherAuthError,
@@ -214,35 +213,57 @@ class TestGenerateQuestion:
         assert concept.id in str(err.value)
 
 
-class TestGenerateAnswer:
-    def test_system_message_is_drawn_and_returned(self):
-        question = "What is heat?"
-        backend = MockTeacherBackend.from_prompts(
-            {question: "  Thermal energy in transit. "}
-        )
-        client = TeacherClient(backend=backend)
-        system_message, answer = generate_answer(
-            question, "easy", random.Random(0), client
-        )
-        assert answer == "Thermal energy in transit."
-        assert system_message in SYSTEM_MESSAGES_EASY
-        assert system_message == pick_system_message("easy", random.Random(0))
+class PaddedAnswers(CountingClient):
+    """CountingClient whose answers come back padded with whitespace, or
+    blank at answer call ``blank_answer_at``."""
 
-    def test_hard_load_uses_the_other_pool(self):
-        question = "Design a bridge."
-        client = TeacherClient(
-            backend=MockTeacherBackend.from_prompts({question: "Use trusses."})
+    def __init__(self, blank_answer_at=None):
+        super().__init__()
+        self.blank_answer_at = blank_answer_at
+
+    def ask(self, prompt, system_message="", temperature=None):
+        reply = super().ask(prompt, system_message, temperature)
+        if "### Question ###" in prompt:
+            return reply
+        return "   " if len(self.answer_calls) == self.blank_answer_at else f"  {reply} "
+
+
+class TestAnswers:
+    """Each answer is the bare question asked under a system message drawn
+    from its template's load, in template order."""
+
+    def test_system_messages_are_drawn_and_kept(self):
+        client = PaddedAnswers()
+        instances = generate_instances(
+            make_concept(), client, random.Random(0), COURSE_TITLE, PROVENANCE
         )
-        system_message, _ = generate_answer(question, "hard", random.Random(5), client)
-        assert system_message in SYSTEM_MESSAGES_MEDIUM_HARD
+        rng = random.Random(0)
+        drawn = [pick_system_message(t.load, rng) for t in COGNITIVE_TEMPLATES]
+        assert [inst.system_message for inst in instances] == drawn
+        assert client.answer_calls == [(f"Q{i}.", drawn[i - 1]) for i in range(1, 20)]
+        assert [inst.answer for inst in instances] == [f"A{i}." for i in range(1, 20)]
+
+    def test_hard_loads_use_the_other_pool(self):
+        instances = generate_instances(
+            make_concept(), PaddedAnswers(), random.Random(5), COURSE_TITLE, PROVENANCE
+        )
+        loads = {template.load for template in COGNITIVE_TEMPLATES}
+        assert len(loads) > 1
+        for inst in instances:
+            pool = SYSTEM_MESSAGES_EASY if inst.cognitive_load == LOAD_EASY else (
+                SYSTEM_MESSAGES_MEDIUM_HARD
+            )
+            assert inst.system_message in pool
 
     def test_empty_answer_is_an_error(self):
-        question = "What is heat?"
-        client = TeacherClient(
-            backend=MockTeacherBackend.from_prompts({question: "   "})
-        )
-        with pytest.raises(GenerationError):
-            generate_answer(question, "easy", random.Random(0), client)
+        with pytest.raises(ConceptGenerationError) as err:
+            generate_instances(
+                make_concept(), PaddedAnswers(blank_answer_at=4), random.Random(0),
+                COURSE_TITLE, PROVENANCE,
+            )
+        assert err.value.failure.failed_index == 4
+        assert isinstance(err.value.__cause__, GenerationError)
+        assert "empty answer reply" in str(err.value)
 
 
 class TestGenerateInstances:

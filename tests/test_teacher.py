@@ -1,5 +1,8 @@
 """Teacher client tests: backends, retry plumbing, judging, embeddings."""
 
+import base64
+import contextlib
+import gc
 import hashlib
 import http.client
 import http.server
@@ -40,7 +43,6 @@ from corgi.teacher import (
     TeacherError,
     TeacherRetryError,
     TeacherTruncationError,
-    _default_post,
     fan_out,
     parse_relevance_reply,
     prompt_digest,
@@ -404,14 +406,29 @@ def loopback():
         thread.join(timeout=10)
 
 
-class TestDefaultPost:
-    """The real urllib transport against a loopback server."""
+@pytest.fixture
+def connections():
+    """Makes a backend's pool of kept connections to a URL; closes each at exit."""
+    pools = []
 
-    def test_ok_returns_status_and_json_body(self, loopback):
+    def make(url):
+        pools.append(teacher_module._Connections(url))
+        return pools[-1]
+
+    yield make
+    for pool in pools:
+        pool.close()
+
+
+class TestDefaultPost:
+    """The real transport, a backend's pool of kept connections, against a
+    loopback server."""
+
+    def test_ok_returns_status_and_json_body(self, loopback, connections):
         url, server = loopback
         headers = {"Content-Type": "application/json", "Authorization": "Bearer k"}
         payload = {"model": "m", "messages": [{"role": "user", "content": "héllo"}]}
-        status, body = _default_post(url + "/200", headers, payload, 10.0)
+        status, body = connections(url)(url + "/200", headers, payload, 10.0)
         assert (status, body) == (200, completion_body(OK_REPLY))
         assert server.received == [
             {
@@ -423,35 +440,37 @@ class TestDefaultPost:
         ]
 
     @pytest.mark.parametrize("status", [401, 429, 503])
-    def test_error_status_is_returned_with_its_json_body(self, loopback, status):
+    def test_error_status_is_returned_with_its_json_body(self, loopback, connections, status):
         url, _ = loopback
-        assert _default_post(f"{url}/{status}", {}, {}, 10.0) == (
+        assert connections(url)(f"{url}/{status}", {}, {}, 10.0) == (
             status, {"error": str(status)}
         )
 
     @pytest.mark.parametrize("status", [200, 503])
-    def test_non_json_body_reads_as_empty(self, loopback, status):
+    def test_non_json_body_reads_as_empty(self, loopback, connections, status):
         url, _ = loopback
-        assert _default_post(f"{url}/{status}/text", {}, {}, 10.0) == (status, {})
+        assert connections(url)(f"{url}/{status}/text", {}, {}, 10.0) == (status, {})
 
-    def test_backend_retries_503_then_succeeds(self, loopback):
+    def test_backend_retries_503_then_succeeds(self, loopback, connections):
         url, server = loopback
         paths = iter(["/503/text", "/429", "/200"])
         waits = []
+        pool = connections(url)
         backend = HttpTeacherBackend(
             base_url=url, api_key="k", sleep=waits.append,
-            post=lambda _url, *rest: _default_post(url + next(paths), *rest),
+            post=lambda _url, *rest: pool(url + next(paths), *rest),
         )
         assert backend.complete(CompletionRequest(prompt="hi")) == OK_REPLY
         assert [r["path"] for r in server.received] == ["/503/text", "/429", "/200"]
         assert waits == [0.5, 1.0]
 
-    def test_backend_auth_failure_through_the_wire(self, loopback):
+    def test_backend_auth_failure_through_the_wire(self, loopback, connections):
         url, server = loopback
         waits = []
+        pool = connections(url)
         backend = HttpTeacherBackend(
             base_url=url, api_key="k", sleep=waits.append,
-            post=lambda _url, *rest: _default_post(url + "/401", *rest),
+            post=lambda _url, *rest: pool(url + "/401", *rest),
         )
         with pytest.raises(TeacherAuthError):
             backend.complete(CompletionRequest(prompt="hi"))
@@ -469,6 +488,247 @@ class TestDefaultPost:
         with pytest.raises(TeacherRetryError) as err:
             backend.complete(CompletionRequest(prompt="hi"))
         assert "5 attempt(s)" in str(err.value)
+        assert waits == [0.5, 1.0, 2.0, 4.0]
+
+    @pytest.mark.parametrize("url", ["ftp://teacher.test/v1", "teacher.test/v1"])
+    def test_an_endpoint_that_is_not_http_is_an_error(self, url):
+        with pytest.raises(TeacherError, match="use http or https"):
+            HttpTeacherBackend(base_url=url, api_key="k")
+
+
+class TwoWriteHandler(http.server.BaseHTTPRequestHandler):
+    """A completion endpoint that, like ``http.server`` itself, writes a
+    reply's headers and its body in two sends, with Nagle's algorithm on.
+
+    The server records the peer of each connection it accepts and each
+    request line's target; with ``close_after`` set it closes each connection after
+    its reply without saying so, as a server dropping an idle connection
+    does."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        self.server.peers.append(self.client_address)
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.targets.append(self.path)
+        self.server.proxy_auth.append(self.headers["Proxy-Authorization"])
+        body = json.dumps(completion_body(OK_REPLY)).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+        self.close_connection = self.server.close_after
+
+    def do_CONNECT(self):
+        self.server.targets.append(f"CONNECT {self.path}")
+        self.server.proxy_auth.append(self.headers["Proxy-Authorization"])
+        self.send_response(403)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def two_write_server(protocol="HTTP/1.1", close_after=False):
+    """Serve ``TwoWriteHandler`` on a loopback port; yields the server."""
+    handler = type("Handler", (TwoWriteHandler,), {"protocol_version": protocol})
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server.peers, server.targets, server.proxy_auth = [], [], []
+    server.close_after = close_after
+    server.url = f"http://127.0.0.1:{server.server_address[1]}"
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+def http_teacher(url, waits=None):
+    sleep = [].append if waits is None else waits.append
+    return HttpTeacherBackend(base_url=url, api_key="k", sleep=sleep)
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    """Clears every proxy variable; yields ``monkeypatch`` to set some."""
+    for scheme in ("http", "https", "all", "no"):
+        monkeypatch.delenv(f"{scheme}_proxy", raising=False)
+        monkeypatch.delenv(f"{scheme.upper()}_PROXY", raising=False)
+    return monkeypatch
+
+
+class TestConnectionPool:
+    """Each HTTP backend keeps its connections to its endpoint between calls."""
+
+    def test_sequential_calls_share_one_connection(self):
+        with two_write_server() as server:
+            backend = http_teacher(server.url)
+            try:
+                for _ in range(5):
+                    assert backend.complete(CompletionRequest(prompt="hi")) == OK_REPLY
+            finally:
+                backend.close()
+        assert len(server.peers) == (1 if hasattr(socket, "TCP_QUICKACK") else 5)
+        assert server.targets == ["/chat/completions"] * 5
+
+    def test_an_http_1_0_server_gets_a_connection_per_call(self):
+        with two_write_server(protocol="HTTP/1.0") as server:
+            backend = http_teacher(server.url)
+            try:
+                for _ in range(5):
+                    assert backend.complete(CompletionRequest(prompt="hi")) == OK_REPLY
+            finally:
+                backend.close()
+        assert len(server.peers) == 5
+
+    def test_without_quickack_each_connection_closes_after_its_reply(self, monkeypatch):
+        monkeypatch.delattr(socket, "TCP_QUICKACK", raising=False)
+        with two_write_server() as server:
+            backend = http_teacher(server.url)
+            try:
+                for _ in range(3):
+                    assert backend.complete(CompletionRequest(prompt="hi")) == OK_REPLY
+                assert backend._connections._idle == []
+            finally:
+                backend.close()
+        assert len(server.peers) == 3
+
+    @pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="no TCP_QUICKACK")
+    def test_a_kept_connection_is_not_held_up_by_delayed_acks(self):
+        """Without ``TCP_QUICKACK`` the server's body would wait about 40 ms
+        for the client's delayed ACK of the headers on every call."""
+        calls = 50
+        with two_write_server() as server:
+            backend = http_teacher(server.url)
+            try:
+                start = time.perf_counter()
+                for _ in range(calls):
+                    backend.complete(CompletionRequest(prompt="hi"))
+                elapsed = time.perf_counter() - start
+            finally:
+                backend.close()
+        assert len(server.peers) == 1
+        assert elapsed < calls * 0.040 / 2
+
+    def test_a_connection_the_server_dropped_is_replaced_at_once(self):
+        waits = []
+        with two_write_server(close_after=True) as server:
+            backend = http_teacher(server.url, waits)
+            try:
+                for _ in range(2):
+                    assert backend.complete(CompletionRequest(prompt="hi")) == OK_REPLY
+            finally:
+                backend.close()
+        assert waits == []
+        assert server.targets == ["/chat/completions"] * 2
+        assert len(server.peers) == 2
+
+    def test_a_failure_on_a_new_connection_goes_to_the_retry_policy(self, monkeypatch):
+        """Only a kept connection is re-sent at once; a new one that fails
+        is an attempt, with its wait."""
+        sent = []
+
+        def failing_send(conn, url, headers, body):
+            sent.append(conn)
+            conn.close()
+            raise http.client.RemoteDisconnected("closed")
+
+        waits = []
+        backend = http_teacher("http://127.0.0.1:9", waits)
+        monkeypatch.setattr(backend._connections, "send", failing_send)
+        with pytest.raises(TeacherRetryError):
+            backend.complete(CompletionRequest(prompt="hi"))
+        assert len(sent) == 5
+        assert waits == [0.5, 1.0, 2.0, 4.0]
+
+    def test_threads_take_their_own_connections(self):
+        with two_write_server() as server:
+            backend = http_teacher(server.url)
+            client = TeacherClient(backend=backend, max_concurrency=4)
+            try:
+                replies = fan_out(lambda i: client.ask(f"q{i}"), range(40), 4)
+            finally:
+                client.close()
+            assert backend._connections._idle == []
+        assert replies == [OK_REPLY] * 40
+        assert len(server.targets) == 40
+        assert len(server.peers) <= (4 if hasattr(socket, "TCP_QUICKACK") else 40)
+
+    def test_close_closes_every_idle_connection(self):
+        with two_write_server() as server:
+            backend = http_teacher(server.url)
+            backend.complete(CompletionRequest(prompt="hi"))
+            idle = list(backend._connections._idle)
+            backend.close()
+            assert all(conn.sock is None for conn in idle)
+            # A call after close opens a new connection.
+            assert backend.complete(CompletionRequest(prompt="hi")) == OK_REPLY
+            backend.close()
+        assert len(idle) == (1 if hasattr(socket, "TCP_QUICKACK") else 0)
+        assert len(server.peers) == 2
+
+
+    def test_a_backend_dropped_unclosed_closes_its_connections(self, monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with two_write_server() as server:
+            backend = http_teacher(server.url)
+            backend.complete(CompletionRequest(prompt="hi"))
+            idle = list(backend._connections._idle)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                del backend
+                gc.collect()
+        assert all(conn.sock is None for conn in idle)
+        assert unraisable == []
+
+
+class TestProxies:
+    """Proxies are found as urllib finds them, once per backend."""
+
+    def test_an_http_proxy_gets_the_absolute_uri(self, proxy_env):
+        with two_write_server() as proxy:
+            proxy_env.setenv("http_proxy", proxy.url.replace("http://", "http://u%40x:p%3Aw@"))
+            backend = http_teacher("http://teacher.test/v1")
+            try:
+                for _ in range(2):
+                    assert backend.complete(CompletionRequest(prompt="hi")) == OK_REPLY
+            finally:
+                backend.close()
+        assert proxy.targets == ["http://teacher.test/v1/chat/completions"] * 2
+        credentials = base64.b64encode(b"u@x:p:w").decode()
+        assert proxy.proxy_auth == [f"Basic {credentials}"] * 2
+
+    def test_no_proxy_bypasses_the_proxy(self, proxy_env):
+        with two_write_server() as proxy, two_write_server() as endpoint:
+            proxy_env.setenv("http_proxy", proxy.url)
+            proxy_env.setenv("no_proxy", "127.0.0.1")
+            backend = http_teacher(endpoint.url)
+            try:
+                assert backend.complete(CompletionRequest(prompt="hi")) == OK_REPLY
+            finally:
+                backend.close()
+        assert proxy.targets == [] and proxy.peers == []
+        assert endpoint.targets == ["/chat/completions"]
+
+    def test_an_https_endpoint_is_tunnelled(self, proxy_env):
+        waits = []
+        with two_write_server() as proxy:
+            proxy_env.setenv("https_proxy", proxy.url.replace("http://", "http://u:p@"))
+            backend = http_teacher("https://teacher.test/v1", waits)
+            with pytest.raises(TeacherRetryError):
+                backend.complete(CompletionRequest(prompt="hi"))
+        assert proxy.targets == ["CONNECT teacher.test:443"] * 5
+        assert proxy.proxy_auth == [f"Basic {base64.b64encode(b'u:p').decode()}"] * 5
         assert waits == [0.5, 1.0, 2.0, 4.0]
 
 
